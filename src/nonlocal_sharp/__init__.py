@@ -6,7 +6,7 @@ it against closed-form regime predictions, including the logarithmic
 correction at the critical parameter threshold.
 """
 
-from .grids import Domain, Grid, boundary_distance, graded_mesh
+from .grids import Grid, boundary_distance, graded_mesh
 from .kernels import (
     BoundReport,
     DiagonalSingularityError,
@@ -26,17 +26,17 @@ from .operators import (
 )
 from .eigen import (
     BoundaryRatio,
-    ConvergenceError,
     EigenPair,
     eigenfunction_boundary_report,
     leading_eigenpairs,
 )
 from .solver import (
     BracketError,
+    ConvergenceError,
     HarnackReport,
     SemilinearSolution,
     SolverConfig,
-    auto_bracket,
+    enclosure,
     harnack_report,
     picard_map,
     picard_solve,
@@ -67,15 +67,15 @@ from .fitting import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Domain", "Grid", "boundary_distance", "graded_mesh",
+    "Grid", "boundary_distance", "graded_mesh",
     "BoundReport", "DiagonalSingularityError", "GreenKernel", "ProblemParams",
     "check_kernel_bounds", "eval_synthetic_k5", "synthetic_k5",
     "GreenOperator", "apply", "assemble", "green_q_norm",
     "green_q_norm_profile", "spectral_mt_operator",
-    "BoundaryRatio", "ConvergenceError", "EigenPair",
+    "BoundaryRatio", "EigenPair",
     "eigenfunction_boundary_report", "leading_eigenpairs",
-    "BracketError", "HarnackReport", "SemilinearSolution", "SolverConfig",
-    "auto_bracket", "harnack_report", "picard_map", "picard_solve",
+    "BracketError", "ConvergenceError", "HarnackReport", "SemilinearSolution",
+    "SolverConfig", "enclosure", "harnack_report", "picard_map", "picard_solve",
     "solve_linear",
     "BqClassification", "CaseLabel", "EigenvalueProblemSignal",
     "ExponentPrediction", "HlsLadder", "classify_bq", "hls_ladder",

@@ -1,10 +1,10 @@
 """Leading eigenpairs of the discretized compact inverse operator.
 
-Power iteration with deflation in the quadrature-weighted inner product
-<u, v>_w = sum_i w_i u_i v_i, which is the discrete L^2 pairing on the
-grid.  The first eigenvector is the Perron direction of the entrywise
-nonnegative operator matrix; the deterministic all-ones start has nonzero
-overlap with it.
+The operator A is self-adjoint in the quadrature-weighted inner product
+<u, v>_w = sum_i w_i u_i v_i, the discrete L^2 pairing on the grid, so
+S = W^{1/2} A W^{-1/2} is symmetric.  Its largest eigenpairs come from
+ARPACK (scipy.sparse.linalg.eigsh) and map back to A by W^{-1/2}; each
+pair keeps the honest residual ||A phi - mu phi||_w of A itself.
 """
 
 from __future__ import annotations
@@ -12,15 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .grids import Grid
 from .operators import GreenOperator
-
-
-class ConvergenceError(RuntimeError):
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+from .solver import ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -33,65 +29,40 @@ class EigenPair:
 
 def leading_eigenpairs(op: GreenOperator, n_eigs: int = 1, tol: float = 1e-10,
                        max_iter: int = 10_000) -> list[EigenPair]:
-    """Largest n_eigs eigenpairs by power iteration with deflation.
+    """Largest n_eigs eigenpairs, ordered by decreasing eigenvalue.
 
-    Convergence requires both relative eigenvalue stagnation and a residual
-    below tol * mu_1; eigenvalue stagnation alone is unreliable under
-    clustering.
+    Every pair must reach ||A phi - mu phi||_w <= tol * mu_1, whatever
+    ARPACK's own stopping test reported.  The start vector is a seeded
+    random vector: a symmetric start is orthogonal to the odd modes.
     """
     if not 1 <= n_eigs <= 20:
         raise ValueError("n_eigs must lie in 1..20")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    A = op.A
+    n = op.grid.n
+    if n_eigs >= n:
+        raise ValueError("n_eigs must be smaller than the number of nodes")
     w = op.grid.weights
-
-    def dot_w(a, b):
-        return float(np.sum(w * a * b))
-
-    pairs: list[EigenPair] = []
-    B = A.copy()
-    mu_1 = None
-    for k in range(n_eigs):
-        if k == 0:
-            # the ones vector has positive overlap with the Perron direction
-            v = np.ones(op.grid.n)
-        else:
-            # deflated modes may be odd about the midpoint, orthogonal to any
-            # symmetric start; a seeded random start overlaps every mode
-            v = np.random.default_rng(k).standard_normal(op.grid.n)
-        v /= np.sqrt(dot_w(v, v))
-        mu_old = np.inf
-        resid = np.inf
-        def project(u):
-            # restrict to the complement of the converged invariant subspace;
-            # without this, the finite accuracy of earlier pairs leaks their
-            # (larger) eigenvalues back and floors the attainable residual
-            for prev in pairs:
-                u -= dot_w(prev.phi, u) * prev.phi
-            return u
-
-        for _ in range(max_iter):
-            u = project(B @ v)
-            norm = np.sqrt(dot_w(u, u))
-            if norm == 0.0:
-                raise ConvergenceError("iterate annihilated; operator rank too low", np.inf)
-            v = u / norm
-            Bv = project(B @ v)
-            mu = dot_w(v, Bv)
-            resid = np.sqrt(max(dot_w(Bv - mu * v, Bv - mu * v), 0.0))
-            ref = mu_1 if mu_1 is not None else abs(mu)
-            if abs(mu - mu_old) <= tol * abs(mu) and resid <= tol * ref:
-                break
-            mu_old = mu
-        else:
+    sw = np.sqrt(w)
+    S = sw[:, None] * op.A / sw[None, :]
+    S = 0.5 * (S + S.T)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        mus, Y = eigsh(S, k=n_eigs, which="LA", v0=v0, tol=tol, maxiter=max_iter)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(f"ARPACK did not converge: {exc}", np.inf) from exc
+    order = np.argsort(mus)[::-1]
+    mu_1 = float(mus[order[0]])
+    pairs = []
+    for k, j in enumerate(order):
+        mu = float(mus[j])
+        phi = _fix_sign(Y[:, j] / sw, w)
+        r = op.A @ phi - mu * phi
+        resid = float(np.sqrt(np.sum(w * r * r)))
+        if resid > tol * mu_1:
             raise ConvergenceError(
-                f"eigenpair {k + 1} did not converge in {max_iter} iterations", resid)
-        v = _fix_sign(v, w)
-        if mu_1 is None:
-            mu_1 = mu
-        pairs.append(EigenPair(index=k + 1, mu=mu, phi=v, residual=resid))
-        B = B - mu * np.outer(v, w * v)  # deflation in the w-inner product
+                f"eigenpair {k + 1} residual {resid:.3e} exceeds tol * mu_1", resid)
+        pairs.append(EigenPair(index=k + 1, mu=mu, phi=phi, residual=resid))
     return pairs
 
 

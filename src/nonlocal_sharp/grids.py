@@ -26,24 +26,6 @@ def boundary_distance(x):
 
 
 @dataclass(frozen=True)
-class Domain:
-    """The unit interval, carrying the dimension N used by the predictors.
-
-    Computation is always 1-D; N > 1 only enters closed-form exponent
-    formulas.
-    """
-
-    N: int = 1
-
-    def delta(self, x):
-        return boundary_distance(x)
-
-    def phi(self, x, gamma: float):
-        """Boundary profile delta(x)^gamma."""
-        return boundary_distance(x) ** gamma
-
-
-@dataclass(frozen=True)
 class Grid:
     """Cell-midpoint grid on (0, 1).
 
@@ -78,15 +60,6 @@ class Grid:
     @property
     def is_uniform(self) -> bool:
         return bool(np.allclose(self.weights, 1.0 / self.n, rtol=1e-12, atol=0))
-
-    def reflected(self) -> "Grid":
-        """The grid mapped through x -> 1 - x (equals self by symmetry)."""
-        return Grid(
-            nodes=1.0 - self.nodes[::-1],
-            boundaries=1.0 - self.boundaries[::-1],
-            weights=self.weights[::-1],
-            beta=self.beta,
-        )
 
 
 def graded_mesh(n: int, beta: float = 3.0) -> Grid:

@@ -52,15 +52,10 @@ class DiagonalSingularityError(ValueError):
 
 @dataclass(frozen=True)
 class GreenKernel:
-    """Evaluatable symmetric kernel with backend tag and singularity data.
-
-    amplitude rescales the kernel (used by the bound checker's linearity
-    tests); physical backends use amplitude 1.
-    """
+    """Evaluatable symmetric kernel with backend tag and singularity data."""
 
     backend: str
     params: ProblemParams
-    amplitude: float = 1.0
 
     @property
     def singular_exponent(self) -> float:
@@ -69,10 +64,7 @@ class GreenKernel:
     def __call__(self, x, y):
         if self.backend != "SyntheticK5":
             raise ValueError(f"backend {self.backend!r} has no pointwise kernel")
-        return self.amplitude * eval_synthetic_k5(self.params, x, y)
-
-    def scaled(self, c: float) -> "GreenKernel":
-        return GreenKernel(self.backend, self.params, self.amplitude * c)
+        return eval_synthetic_k5(self.params, x, y)
 
 
 def synthetic_k5(params: ProblemParams) -> GreenKernel:
@@ -133,7 +125,6 @@ def check_kernel_bounds(kernel_or_op, n_samples: int = 10_000, seed: int = 0) ->
     if hasattr(kernel_or_op, "A"):  # assembled operator
         op = kernel_or_op
         params = op.params
-        amplitude = 1.0
         n = op.grid.n
         i = rng.integers(0, n, size=2 * n_samples)
         j = rng.integers(0, n, size=2 * n_samples)
@@ -145,7 +136,6 @@ def check_kernel_bounds(kernel_or_op, n_samples: int = 10_000, seed: int = 0) ->
     else:
         kernel = kernel_or_op
         params = kernel.params
-        amplitude = kernel.amplitude
         x = rng.uniform(0.0, 1.0, size=n_samples)
         y = rng.uniform(0.0, 1.0, size=n_samples)
         coincide = x == y
@@ -165,6 +155,6 @@ def check_kernel_bounds(kernel_or_op, n_samples: int = 10_000, seed: int = 0) ->
     c1_hat = float(np.max(g / envelope))
     ratios_lower = g / phi_prod
     c0_hat = float(np.min(ratios_lower))
-    violations = int(np.count_nonzero(g < amplitude * phi_prod * (1.0 - 1e-12)))
+    violations = int(np.count_nonzero(g < phi_prod * (1.0 - 1e-12)))
     return BoundReport(c0_hat=c0_hat, c1_hat=c1_hat,
                        violations=violations, n_samples=int(x.size))

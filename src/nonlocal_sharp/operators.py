@@ -66,7 +66,7 @@ def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
          * np.minimum((d ** g)[:, None] / rg, 1.0)
          * np.minimum((d ** g)[None, :] / rg, 1.0))
     _refine_near_diagonal(G, kernel, grid)
-    A = kernel.amplitude * G * w[None, :]
+    A = G * w[None, :]
 
     left = x - grid.boundaries[:-1]
     right = grid.boundaries[1:] - x
@@ -77,7 +77,7 @@ def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
     bad = half_width > d * (1.0 + 1e-3)
     for i in np.flatnonzero(bad):
         diag[i] = _diagonal_cell_quad(kernel, x[i], grid.boundaries[i], grid.boundaries[i + 1])
-    np.fill_diagonal(A, kernel.amplitude * diag)
+    np.fill_diagonal(A, diag)
 
     return GreenOperator(grid=grid, A=A, provenance=kernel.backend, params=kernel.params)
 
@@ -100,16 +100,15 @@ def _refine_near_diagonal(G: np.ndarray, kernel: GreenKernel, grid: Grid) -> Non
     lo_all = grid.boundaries[:-1]
     hi_all = grid.boundaries[1:]
     n = grid.n
-    amp = kernel.amplitude
 
     def cell_average(i0, j0):
-        # (1/w_j) int_{cell_j} G(x_i, y) dy at unit amplitude
+        # (1/w_j) int_{cell_j} G(x_i, y) dy
         lo, hi = lo_all[j0], hi_all[j0]
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         y = mid[:, None] + half[:, None] * gx[None, :]
         vals = kernel(np.broadcast_to(x[i0][:, None], y.shape), y)
-        return half * (vals @ gw) / (amp * w[j0])
+        return half * (vals @ gw) / w[j0]
 
     for off in range(1, _NEAR_BAND + 1):
         if off >= n:
@@ -145,7 +144,7 @@ def _diagonal_cell_quad(kernel: GreenKernel, xi: float, lo: float, hi: float) ->
 
         return quad(integrand, 0.0, r_max, limit=200)[0]
 
-    return kernel.amplitude * (side(xi - lo, -1.0) + side(hi - xi, 1.0))
+    return side(xi - lo, -1.0) + side(hi - xi, 1.0)
 
 
 def apply(op: GreenOperator, v: np.ndarray) -> np.ndarray:
@@ -198,7 +197,7 @@ def green_q_norm(kernel: GreenKernel, grid: Grid, x0_index: int, q: float) -> fl
     total = float(np.sum(vals * grid.weights[mask]))
     a = 1.0 - q * (1.0 - 2.0 * s)  # > 0 inside the admissible q range
     lo, hi = grid.boundaries[x0_index], grid.boundaries[x0_index + 1]
-    total += kernel.amplitude ** q * ((x0 - lo) ** a + (hi - x0) ** a) / a
+    total += ((x0 - lo) ** a + (hi - x0) ** a) / a
     return total ** (1.0 / q)
 
 

@@ -1,11 +1,12 @@
-"""Semilinear fixed-point solver u = G[u^p] by bracketed monotone iteration.
+"""Semilinear fixed-point solver u = G[u^p] by certified Picard iteration.
 
-The map T(u) = G[u^p] is monotone and p-homogeneous, so iterating from an
-entrywise supersolution gives a nonincreasing sequence and from a
-subsolution a nondecreasing one; both converge to the unique positive
-fixed point, giving a two-sided certificate.  The bracket is built from
-the constant supersolution c* 1 and a small multiple of the Perron
-eigenvector.
+The map T(u) = G[u^p] is monotone and p-homogeneous, so any positive u
+certifies itself: with r = T(u)/u entrywise, a u is a subsolution and b u
+a supersolution for a = (min r)^{1/(1-p)} and b = (max r)^{1/(1-p)}, and
+the unique positive fixed point lies in [a u, b u].  One Picard sequence
+from the torsion function G[1] contracts in Hilbert's projective metric
+(Birkhoff-Bushell), so b/a - 1 shrinks geometrically; it is the reported
+certificate.
 """
 
 from __future__ import annotations
@@ -14,14 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import ConvergenceError, leading_eigenpairs
 from .exponents import ExponentPrediction
 from .grids import Grid
 from .operators import GreenOperator, apply
 
 
+class ConvergenceError(RuntimeError):
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
+
+
 class BracketError(RuntimeError):
-    """Automatic sub/supersolution construction failed."""
+    """The sub/supersolution certificate is inconsistent with a monotone map."""
 
 
 @dataclass(frozen=True)
@@ -29,7 +35,6 @@ class SolverConfig:
     p: float
     tol: float = 1e-10
     max_iter: int = 1000
-    bracket: tuple[np.ndarray, np.ndarray] | None = None  # None: auto
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -43,7 +48,7 @@ class SemilinearSolution:
     u: np.ndarray
     residual: float       # sup |u - T(u)| / sup u
     iterations: int
-    bracket_gap: float    # final sup(u_hi - u_lo) / sup u_hi
+    bracket_gap: float    # b/a - 1 for the enclosure [a u, b u] of the fixed point
 
 
 def solve_linear(op: GreenOperator, f: np.ndarray) -> np.ndarray:
@@ -62,76 +67,50 @@ def picard_map(op: GreenOperator, p: float, u: np.ndarray) -> np.ndarray:
     return apply(op, u ** p)
 
 
-def auto_bracket(op: GreenOperator, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise sub/supersolution pair (u_lo, u_hi) for T(u) = G[u^p].
+def enclosure(u: np.ndarray, tu: np.ndarray, p: float) -> tuple[float, float]:
+    """Scalars (a, b) with a u <= u* <= b u for the fixed point u* of T.
 
-    u_hi = c* 1 with c* = (sup G[1])^{1/(1-p)}; u_lo = eps * Phi_1 with eps
-    chosen so T(u_lo) >= u_lo holds with equality at the binding node.
+    tu = T(u).  With r = tu / u, T(c u) = c^p r u, so c u is a subsolution
+    for c^{1-p} <= min r and a supersolution for c^{1-p} >= max r.
     """
-    ones = np.ones(op.grid.n)
-    g1 = apply(op, ones)
-    c_star = float(np.max(g1)) ** (1.0 / (1.0 - p))
-    u_hi = c_star * ones
-
-    phi = leading_eigenpairs(op, n_eigs=1, tol=1e-8)[0].phi
-    phi = np.maximum(phi, 0.0)
-    if np.any(phi[1:-1] <= 0.0):
-        raise BracketError("Perron eigenvector not strictly positive in the interior")
-    r = float(np.min(apply(op, phi ** p) / phi))
-    if r <= 0.0:
-        raise BracketError("operator is not irreducible: lower bracket ratio vanished")
-    eps = r ** (1.0 / (1.0 - p))
-    eps = min(eps, c_star / float(np.max(phi)))  # keep u_lo <= u_hi
-    u_lo = eps * phi
-    return u_lo, u_hi
+    r = tu / u
+    r_min = float(np.min(r))
+    if not r_min > 0.0:
+        raise BracketError("min T(u)/u <= 0: no positive multiple of u is a subsolution")
+    e = 1.0 / (1.0 - p)
+    return r_min ** e, float(np.max(r)) ** e
 
 
 def picard_solve(op: GreenOperator, config: SolverConfig) -> SemilinearSolution:
-    """Monotone two-sided Picard iteration for the unique fixed point.
+    """Picard iteration u_{k+1} = T(u_k) from the torsion u_0 = G[1].
 
-    Stops when both bracket sequences move by less than the relative
-    tolerance and the recomputed midpoint residual is below it.
+    Stops at the first u_k with b/a - 1 <= tol and
+    sup |T(u_k) - u_k| / sup u_k <= tol, and returns that u_k.  Successive
+    enclosures [a_k u_k, b_k u_k] are nested in exact arithmetic; a step
+    that widens one by more than roundoff raises BracketError.
     """
     p, tol = config.p, config.tol
-    if config.bracket is None:
-        lo, hi = auto_bracket(op, p)
-    else:
-        lo, hi = (np.asarray(v, dtype=float) for v in config.bracket)
-        _check_bracket(op, p, lo, hi)
-
-    slack = 1e-12
-    iterations = 0
+    u = apply(op, np.ones(op.grid.n))
+    lo = hi = None
+    residual = np.inf
     for iterations in range(1, config.max_iter + 1):
-        new_lo = picard_map(op, p, lo)
-        new_hi = picard_map(op, p, hi)
-        scale = float(np.max(new_hi))
-        if np.any(new_lo < lo - slack * scale) or np.any(new_hi > hi + slack * scale):
-            raise RuntimeError("bracket monotonicity broken: operator assembly is inconsistent")
-        inc_lo = float(np.max(np.abs(new_lo - lo))) / max(float(np.max(new_lo)), 1e-300)
-        inc_hi = float(np.max(np.abs(new_hi - hi))) / max(scale, 1e-300)
+        tu = picard_map(op, p, u)
+        a, b = enclosure(u, tu, p)
+        new_lo, new_hi = a * u, b * u
+        if hi is not None:
+            slack = 1e-12 * float(np.max(hi))
+            if np.any(new_lo < lo - slack) or np.any(new_hi > hi + slack):
+                raise BracketError("enclosures not nested: operator assembly is inconsistent")
         lo, hi = new_lo, new_hi
-        if inc_lo < tol and inc_hi < tol:
-            u = 0.5 * (lo + hi)
-            residual = float(np.max(np.abs(u - picard_map(op, p, u)))) / float(np.max(u))
-            if residual <= tol:
-                gap = float(np.max(hi - lo)) / float(np.max(hi))
-                return SemilinearSolution(u=u, residual=residual,
-                                          iterations=iterations, bracket_gap=gap)
-    u = 0.5 * (lo + hi)
-    residual = float(np.max(np.abs(u - picard_map(op, p, u)))) / float(np.max(u))
+        gap = b / a - 1.0
+        residual = float(np.max(np.abs(tu - u))) / float(np.max(u))
+        if gap <= tol and residual <= tol:
+            return SemilinearSolution(u=u, residual=residual,
+                                      iterations=iterations, bracket_gap=gap)
+        u = tu
     raise ConvergenceError(
         f"Picard iteration did not reach tol={tol} in {config.max_iter} iterations",
         residual)
-
-
-def _check_bracket(op: GreenOperator, p: float, lo: np.ndarray, hi: np.ndarray) -> None:
-    slack = 1e-12 * float(np.max(hi))
-    if np.any(lo > hi + slack):
-        raise BracketError("lower bracket exceeds upper bracket")
-    if np.any(picard_map(op, p, lo) < lo - slack):
-        raise BracketError("u_lo is not a subsolution")
-    if np.any(picard_map(op, p, hi) > hi + slack):
-        raise BracketError("u_hi is not a supersolution")
 
 
 @dataclass(frozen=True)

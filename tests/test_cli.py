@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nonlocal_sharp import predict_mu
+from nonlocal_sharp import BracketError, cli, predict_mu
 from nonlocal_sharp.cli import STUDY_HEADER, main
 
 
@@ -104,6 +104,15 @@ class TestSolve:
                          "--p", "0.5", "--n", "63", "--out-dir", str(tmp_path))
         assert code == 2
 
+    def test_bracket_error_exits_3(self, capsys, tmp_path, monkeypatch):
+        def broken(op, config):
+            raise BracketError("enclosures not nested")
+        monkeypatch.setattr(cli, "picard_solve", broken)
+        code, _, err = run(capsys, "solve", "--s", "0.2", "--gamma", "1", "--p", "0.5",
+                           "--n", "64", "--out-dir", str(tmp_path))
+        assert code == 3
+        assert "not nested" in err
+
 
 class TestEigen:
     def test_spectral_csv(self, capsys, tmp_path):
@@ -155,13 +164,14 @@ class TestStudy:
         assert "no cases" in err
 
     def test_malformed_case_exits_2_before_running(self, capsys, tmp_path):
-        bad = dict(SMALL_CASE)
-        bad["s"] = 0.7  # synthetic backend needs s < 1/2
-        cfg = write_config(tmp_path, [SMALL_CASE, bad])
-        code, _, err = run(capsys, "study", "--config", cfg)
-        assert code == 2
-        assert "case 1" in err
-        assert not (tmp_path / "study.csv").exists()
+        for bad in ({**SMALL_CASE, "s": 0.7},  # synthetic backend needs s < 1/2
+                    {**SMALL_CASE, "backend": "spectral", "gamma": 0.5},  # spectral is gamma = 1
+                    {**SMALL_CASE, "tol": 0}):
+            cfg = write_config(tmp_path, [SMALL_CASE, bad])
+            code, _, err = run(capsys, "study", "--config", cfg)
+            assert code == 2
+            assert "case 1" in err
+            assert not (tmp_path / "study.csv").exists()
 
     def test_missing_field_exits_2(self, capsys, tmp_path):
         bad = {k: v for k, v in SMALL_CASE.items() if k != "p"}

@@ -86,6 +86,8 @@ class TestSyntheticEigenpairs:
             leading_eigenpairs(op, n_eigs=21)
         with pytest.raises(ValueError):
             leading_eigenpairs(op, tol=0.0)
+        with pytest.raises(ValueError):
+            leading_eigenpairs(spectral_mt_operator(0.3, graded_mesh(8, 1.0)), n_eigs=8)
 
     def test_non_convergence_raises(self, spectral_pairs):
         op, _ = spectral_pairs

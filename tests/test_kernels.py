@@ -73,13 +73,6 @@ class TestBoundChecks:
         assert rep.c1_hat == pytest.approx(1.0, abs=1e-12)
         assert rep.n_samples == 10_000
 
-    def test_scaled_kernel_scales_constants(self):
-        base = synthetic_k5(ProblemParams(s=0.2, gamma=1.0))
-        rep1 = check_kernel_bounds(base, n_samples=2000)
-        rep2 = check_kernel_bounds(base.scaled(2.0), n_samples=2000)
-        assert rep2.c0_hat == pytest.approx(2 * rep1.c0_hat, rel=1e-12)
-        assert rep2.c1_hat == pytest.approx(2 * rep1.c1_hat, rel=1e-12)
-
     def test_spectral_operator_report(self):
         op = spectral_mt_operator(0.3, graded_mesh(1000, 1.0))
         rep = check_kernel_bounds(op, n_samples=5000)

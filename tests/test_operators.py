@@ -60,13 +60,6 @@ class TestAssemble:
         order = np.log2(errs[0] / errs[1])
         assert order >= 1.0, (errs, order)
 
-    def test_amplitude_scales_linearly(self):
-        grid = graded_mesh(64, 2.0)
-        k = synthetic_k5(ProblemParams(s=0.2, gamma=1.0))
-        a1 = assemble(k, grid).A
-        a3 = assemble(k.scaled(3.0), grid).A
-        np.testing.assert_allclose(a3, 3.0 * a1, rtol=1e-13)
-
 
 @pytest.fixture(scope="module")
 def op():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocal_sharp import (
     BracketError,
@@ -10,8 +12,8 @@ from nonlocal_sharp import (
     SolverConfig,
     apply,
     assemble,
-    auto_bracket,
     classify_bq,
+    enclosure,
     fit_power,
     graded_mesh,
     harnack_report,
@@ -19,6 +21,7 @@ from nonlocal_sharp import (
     picard_solve,
     predict_mu,
     solve_linear,
+    spectral_mt_operator,
     synthetic_k5,
 )
 
@@ -85,16 +88,23 @@ class TestPicardMap:
             picard_map(small_op, 0.5, np.full(500, -1.0))
 
 
-class TestAutoBracket:
-    def test_scalar_fixed_point_bracket(self):
-        lo, hi = auto_bracket(scalar_op(), 0.5)
-        np.testing.assert_allclose(hi, [4.0], rtol=1e-12)
-        assert lo[0] <= hi[0]
+def torsion_pair(op, p):
+    """The enclosure [a u, b u] at the torsion function u = G[1]."""
+    u = solve_linear(op, np.ones(op.grid.n))
+    a, b = enclosure(u, picard_map(op, p, u), p)
+    return a * u, b * u
 
-    def test_bracket_is_valid(self, small_op):
-        lo, hi = auto_bracket(small_op, 0.5)
+
+class TestEnclosure:
+    def test_scalar_fixed_point_enclosure(self):
+        # T(u) = 2 sqrt(u) has the fixed point 4; u = 1 gives r = 2, a = b = 4
+        a, b = enclosure(np.array([1.0]), picard_map(scalar_op(), 0.5, np.array([1.0])), 0.5)
+        assert a == b == pytest.approx(4.0, rel=1e-15)
+
+    def test_enclosure_is_sub_and_supersolution(self, small_op):
+        lo, hi = torsion_pair(small_op, 0.5)
         assert np.all(lo <= hi)
-        assert np.all(lo[1:-1] > 0)
+        assert np.all(lo > 0)
         slack = 1e-12 * hi.max()
         assert np.all(picard_map(small_op, 0.5, lo) >= lo - slack)
         assert np.all(picard_map(small_op, 0.5, hi) <= hi + slack)
@@ -119,7 +129,7 @@ class TestPicardSolve:
         assert sol.bracket_gap <= 1e-9
 
     def test_monotone_iterates(self, small_op):
-        lo, hi = auto_bracket(small_op, 0.5)
+        lo, hi = torsion_pair(small_op, 0.5)
         for _ in range(30):
             new_lo = picard_map(small_op, 0.5, lo)
             new_hi = picard_map(small_op, 0.5, hi)
@@ -128,25 +138,47 @@ class TestPicardSolve:
             assert np.all(new_hi <= hi + slack)
             lo, hi = new_lo, new_hi
 
-    def test_explicit_bracket_agrees_with_auto(self, small_op):
-        auto_sol = picard_solve(small_op, SolverConfig(p=0.5, tol=1e-12))
-        lo, hi = auto_bracket(small_op, 0.5)
-        other = picard_solve(small_op, SolverConfig(
-            p=0.5, tol=1e-12, bracket=(0.5 * lo, 2.0 * hi)))
-        diff = np.max(np.abs(other.u - auto_sol.u)) / auto_sol.u.max()
-        assert diff <= 1e-10
+    def test_inconsistent_operator_raises_bracket_error(self):
+        grid = Grid(nodes=[0.25, 0.75], boundaries=[0.0, 0.5, 1.0], weights=[0.5, 0.5])
+        params = ProblemParams(s=0.25, gamma=1.0)
 
-    def test_invalid_bracket_rejected(self, small_op):
-        lo, hi = auto_bracket(small_op, 0.5)
-        with pytest.raises(BracketError):
-            picard_solve(small_op, SolverConfig(p=0.5, bracket=(hi * 2.0, hi)))
-        with pytest.raises(BracketError):
-            # too-large lower guess is not a subsolution
-            picard_solve(small_op, SolverConfig(p=0.5, bracket=(hi * 0.999, hi)))
+        def signed_op(A):
+            # a negative entry breaks monotonicity, which the certificate catches
+            return GreenOperator(grid=grid, A=np.array(A), provenance="SyntheticK5",
+                                 params=params)
+
+        with pytest.raises(BracketError, match="min T"):
+            picard_solve(signed_op([[1.0, -0.5], [0.0, 1.0]]), SolverConfig(p=0.5))
+        with pytest.raises(BracketError, match="not nested"):
+            picard_solve(signed_op([[2.0, -1.0], [0.5, 1.0]]), SolverConfig(p=0.5))
 
     def test_non_convergence(self, small_op):
         with pytest.raises(ConvergenceError):
             picard_solve(small_op, SolverConfig(p=0.5, tol=1e-14, max_iter=2))
+
+
+class TestCertificateProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(spectral=st.booleans(), n_half=st.integers(32, 128),
+           s=st.floats(0.05, 0.45), gamma=st.floats(0.05, 1.0), p=st.floats(0.05, 0.95),
+           k=st.integers(0, 3), tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+    def test_early_enclosure_contains_fixed_point(self, spectral, n_half, s, gamma, p, k, tol):
+        n = 2 * n_half
+        if spectral:  # the matrix transfer is gamma = 1 for any 0 < s <= 1
+            op = spectral_mt_operator(2.0 * s, graded_mesh(n, 1.0))
+        else:
+            op = assemble(synthetic_k5(ProblemParams(s=s, gamma=gamma, p=p)),
+                          graded_mesh(n, 3.0))
+        ref = picard_solve(op, SolverConfig(p=p, tol=1e-13))
+        sol = picard_solve(op, SolverConfig(p=p, tol=tol))
+        for out, t in ((ref, 1e-13), (sol, tol)):
+            assert out.bracket_gap <= t and out.residual <= t
+        u = solve_linear(op, np.ones(n))
+        for _ in range(k):
+            u = picard_map(op, p, u)
+        a, b = enclosure(u, picard_map(op, p, u), p)
+        assert np.all(a * u <= ref.u * (1 + 1e-11))
+        assert np.all(ref.u <= b * u * (1 + 1e-11))
 
 
 @pytest.fixture(scope="module")
