@@ -132,6 +132,22 @@ def run_case(case: dict) -> dict:
     }
 
 
+def _case_outcome(case: dict) -> tuple[dict | None, str | None]:
+    """(row, None) from run_case, or (None, error) for a case that failed.
+
+    Catching here keeps one failing case from discarding the rows of the
+    others, in the serial loop and in pool workers alike.  The caught
+    types are the run-time failures of a validated case: non-convergence
+    and broken certificates (RuntimeError), fit windows and other numerical
+    checks (ValueError, ArithmeticError), and memory; anything else is a
+    bug and propagates.
+    """
+    try:
+        return run_case(case), None
+    except (RuntimeError, ValueError, ArithmeticError, MemoryError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def _row_csv(row: dict) -> str:
     # The CSV contract is byte-identical output for identical configs, so the
     # wall_ms column carries a deterministic 0; measured timings go to JSON.
@@ -165,8 +181,9 @@ def cmd_solve(args) -> int:
     fit_path = os.path.join(args.out_dir, "fit.json")
     try:
         row = run_case(case)
-    except ConvergenceError as exc:
-        diag = {"error": str(exc), "residual": exc.residual,
+    except (ConvergenceError, BracketError) as exc:
+        residual = exc.residual if isinstance(exc, ConvergenceError) else None
+        diag = {"error": str(exc), "residual": residual,
                 "s": args.s, "gamma": args.gamma, "p": args.p,
                 "backend": args.backend, "n": args.n}
         _atomic_write(fit_path, _json_text(diag))
@@ -201,29 +218,35 @@ def cmd_study(args) -> int:
         raise ValueError("--jobs must be >= 1")
 
     if jobs == 1 or len(cases) == 1:
-        rows = [run_case(case) for case in cases]
+        outcomes = [_case_outcome(case) for case in cases]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_case, cases))  # preserves input order
+            outcomes = list(pool.map(_case_outcome, cases))  # preserves input order
+    rows = [row for row, _ in outcomes if row is not None]
+    errors = [{"case": i, "error": err} for i, (_, err) in enumerate(outcomes)
+              if err is not None]
 
     out_dir = config.get("out_dir", args.out_dir)
     lines = [STUDY_HEADER] + [_row_csv(r) for r in rows]
     _atomic_write(os.path.join(out_dir, "study.csv"), "\n".join(lines) + "\n")
 
-    non_critical = [r for r in rows if r["regime"] != "critical"]
-    pool_rows = non_critical or rows
-    errs = [abs(r["mu_hat"] - r["mu_pred"]) for r in pool_rows]
-    worst = int(np.argmax(errs))
-    summary = {
-        "max_abs_err": float(max(errs)),
-        "worst_case": {k: pool_rows[worst][k]
-                       for k in ("s", "gamma", "p", "backend", "n",
-                                 "mu_pred", "mu_hat")},
-        "n_cases": len(rows),
-    }
+    summary = {"n_cases": len(cases)}
+    if rows:
+        non_critical = [r for r in rows if r["regime"] != "critical"]
+        pool_rows = non_critical or rows
+        errs = [abs(r["mu_hat"] - r["mu_pred"]) for r in pool_rows]
+        worst = int(np.argmax(errs))
+        summary["max_abs_err"] = float(max(errs))
+        summary["worst_case"] = {k: pool_rows[worst][k]
+                                 for k in ("s", "gamma", "p", "backend", "n",
+                                           "mu_pred", "mu_hat")}
+    if errors:
+        summary["errors"] = errors
     _atomic_write(os.path.join(out_dir, "summary.json"), _json_text(summary))
     sys.stdout.write(_json_text(summary))
-    return EXIT_OK
+    for err in errors:
+        print(f"error: case {err['case']}: {err['error']}", file=sys.stderr)
+    return EXIT_NUMERICAL if errors else EXIT_OK
 
 
 def cmd_eigen(args) -> int:

@@ -3,8 +3,10 @@
 The operator A is self-adjoint in the quadrature-weighted inner product
 <u, v>_w = sum_i w_i u_i v_i, the discrete L^2 pairing on the grid, so
 S = W^{1/2} A W^{-1/2} is symmetric.  Its largest eigenpairs come from
-ARPACK (scipy.sparse.linalg.eigsh) and map back to A by W^{-1/2}; each
-pair keeps the honest residual ||A phi - mu phi||_w of A itself.
+ARPACK (scipy.sparse.linalg.eigsh) run on S as a matrix-free linear
+operator built on `apply`, the same for both backends, and map back to A
+by W^{-1/2}; each pair keeps the honest residual ||A phi - mu phi||_w of
+A itself.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .grids import Grid
-from .operators import GreenOperator
+from .operators import Operator, apply
 from .solver import ConvergenceError
 
 
@@ -27,7 +29,7 @@ class EigenPair:
     residual: float     # ||A phi - mu phi||_w
 
 
-def leading_eigenpairs(op: GreenOperator, n_eigs: int = 1, tol: float = 1e-10,
+def leading_eigenpairs(op: Operator, n_eigs: int = 1, tol: float = 1e-10,
                        max_iter: int = 10_000) -> list[EigenPair]:
     """Largest n_eigs eigenpairs, ordered by decreasing eigenvalue.
 
@@ -44,8 +46,8 @@ def leading_eigenpairs(op: GreenOperator, n_eigs: int = 1, tol: float = 1e-10,
         raise ValueError("n_eigs must be smaller than the number of nodes")
     w = op.grid.weights
     sw = np.sqrt(w)
-    S = sw[:, None] * op.A / sw[None, :]
-    S = 0.5 * (S + S.T)
+    S = LinearOperator((n, n), matvec=lambda y: sw * apply(op, np.ravel(y) / sw),
+                       dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
         mus, Y = eigsh(S, k=n_eigs, which="LA", v0=v0, tol=tol, maxiter=max_iter)
@@ -57,7 +59,7 @@ def leading_eigenpairs(op: GreenOperator, n_eigs: int = 1, tol: float = 1e-10,
     for k, j in enumerate(order):
         mu = float(mus[j])
         phi = _fix_sign(Y[:, j] / sw, w)
-        r = op.A @ phi - mu * phi
+        r = apply(op, phi) - mu * phi
         resid = float(np.sqrt(np.sum(w * r * r)))
         if resid > tol * mu_1:
             raise ConvergenceError(

@@ -115,14 +115,18 @@ def check_kernel_bounds(kernel_or_op, n_samples: int = 10_000, seed: int = 0) ->
     """Sample kernel values and report envelope constants.
 
     Accepts either a pointwise GreenKernel (pairs drawn uniformly in the
-    square) or an assembled GreenOperator, whose entries divided by the
-    quadrature weights estimate kernel values at node pairs.
+    square) or an assembled operator, whose entries divided by the
+    quadrature weights estimate kernel values at node pairs.  Operator
+    entries come from one batched apply on the sampled unit columns, so
+    no backend needs to store its matrix.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 sample pairs")
     rng = np.random.default_rng(seed)
 
-    if hasattr(kernel_or_op, "A"):  # assembled operator
+    if not isinstance(kernel_or_op, GreenKernel):  # assembled operator
+        from .operators import apply
+
         op = kernel_or_op
         params = op.params
         n = op.grid.n
@@ -131,8 +135,11 @@ def check_kernel_bounds(kernel_or_op, n_samples: int = 10_000, seed: int = 0) ->
         keep = i != j
         i, j = i[keep][:n_samples], j[keep][:n_samples]
         x, y = op.grid.nodes[i], op.grid.nodes[j]
+        cols, col_of = np.unique(j, return_inverse=True)
+        unit = np.zeros((n, cols.size))
+        unit[cols, np.arange(cols.size)] = 1.0
         # entries are w_j times a symmetric kernel-value matrix
-        g = op.A[i, j] / op.grid.weights[j]
+        g = apply(op, unit)[i, col_of] / op.grid.weights[j]
     else:
         kernel = kernel_or_op
         params = kernel.params

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exponents import ExponentPrediction
 from .grids import Grid
-from .operators import GreenOperator, apply
+from .operators import Operator, apply
 
 
 class ConvergenceError(RuntimeError):
@@ -51,7 +51,7 @@ class SemilinearSolution:
     bracket_gap: float    # b/a - 1 for the enclosure [a u, b u] of the fixed point
 
 
-def solve_linear(op: GreenOperator, f: np.ndarray) -> np.ndarray:
+def solve_linear(op: Operator, f: np.ndarray) -> np.ndarray:
     """u = G[f] for nonnegative data f."""
     f = np.asarray(f, dtype=float)
     if np.any(f < 0.0):
@@ -59,7 +59,7 @@ def solve_linear(op: GreenOperator, f: np.ndarray) -> np.ndarray:
     return apply(op, f)
 
 
-def picard_map(op: GreenOperator, p: float, u: np.ndarray) -> np.ndarray:
+def picard_map(op: Operator, p: float, u: np.ndarray) -> np.ndarray:
     """T(u) = G[u^p]; monotone and p-homogeneous on nonnegative inputs."""
     u = np.asarray(u, dtype=float)
     if np.any(u < 0.0):
@@ -81,7 +81,7 @@ def enclosure(u: np.ndarray, tu: np.ndarray, p: float) -> tuple[float, float]:
     return r_min ** e, float(np.max(r)) ** e
 
 
-def picard_solve(op: GreenOperator, config: SolverConfig) -> SemilinearSolution:
+def picard_solve(op: Operator, config: SolverConfig) -> SemilinearSolution:
     """Picard iteration u_{k+1} = T(u_k) from the torsion u_0 = G[1].
 
     Stops at the first u_k with b/a - 1 <= tol and

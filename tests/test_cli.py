@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nonlocal_sharp import BracketError, cli, predict_mu
+from nonlocal_sharp import BracketError, ConvergenceError, cli, predict_mu
 from nonlocal_sharp.cli import STUDY_HEADER, main
 
 
@@ -112,6 +112,8 @@ class TestSolve:
                            "--n", "64", "--out-dir", str(tmp_path))
         assert code == 3
         assert "not nested" in err
+        diag = json.loads((tmp_path / "fit.json").read_text())
+        assert "not nested" in diag["error"] and diag["residual"] is None
 
 
 class TestEigen:
@@ -199,3 +201,27 @@ class TestStudy:
         cfg = write_config(tmp_path, [SMALL_CASE])
         monkeypatch.setenv("NONLOCAL_SHARP_JOBS", "0")
         assert run(capsys, "study", "--config", cfg)[0] == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_case_keeps_finished_rows(self, capsys, tmp_path, monkeypatch, jobs):
+        cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "s": 0.15}]
+        cfg = write_config(tmp_path, cases)
+        monkeypatch.delenv("NONLOCAL_SHARP_JOBS", raising=False)
+        assert main(["study", "--config", cfg]) == 0
+        capsys.readouterr()
+        full = (tmp_path / "study.csv").read_text().splitlines()
+        solve = cli.run_case
+
+        def run_case(case):  # pool workers are forked and inherit the patch
+            if case["s"] == 0.3:
+                raise ConvergenceError("did not converge", 1.0)
+            return solve(case)
+        monkeypatch.setattr(cli, "run_case", run_case)
+        code, out, err = run(capsys, "study", "--config", cfg, "--jobs", jobs)
+        assert code == 3
+        assert "case 1" in err
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary == json.loads(out)
+        assert summary["errors"] == [{"case": 1, "error": "ConvergenceError: did not converge"}]
+        assert summary["n_cases"] == 3
+        assert (tmp_path / "study.csv").read_text().splitlines() == [full[0], full[1], full[3]]

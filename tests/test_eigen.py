@@ -5,6 +5,7 @@ from nonlocal_sharp import (
     ConvergenceError,
     FitWindow,
     ProblemParams,
+    apply,
     assemble,
     eigenfunction_boundary_report,
     fit_power,
@@ -29,6 +30,13 @@ class TestSpectralEigenpairs:
         op, pairs = spectral_pairs
         lam2_h = (4.0 * 2000 ** 2) * np.sin(2 * np.pi / (2 * 2000)) ** 2
         assert pairs[1].mu == pytest.approx(lam2_h ** -0.3, rel=1e-6)
+
+    def test_eigenvalues_match_symbol(self, spectral_pairs):
+        op, pairs = spectral_pairs
+        n = op.grid.n
+        lam = (4.0 * n ** 2) * np.sin(np.arange(1, 3) * np.pi / (2 * n)) ** 2
+        mus = np.array([pair.mu for pair in pairs])
+        np.testing.assert_allclose(mus, lam ** -0.3, rtol=1e-12, atol=0)
 
     def test_orthonormality(self, spectral_pairs):
         op, pairs = spectral_pairs
@@ -65,7 +73,7 @@ class TestSpectralEigenpairs:
         for _ in range(50):
             u = gen.normal(size=op.grid.n)
             u /= np.sqrt(np.sum(w * u * u))
-            quad_form = float(np.sum(w * u * (op.A @ u)))
+            quad_form = float(np.sum(w * u * apply(op, u)))
             assert quad_form <= mu1 + 1e-8
 
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import dense_matrix_transfer
 
 from nonlocal_sharp import (
     Grid,
@@ -82,8 +85,11 @@ class TestApply:
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
 
     def test_shape_mismatch(self, op):
-        with pytest.raises(ValueError):
-            apply(op, np.ones(op.grid.n + 1))
+        n = op.grid.n
+        for target in (op, spectral_mt_operator(0.3, graded_mesh(n, 1.0))):
+            for bad in (np.ones(n + 1), np.ones((n + 1, 2)), np.ones((n, 2, 2))):
+                with pytest.raises(ValueError):
+                    apply(target, bad)
 
     def test_lower_sandwich(self, op):
         # apply(op, f)(x) >= c0 * phi(x) * sum_j w_j f_j phi(x_j) for f >= 0
@@ -99,7 +105,8 @@ class TestApply:
 class TestSpectralMT:
     def test_ground_eigenvalue_matches_continuum(self):
         op = spectral_mt_operator(0.3, graded_mesh(2000, 1.0))
-        mu = np.sort(np.linalg.eigvalsh(0.5 * (op.A + op.A.T)))[-1]
+        M = apply(op, np.eye(op.grid.n))
+        mu = np.sort(np.linalg.eigvalsh(0.5 * (M + M.T)))[-1]
         assert mu == pytest.approx(np.pi ** -0.6, abs=1e-3)
 
     def test_s_equal_one_inverts_discrete_laplacian(self):
@@ -111,7 +118,7 @@ class TestSpectralMT:
         main[0] = main[-1] = 3.0  # antisymmetric ghost reflection at midpoints
         L = (np.diag(main) - np.diag(np.ones(n - 1), 1)
              - np.diag(np.ones(n - 1), -1)) / h ** 2
-        np.testing.assert_allclose(op.A @ L, np.eye(n), atol=1e-8)
+        np.testing.assert_allclose(apply(op, L), np.eye(n), atol=1e-8)
 
     def test_requires_uniform_grid(self):
         with pytest.raises(ValueError):
@@ -126,7 +133,24 @@ class TestSpectralMT:
         gen = np.random.default_rng(4)
         for _ in range(20):
             v = gen.normal(size=op.grid.n)
-            assert v @ op.A @ v >= -1e-12 * (v @ v)
+            assert v @ apply(op, v) >= -1e-12 * (v @ v)
+
+    def test_stores_only_its_symbol(self):
+        op = spectral_mt_operator(0.3, graded_mesh(64, 1.0))
+        arrays = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
+        assert [a.shape for a in arrays] == [(64,)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.floats(0.0, 1.0, exclude_min=True), n_half=st.integers(32, 256),
+           columns=st.sampled_from([None, 3]), seed=st.integers(0, 2 ** 16))
+    def test_transform_matches_dense_reference(self, s, n_half, columns, seed):
+        grid = graded_mesh(2 * n_half, 1.0)
+        shape = (grid.n,) if columns is None else (grid.n, columns)
+        v = np.random.default_rng(seed).standard_normal(shape)
+        ref = dense_matrix_transfer(s, grid) @ v
+        got = apply(spectral_mt_operator(s, grid), v)
+        assert got.shape == ref.shape and got.dtype == np.float64
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.fixture(scope="module")

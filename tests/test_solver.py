@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from nonlocal_sharp import (
     apply,
     assemble,
     classify_bq,
+    cli,
     enclosure,
     fit_power,
     graded_mesh,
@@ -151,6 +154,21 @@ class TestPicardSolve:
             picard_solve(signed_op([[1.0, -0.5], [0.0, 1.0]]), SolverConfig(p=0.5))
         with pytest.raises(BracketError, match="not nested"):
             picard_solve(signed_op([[2.0, -1.0], [0.5, 1.0]]), SolverConfig(p=0.5))
+
+    def test_spectral_certificate_holds_at_long_double_precision(self):
+        # With float64 sine transforms, rounding noise in T(u)/u at the two
+        # boundary nodes breaks the nesting of successive enclosures here.
+        op = spectral_mt_operator(0.825, graded_mesh(3072, 1.0))
+        sol = picard_solve(op, SolverConfig(p=0.5))
+        assert sol.bracket_gap <= 1e-10 and sol.residual <= 1e-10
+
+    def test_spectral_solve_beyond_dense_storage(self, tmp_path):
+        # a dense operator at n = 65536 would need 32 GiB
+        args = ["solve", "--backend", "spectral", "--s", "0.3", "--gamma", "1",
+                "--p", "0.5", "--n", "65536", "--out-dir", str(tmp_path)]
+        assert cli.main(args) == 0
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        assert fit["n"] == 65536 and fit["residual"] <= 1e-10
 
     def test_non_convergence(self, small_op):
         with pytest.raises(ConvergenceError):
