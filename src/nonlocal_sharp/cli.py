@@ -210,17 +210,13 @@ def cmd_study(args) -> int:
         except (ValueError, TypeError, KeyError) as exc:
             raise ValueError(f"case {i}: {exc}") from exc
 
-    jobs = args.jobs
-    env_jobs = os.environ.get("NONLOCAL_SHARP_JOBS")
-    if env_jobs is not None:
-        jobs = int(env_jobs)
-    if jobs < 1:
+    if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
 
-    if jobs == 1 or len(cases) == 1:
+    if args.jobs == 1 or len(cases) == 1:
         outcomes = [_case_outcome(case) for case in cases]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_case_outcome, cases))  # preserves input order
     rows = [row for row, _ in outcomes if row is not None]
     errors = [{"case": i, "error": err} for i, (_, err) in enumerate(outcomes)
@@ -327,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("predict", help="closed-form exponent prediction as JSON")
     add_params(sp)
-    sp.add_argument("--N", type=int, default=1)
     sp.add_argument("--force-critical", action="store_true")
     sp.set_defaults(func=cmd_predict)
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .kernels import ProblemParams
+
 
 class EigenvalueProblemSignal(ValueError):
     """Raised when p = 1 is requested: that is the eigenvalue problem."""
@@ -58,7 +60,7 @@ def predict_mu(s: float, gamma: float, p: float,
     tolerance 1e-12; pass force_critical=True to pin it for parameters that
     are critical by construction.
     """
-    _validate_sgp(s, gamma, p)
+    ProblemParams(s=s, gamma=gamma, p=p)
     if p == 1.0:
         raise EigenvalueProblemSignal("p = 1 is the eigenvalue problem; use the spectral module")
     scaling = 2.0 * s / (1.0 - p)
@@ -89,8 +91,7 @@ def classify_bq(N: int, s: float, gamma: float, q: float) -> BqClassification:
     and t^{(N-q(N-2s))/(q gamma)} for larger q (up to the integrability
     limit N/(N-2s)).
     """
-    if not (0 < s <= 1 and 0 < gamma <= 1 and N >= 1):
-        raise ValueError("invalid parameters")
+    ProblemParams(s=s, gamma=gamma, N=N)
     q_high = N / (N - 2.0 * s) if N > 2.0 * s else math.inf
     q_low = N / (N - 2.0 * s + gamma)
     if not (0.0 < q < q_high):
@@ -151,8 +152,7 @@ def nu_case_machine(s: float, gamma: float, m: float,
     """
     if m <= 1.0:
         raise ValueError("case machine requires m > 1")
-    if not (0 < s <= 1 and 0 < gamma <= 1):
-        raise ValueError("invalid parameters")
+    ProblemParams(s=s, gamma=gamma)
     two_s = 2.0 * s
     t_case1 = two_s * (m + 1.0) / m          # upper edge of Case I
     t_crit = two_s * m / (m - 1.0)           # critical threshold
@@ -192,12 +192,3 @@ def nu_sequence(s: float, gamma: float, m: float, k_max: int):
     for _ in range(k_max - 1):
         seq.append(seq[-1] / m + step)
     return seq
-
-
-def _validate_sgp(s: float, gamma: float, p: float) -> None:
-    if not 0.0 < s <= 1.0:
-        raise ValueError("fractional order s must lie in (0, 1]")
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("boundary exponent gamma must lie in (0, 1]")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("nonlinearity power p must lie in (0, 1]")

@@ -4,11 +4,13 @@ The computational domain is the unit interval (0, 1).  Meshes are
 cell-midpoint collocation grids: nodes sit at cell midpoints, quadrature
 weights are the cell widths.  A grading exponent clusters cells towards the
 two endpoints so that boundary layers of the form delta^gamma are resolved.
+Every grid is built from its left half and mirrored exactly, so the
+boundary distance and the cell widths of the two halves are identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,35 +29,53 @@ def boundary_distance(x):
 
 @dataclass(frozen=True)
 class Grid:
-    """Cell-midpoint grid on (0, 1).
+    """Cell-midpoint grid on (0, 1), the exact mirror image of its left half.
 
-    nodes       -- strictly increasing cell midpoints
-    boundaries  -- cell boundaries, boundaries[0] = 0, boundaries[-1] = 1
+    half_boundaries -- left-half cell boundaries 0 = t_0 < ... < t_{n/2} = 1/2
+
+    Derived once from them:
+    boundaries  -- all n + 1 cell boundaries, 1 - t_j on the right half
+    nodes       -- strictly increasing cell midpoints, x = 1 - x_left on the
+                   right half
     weights     -- cell widths (sum to 1)
-    beta        -- grading exponent used to build the partition
+    delta       -- boundary distance at each node
+
+    On the right half delta and weights are exact copies of the left half,
+    never recomputed from 1 - x, whose rounding near x = 1 is large relative
+    to delta; hence weights / 2 <= delta holds exactly for every cell.
     """
 
-    nodes: np.ndarray
-    boundaries: np.ndarray
-    weights: np.ndarray
-    beta: float = 1.0
+    half_boundaries: np.ndarray
+    boundaries: np.ndarray = field(init=False)
+    nodes: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
+    delta: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("nodes", "boundaries", "weights"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not abs(self.weights.sum() - 1.0) < 1e-12:
-            raise ValueError("cell widths must partition the unit interval")
-        if np.any(self.weights <= 0):
+        t = np.asarray(self.half_boundaries, dtype=float)
+        if t.ndim != 1 or t.size < 2 or t[0] != 0.0 or t[-1] != 0.5:
+            raise ValueError("half-mesh boundaries must run from 0 to 1/2")
+        left_w = np.diff(t)
+        if np.any(left_w <= 0):
             raise ValueError("all cell widths must be positive")
+        left_x = 0.5 * (t[:-1] + t[1:])
+        nodes = np.concatenate([left_x, 1.0 - left_x[::-1]])
+        if not (nodes[0] > 0.0 and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0)):
+            raise ValueError("grading too strong for n: nodes are not strictly "
+                             "increasing inside (0, 1) in double precision")
+        derived = {
+            "half_boundaries": t,
+            "boundaries": np.concatenate([t, 1.0 - t[-2::-1]]),
+            "nodes": nodes,
+            "weights": np.concatenate([left_w, left_w[::-1]]),
+            "delta": np.concatenate([left_x, left_x[::-1]]),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return self.nodes.size
-
-    @property
-    def delta(self) -> np.ndarray:
-        """Boundary distance at each node."""
-        return np.minimum(self.nodes, 1.0 - self.nodes)
 
     @property
     def is_uniform(self) -> bool:
@@ -67,15 +87,13 @@ def graded_mesh(n: int, beta: float = 3.0) -> Grid:
 
     Cell boundaries on the left half are t_j = (1/2) (2j/n)^beta for
     j = 0..n/2, mirrored onto the right half.  beta = 1 gives the uniform
-    mesh; larger beta clusters cells at both endpoints.
+    mesh; larger beta clusters cells at both endpoints.  A grading so
+    strong that the mirrored nodes near x = 1 round together (or onto 1)
+    is rejected.
     """
     if n < 8 or n % 2 != 0:
         raise ValueError("node count must be even and at least 8")
     if beta < 1.0:
         raise ValueError("grading exponent must be >= 1")
     j = np.arange(n // 2 + 1, dtype=float)
-    left = 0.5 * (2.0 * j / n) ** beta
-    boundaries = np.concatenate([left, 1.0 - left[-2::-1]])
-    nodes = 0.5 * (boundaries[:-1] + boundaries[1:])
-    weights = np.diff(boundaries)
-    return Grid(nodes=nodes, boundaries=boundaries, weights=weights, beta=float(beta))
+    return Grid(0.5 * (2.0 * j / n) ** beta)

@@ -24,7 +24,7 @@ from .grids import boundary_distance
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Parameter tuple (N, s, gamma, p); m = 1/p is derived."""
+    """Parameter tuple (N, s, gamma, p), validated once for every caller."""
 
     s: float
     gamma: float
@@ -41,10 +41,6 @@ class ProblemParams:
         if not 0.0 < self.p <= 1.0:
             raise ValueError("nonlinearity power p must lie in (0, 1]")
 
-    @property
-    def m(self) -> float:
-        return 1.0 / self.p
-
 
 class DiagonalSingularityError(ValueError):
     """Pointwise evaluation requested on the diagonal x = y."""
@@ -52,18 +48,11 @@ class DiagonalSingularityError(ValueError):
 
 @dataclass(frozen=True)
 class GreenKernel:
-    """Evaluatable symmetric kernel with backend tag and singularity data."""
+    """Evaluatable symmetric synthetic kernel."""
 
-    backend: str
     params: ProblemParams
 
-    @property
-    def singular_exponent(self) -> float:
-        return 2.0 * self.params.s - self.params.N
-
     def __call__(self, x, y):
-        if self.backend != "SyntheticK5":
-            raise ValueError(f"backend {self.backend!r} has no pointwise kernel")
         return eval_synthetic_k5(self.params, x, y)
 
 
@@ -73,7 +62,20 @@ def synthetic_k5(params: ProblemParams) -> GreenKernel:
         raise ValueError("synthetic backend computes on the unit interval (N = 1)")
     if not params.s < 0.5:
         raise ValueError("synthetic backend requires s < 1/2 (integrable 1-D singularity)")
-    return GreenKernel("SyntheticK5", params)
+    return GreenKernel(params)
+
+
+def _envelope(r, dx, dy, params: ProblemParams):
+    """r^{2s-1} min(dx^gamma/r^gamma, 1) min(dy^gamma/r^gamma, 1).
+
+    The one place the two-sided envelope is written out: the synthetic
+    kernel, the dense assembly and the bound checks all evaluate it here.
+    """
+    g = params.gamma
+    rg = r ** g
+    return (r ** (2.0 * params.s - 1.0)
+            * np.minimum(dx ** g / rg, 1.0)
+            * np.minimum(dy ** g / rg, 1.0))
 
 
 def eval_synthetic_k5(params: ProblemParams, x, y):
@@ -87,11 +89,7 @@ def eval_synthetic_k5(params: ProblemParams, x, y):
     r = np.abs(x - y)
     if np.any(r == 0.0):
         raise DiagonalSingularityError("kernel is singular on the diagonal x = y")
-    s, g = params.s, params.gamma
-    dx = boundary_distance(x)
-    dy = boundary_distance(y)
-    rg = r ** g
-    val = r ** (2.0 * s - 1.0) * np.minimum(dx ** g / rg, 1.0) * np.minimum(dy ** g / rg, 1.0)
+    val = _envelope(r, boundary_distance(x), boundary_distance(y), params)
     return float(val) if val.ndim == 0 else val
 
 
@@ -135,6 +133,7 @@ def check_kernel_bounds(kernel_or_op, n_samples: int = 10_000, seed: int = 0) ->
         keep = i != j
         i, j = i[keep][:n_samples], j[keep][:n_samples]
         x, y = op.grid.nodes[i], op.grid.nodes[j]
+        dx, dy = op.grid.delta[i], op.grid.delta[j]
         cols, col_of = np.unique(j, return_inverse=True)
         unit = np.zeros((n, cols.size))
         unit[cols, np.arange(cols.size)] = 1.0
@@ -147,17 +146,11 @@ def check_kernel_bounds(kernel_or_op, n_samples: int = 10_000, seed: int = 0) ->
         y = rng.uniform(0.0, 1.0, size=n_samples)
         coincide = x == y
         y[coincide] = np.nextafter(y[coincide], 1.0)
+        dx, dy = boundary_distance(x), boundary_distance(y)
         g = np.asarray(kernel(x, y))
 
-    s, gamma = params.s, params.gamma
-    r = np.abs(x - y)
-    rg = r ** gamma
-    dx = np.minimum(x, 1.0 - x)
-    dy = np.minimum(y, 1.0 - y)
-    envelope = (r ** (2.0 * s - 1.0)
-                * np.minimum(dx ** gamma / rg, 1.0)
-                * np.minimum(dy ** gamma / rg, 1.0))
-    phi_prod = dx ** gamma * dy ** gamma
+    envelope = _envelope(np.abs(x - y), dx, dy, params)
+    phi_prod = dx ** params.gamma * dy ** params.gamma
 
     c1_hat = float(np.max(g / envelope))
     ratios_lower = g / phi_prod

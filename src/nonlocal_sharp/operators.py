@@ -3,11 +3,13 @@
 The integral operator u -> int G(., y) u(y) dy is collocated at grid nodes
 with cell quadrature: A_ij ~ int_{cell_j} G(x_i, y) dy.  Off-diagonal cells
 use the midpoint rule; the singular diagonal cell is integrated in closed
-form through the |x - y|^{2s-1} envelope.  The spectral backend is the
-matrix transfer of the second-difference Dirichlet Laplacian: its
-eigenvectors on the uniform midpoint grid are the orthonormal DST-II
-basis, so the operator stores only its n eigenvalues (the symbol) and is
-applied by a sine transform in O(n log n), spectrally exact on its grid.
+form through the |x - y|^{2s-1} envelope, whose min-factors are 1 on every
+cell because the exactly mirrored grid has half-width <= delta.  The
+spectral backend is the matrix transfer of the second-difference Dirichlet
+Laplacian: its eigenvectors on the uniform midpoint grid are the
+orthonormal DST-II basis, so the operator stores only its n eigenvalues
+(the symbol) and is applied by a sine transform in O(n log n), spectrally
+exact on its grid.
 The transform runs in long double (80-bit extended on x86-64 Linux): FFT
 rounding is absolute, and in float64 it is large enough relative to the
 small boundary values of u to break the solver's nesting certificate.
@@ -20,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dst, idst
-from scipy.integrate import quad
 
 from .grids import Grid
-from .kernels import GreenKernel, ProblemParams
+from .kernels import GreenKernel, ProblemParams, _envelope
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,6 @@ class GreenOperator:
 
     grid: Grid
     A: np.ndarray
-    provenance: str
     params: ProblemParams
 
     def __post_init__(self):
@@ -47,7 +47,7 @@ class GreenOperator:
 
 
 def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
-    """Assemble the dense operator for a pointwise kernel backend.
+    """Assemble the dense operator of the synthetic kernel.
 
     Off-diagonal entries are w_j G(x_i, x_j), upgraded to Gauss-Legendre
     cell integrals near the diagonal where the integrable singularity makes
@@ -55,38 +55,26 @@ def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
     kernel level, Ghat_ij = (I_ij/w_j + I_ji/w_i)/2, which keeps every row
     a consistent quadrature (entrywise averaging (A+A^T)/2 would inject an
     O(h) bulk bias on graded meshes where w_i != w_j).  The diagonal cell
-    integral uses the closed form int |x_i - y|^{2s-1} dy with min-factors
-    1, valid while the cell half-width does not exceed delta(x_i) (always
-    true for midpoint grids; a guard splits the cell otherwise).
+    integral is the closed form int |x_i - y|^{2s-1} dy over the cell with
+    min-factors 1, exact because every cell's half-width is at most
+    delta(x_i).
     """
-    if kernel.backend != "SyntheticK5":
-        raise ValueError("assemble() requires a pointwise kernel backend")
     x = grid.nodes
     w = grid.weights
-    s, g = kernel.params.s, kernel.params.gamma
     d = grid.delta
 
     r = np.abs(x[:, None] - x[None, :])
     np.fill_diagonal(r, 1.0)  # placeholder, overwritten below
-    rg = r ** g
-    G = (r ** (2.0 * s - 1.0)
-         * np.minimum((d ** g)[:, None] / rg, 1.0)
-         * np.minimum((d ** g)[None, :] / rg, 1.0))
+    G = _envelope(r, d[:, None], d[None, :], kernel.params)
     _refine_near_diagonal(G, kernel, grid)
     A = G * w[None, :]
+    np.fill_diagonal(A, _own_cell_integral(0.5 * w, 2.0 * kernel.params.s))
+    return GreenOperator(grid=grid, A=A, params=kernel.params)
 
-    left = x - grid.boundaries[:-1]
-    right = grid.boundaries[1:] - x
-    diag = (left ** (2.0 * s) + right ** (2.0 * s)) / (2.0 * s)
-    half_width = 0.5 * w
-    # rounding of 1 - t near the right endpoint perturbs delta by ~1e-6
-    # relative; only genuinely oversized cells need the quadrature fallback
-    bad = half_width > d * (1.0 + 1e-3)
-    for i in np.flatnonzero(bad):
-        diag[i] = _diagonal_cell_quad(kernel, x[i], grid.boundaries[i], grid.boundaries[i + 1])
-    np.fill_diagonal(A, diag)
 
-    return GreenOperator(grid=grid, A=A, provenance=kernel.backend, params=kernel.params)
+def _own_cell_integral(half_width, a: float):
+    """int |x_c - y|^{a-1} dy over a cell of the given half-width about x_c."""
+    return 2.0 * half_width ** a / a
 
 
 _NEAR_BAND = 8        # off-diagonal band refined by Gauss quadrature
@@ -124,34 +112,6 @@ def _refine_near_diagonal(G: np.ndarray, kernel: GreenKernel, grid: Grid) -> Non
         avg = 0.5 * (cell_average(i0, j0) + cell_average(j0, i0))
         G[i0, j0] = avg
         G[j0, i0] = avg
-
-
-def _diagonal_cell_quad(kernel: GreenKernel, xi: float, lo: float, hi: float) -> float:
-    """Integrate the kernel over the cell containing its singular point.
-
-    Works in the distance variable r = |x_i - y| so the integrand is
-    evaluated without the catastrophic cancellation of reconstructing y
-    near x_i; boundary distances along the cell are expressed through r.
-    """
-    s, g = kernel.params.s, kernel.params.gamma
-    dxi = min(xi, 1.0 - xi)
-    toward = -1.0 if xi <= 0.5 else 1.0  # direction of decreasing delta
-
-    def side(r_max: float, sgn: float) -> float:
-        if r_max <= 0.0:
-            return 0.0
-
-        def integrand(r):
-            dy = dxi - r if sgn == toward else dxi + r
-            dy = max(dy, 0.0)
-            val = r ** (2.0 * s - 1.0)
-            val *= min((dxi / r) ** g, 1.0)
-            val *= min((dy / r) ** g, 1.0) if dy < r else 1.0
-            return val
-
-        return quad(integrand, 0.0, r_max, limit=200)[0]
-
-    return side(xi - lo, -1.0) + side(hi - xi, 1.0)
 
 
 @dataclass(frozen=True)
@@ -201,15 +161,13 @@ def spectral_mt_operator(s: float, grid: Grid) -> SpectralOperator:
     Only the n eigenvalues are stored; `apply` supplies the eigenvectors
     through the sine transform.
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError("fractional order s must lie in (0, 1]")
+    params = ProblemParams(s=s, gamma=1.0, N=1)
     if not grid.is_uniform:
         raise ValueError("matrix transfer is defined on uniform grids only")
     n = grid.n
     h = 1.0 / n
     k = np.arange(1, n + 1, dtype=float)
     lam = (4.0 / h ** 2) * np.sin(k * np.pi * h / 2.0) ** 2
-    params = ProblemParams(s=s, gamma=1.0, N=1)
     return SpectralOperator(grid=grid, symbol=lam ** (-s), params=params)
 
 
@@ -217,7 +175,7 @@ def green_q_norm(kernel: GreenKernel, grid: Grid, x0_index: int, q: float) -> fl
     """(int_Omega G^q(x, x0) dx)^{1/q} for a grid node x0.
 
     Valid for 0 < q < N/(N-2s); the diagonal cell is integrated through the
-    envelope |x0 - y|^{q(2s-1)} in closed form.
+    envelope |x0 - y|^{q(2s-1)} in closed form, as in `assemble`.
     """
     s = kernel.params.s
     q_high = 1.0 / (1.0 - 2.0 * s)
@@ -229,8 +187,7 @@ def green_q_norm(kernel: GreenKernel, grid: Grid, x0_index: int, q: float) -> fl
     vals = kernel(x[mask], np.full(mask.sum(), x0)) ** q
     total = float(np.sum(vals * grid.weights[mask]))
     a = 1.0 - q * (1.0 - 2.0 * s)  # > 0 inside the admissible q range
-    lo, hi = grid.boundaries[x0_index], grid.boundaries[x0_index + 1]
-    total += ((x0 - lo) ** a + (hi - x0) ** a) / a
+    total += _own_cell_integral(0.5 * grid.weights[x0_index], a)
     return total ** (1.0 / q)
 
 

@@ -104,6 +104,12 @@ class TestSolve:
                          "--p", "0.5", "--n", "63", "--out-dir", str(tmp_path))
         assert code == 2
 
+    def test_too_strong_grading_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "solve", "--s", "0.2", "--gamma", "1", "--p", "0.5",
+                           "--n", "4000", "--beta-g", "5", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "grading too strong for n" in err
+
     def test_bracket_error_exits_3(self, capsys, tmp_path, monkeypatch):
         def broken(op, config):
             raise BracketError("enclosures not nested")
@@ -183,30 +189,26 @@ class TestStudy:
     def test_bad_config_path_exits_2(self, capsys, tmp_path):
         assert run(capsys, "study", "--config", str(tmp_path / "nope.json"))[0] == 2
 
-    def test_parallel_output_matches_serial(self, capsys, tmp_path, monkeypatch):
+    def test_parallel_output_matches_serial(self, capsys, tmp_path):
         cases = [SMALL_CASE,
                  {**SMALL_CASE, "s": 0.3, "gamma": 0.5},
                  {**SMALL_CASE, "s": 0.15, "p": 0.25}]
         cfg = write_config(tmp_path, cases)
-        monkeypatch.delenv("NONLOCAL_SHARP_JOBS", raising=False)
         assert main(["study", "--config", cfg, "--jobs", "1"]) == 0
         capsys.readouterr()
         serial = (tmp_path / "study.csv").read_text()
-        monkeypatch.setenv("NONLOCAL_SHARP_JOBS", "2")
-        assert main(["study", "--config", cfg, "--jobs", "1"]) == 0
+        assert main(["study", "--config", cfg, "--jobs", "2"]) == 0
         capsys.readouterr()
         assert (tmp_path / "study.csv").read_text() == serial
 
-    def test_invalid_jobs_exits_2(self, capsys, tmp_path, monkeypatch):
+    def test_invalid_jobs_exits_2(self, capsys, tmp_path):
         cfg = write_config(tmp_path, [SMALL_CASE])
-        monkeypatch.setenv("NONLOCAL_SHARP_JOBS", "0")
-        assert run(capsys, "study", "--config", cfg)[0] == 2
+        assert run(capsys, "study", "--config", cfg, "--jobs", "0")[0] == 2
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failing_case_keeps_finished_rows(self, capsys, tmp_path, monkeypatch, jobs):
         cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "s": 0.15}]
         cfg = write_config(tmp_path, cases)
-        monkeypatch.delenv("NONLOCAL_SHARP_JOBS", raising=False)
         assert main(["study", "--config", cfg]) == 0
         capsys.readouterr()
         full = (tmp_path / "study.csv").read_text().splitlines()

@@ -4,6 +4,7 @@ import pytest
 from nonlocal_sharp import (
     ConvergenceError,
     FitWindow,
+    GreenOperator,
     ProblemParams,
     apply,
     assemble,
@@ -97,11 +98,23 @@ class TestSyntheticEigenpairs:
         with pytest.raises(ValueError):
             leading_eigenpairs(spectral_mt_operator(0.3, graded_mesh(8, 1.0)), n_eigs=8)
 
-    def test_non_convergence_raises(self, spectral_pairs):
-        op, _ = spectral_pairs
-        with pytest.raises(ConvergenceError) as exc:
-            leading_eigenpairs(op, n_eigs=2, tol=1e-15, max_iter=2)
-        assert np.isfinite(exc.value.residual) or exc.value.residual == np.inf
+    def test_non_convergence_raises(self):
+        # 200 evenly spaced eigenvalues: one restart cannot isolate the top one
+        grid = graded_mesh(200, 1.0)
+        op = GreenOperator(grid=grid, A=np.diag(np.linspace(1.0, 2.0, grid.n)),
+                           params=ProblemParams(s=0.3, gamma=1.0))
+        with pytest.raises(ConvergenceError, match="ARPACK did not converge") as exc:
+            leading_eigenpairs(op, n_eigs=1, max_iter=1)
+        assert exc.value.residual == np.inf
+
+    def test_residual_check_raises(self):
+        # not self-adjoint in <u, v>_w: ARPACK stops, the honest residual fails
+        grid = graded_mesh(16, 1.0)
+        op = GreenOperator(grid=grid, A=np.triu(np.ones((grid.n, grid.n))),
+                           params=ProblemParams(s=0.3, gamma=1.0))
+        with pytest.raises(ConvergenceError, match="eigenpair 1 residual") as exc:
+            leading_eigenpairs(op, n_eigs=1)
+        assert exc.value.residual > 1.0
 
 
 class TestBoundaryReport:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonlocal_sharp import boundary_distance, graded_mesh
+from nonlocal_sharp import Grid, boundary_distance, graded_mesh
 
 
 class TestBoundaryDistance:
@@ -68,6 +68,25 @@ class TestGradedMesh:
         with pytest.raises(ValueError):
             graded_mesh(16, 0.5)
 
+    def test_half_boundaries_validated(self):
+        for bad in ([0.0, 0.4], [0.1, 0.5], [0.0, 0.3, 0.2, 0.5], [0.0, 0.2, 0.2, 0.5]):
+            with pytest.raises(ValueError):
+                Grid(bad)
+
+    @pytest.mark.parametrize("n, beta", [(16000, 4.0), (2000, 5.0)])
+    def test_strong_grading_mirrors_exactly(self, n, beta):
+        g = graded_mesh(n, beta)
+        np.testing.assert_array_equal(g.delta, g.delta[::-1])
+        np.testing.assert_array_equal(g.weights, g.weights[::-1])
+        assert np.all(0.5 * g.weights <= g.delta)
+        assert np.all(np.diff(g.nodes) > 0)
+        assert 0.0 < g.nodes[0] and g.nodes[-1] < 1.0
+
+    def test_too_strong_grading_rejected(self):
+        # the first midpoint, 8e-18, is below the rounding of 1 - x
+        with pytest.raises(ValueError, match="grading too strong for n"):
+            graded_mesh(4000, 5.0)
+
     @settings(max_examples=40, deadline=None)
     @given(n_half=st.integers(min_value=4, max_value=400),
            beta=st.floats(min_value=1.0, max_value=5.0))
@@ -80,3 +99,6 @@ class TestGradedMesh:
         # nodes are cell midpoints
         np.testing.assert_allclose(
             g.nodes, 0.5 * (g.boundaries[:-1] + g.boundaries[1:]), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(g.delta, g.delta[::-1])
+        np.testing.assert_array_equal(g.weights, g.weights[::-1])
+        assert np.all(0.5 * g.weights <= g.delta)

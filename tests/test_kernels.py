@@ -15,9 +15,6 @@ from nonlocal_sharp import (
 
 
 class TestProblemParams:
-    def test_m_is_reciprocal_of_p(self):
-        assert ProblemParams(s=0.3, gamma=0.5, p=0.25).m == 4.0
-
     @pytest.mark.parametrize("kwargs", [
         {"s": 0.0, "gamma": 0.5, "p": 0.5},
         {"s": 1.5, "gamma": 0.5, "p": 0.5},

@@ -1,9 +1,14 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import dense_matrix_transfer
 
+import nonlocal_sharp
 from nonlocal_sharp import (
     Grid,
     ProblemParams,
@@ -19,7 +24,7 @@ from nonlocal_sharp import (
 
 
 def two_cell_grid():
-    return Grid(nodes=[0.25, 0.75], boundaries=[0.0, 0.5, 1.0], weights=[0.5, 0.5])
+    return Grid([0.0, 0.5])
 
 
 class TestAssemble:
@@ -38,12 +43,6 @@ class TestAssemble:
         WA = op.grid.weights[:, None] * op.A
         asym = np.max(np.abs(WA - WA.T)) / np.max(np.abs(WA))
         assert asym < 1e-14
-
-    def test_rejects_non_pointwise_backend(self):
-        from nonlocal_sharp import GreenKernel
-        kernel = GreenKernel("SpectralMT", ProblemParams(s=0.3, gamma=1.0))
-        with pytest.raises(ValueError):
-            assemble(kernel, graded_mesh(64, 1.0))
 
     def test_refinement_convergence_first_order(self):
         # apply to the constant 1 and compare against the finest level
@@ -184,3 +183,12 @@ class TestGreenQNorm:
         assert deltas.size >= 10
         assert np.all(np.isfinite(norms)) and np.all(norms > 0)
         assert deltas.max() <= 0.05
+
+
+def test_import_leaves_out_scipy_integrate():
+    # the diagonal is closed-form on every cell; no quadrature fallback
+    code = "import sys, nonlocal_sharp; print('scipy.integrate' in sys.modules)"
+    src = Path(nonlocal_sharp.__file__).parents[1]  # the package under test, not an install
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src)
+    assert out.stdout.strip() == "False"

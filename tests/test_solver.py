@@ -30,9 +30,8 @@ from nonlocal_sharp import (
 
 
 def scalar_op(value=2.0):
-    grid = Grid(nodes=[0.5], boundaries=[0.0, 1.0], weights=[1.0])
-    return GreenOperator(grid=grid, A=np.array([[value]]),
-                         provenance="SyntheticK5",
+    # two uncoupled cells: the scalar map u -> value * u^p on each node
+    return GreenOperator(grid=Grid([0.0, 0.5]), A=value * np.eye(2),
                          params=ProblemParams(s=0.25, gamma=1.0))
 
 
@@ -69,8 +68,8 @@ class TestSolveLinear:
 
 class TestPicardMap:
     def test_scalar_toy(self):
-        out = picard_map(scalar_op(), 0.5, np.array([1.0]))
-        np.testing.assert_array_equal(out, [2.0])
+        out = picard_map(scalar_op(), 0.5, np.ones(2))
+        np.testing.assert_array_equal(out, [2.0, 2.0])
 
     def test_homogeneity(self, small_op):
         u = np.abs(np.random.default_rng(6).normal(size=500)) + 0.1
@@ -101,7 +100,7 @@ def torsion_pair(op, p):
 class TestEnclosure:
     def test_scalar_fixed_point_enclosure(self):
         # T(u) = 2 sqrt(u) has the fixed point 4; u = 1 gives r = 2, a = b = 4
-        a, b = enclosure(np.array([1.0]), picard_map(scalar_op(), 0.5, np.array([1.0])), 0.5)
+        a, b = enclosure(np.ones(2), picard_map(scalar_op(), 0.5, np.ones(2)), 0.5)
         assert a == b == pytest.approx(4.0, rel=1e-15)
 
     def test_enclosure_is_sub_and_supersolution(self, small_op):
@@ -116,7 +115,7 @@ class TestEnclosure:
 class TestPicardSolve:
     def test_scalar_fixed_point(self):
         sol = picard_solve(scalar_op(), SolverConfig(p=0.5, tol=1e-12))
-        assert sol.u[0] == pytest.approx(4.0, rel=1e-10)
+        np.testing.assert_allclose(sol.u, 4.0, rtol=1e-10)
         assert sol.residual <= 1e-12
 
     def test_config_validation(self):
@@ -142,13 +141,12 @@ class TestPicardSolve:
             lo, hi = new_lo, new_hi
 
     def test_inconsistent_operator_raises_bracket_error(self):
-        grid = Grid(nodes=[0.25, 0.75], boundaries=[0.0, 0.5, 1.0], weights=[0.5, 0.5])
+        grid = Grid([0.0, 0.5])
         params = ProblemParams(s=0.25, gamma=1.0)
 
         def signed_op(A):
             # a negative entry breaks monotonicity, which the certificate catches
-            return GreenOperator(grid=grid, A=np.array(A), provenance="SyntheticK5",
-                                 params=params)
+            return GreenOperator(grid=grid, A=np.array(A), params=params)
 
         with pytest.raises(BracketError, match="min T"):
             picard_solve(signed_op([[1.0, -0.5], [0.0, 1.0]]), SolverConfig(p=0.5))
