@@ -200,7 +200,7 @@ def fit_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction,
     # divide out the calibrated slowly-varying factor, then measure the power
     a, b = log_res.offset_params
     k = log_res.log_exponent_hat
-    t = np.abs(np.log(np.where(grid.delta > 0, grid.delta, 1.0)))
+    t = np.abs(np.log(grid.delta))
     correction = (a + b * t) ** k
     power_window = window or FitWindow(delta_max=0.05)
     res = fit_power(np.asarray(u, dtype=float) / correction, grid, power_window)

@@ -69,7 +69,7 @@ def _envelope(r, dx, dy, params: ProblemParams):
     """r^{2s-1} min(dx^gamma/r^gamma, 1) min(dy^gamma/r^gamma, 1).
 
     The one place the two-sided envelope is written out: the synthetic
-    kernel, the dense assembly and the bound checks all evaluate it here.
+    kernel, the folded assembly and the bound checks all evaluate it here.
     """
     g = params.gamma
     rg = r ** g

@@ -1,10 +1,14 @@
-"""Discretized Green operators: dense assembly, matrix-free transfer, q-norms.
+"""Discretized Green operators: folded assembly, matrix-free transfer, q-norms.
 
 The integral operator u -> int G(., y) u(y) dy is collocated at grid nodes
 with cell quadrature: A_ij ~ int_{cell_j} G(x_i, y) dy.  Off-diagonal cells
 use the midpoint rule; the singular diagonal cell is integrated in closed
 form through the |x - y|^{2s-1} envelope, whose min-factors are 1 on every
-cell because the exactly mirrored grid has half-width <= delta.  The
+cell because the exactly mirrored grid has half-width <= delta.  The grid
+and the synthetic kernel are symmetric under x -> 1 - x, so the synthetic
+operator is stored folded, as two (n/2, n/2) blocks acting on the
+mirror-even and mirror-odd parts of a vector: half the bytes and half the
+matvec work of the n x n matrix, and exactly mirror-symmetric.  The
 spectral backend is the matrix transfer of the second-difference Dirichlet
 Laplacian: its eigenvectors on the uniform midpoint grid are the
 orthonormal DST-II basis, so the operator stores only its n eigenvalues
@@ -29,25 +33,39 @@ from .kernels import GreenKernel, ProblemParams, _envelope
 
 @dataclass(frozen=True)
 class GreenOperator:
-    """Dense nonnegative matrix acting on node values.
+    """Mirror-symmetric operator stored as its even and odd halves.
 
-    A_ij approximates int_{cell_j} G(x_i, y) dy, i.e. A includes the
-    quadrature weights; the underlying kernel values A_ij / w_j form a
-    symmetric matrix, so A is self-adjoint in the quadrature inner product
-    <u, v>_w = sum_i w_i u_i v_i (the discrete L^2 pairing).
+    The collocation matrix A has A_ij ~ int_{cell_j} G(x_i, y) dy, i.e. it
+    includes the quadrature weights; the underlying kernel values A_ij / w_j
+    form a symmetric matrix, so A is self-adjoint in the quadrature inner
+    product <u, v>_w = sum_i w_i u_i v_i (the discrete L^2 pairing).  The
+    grid and the kernel are symmetric under x -> 1 - x, so A commutes with
+    the flip and is fixed by its left rows [A_LL, A_LR].  With J the flip of
+    n/2 entries it is stored as two (n/2, n/2) blocks,
+
+        even = A_LL + A_LR J,    odd = A_LL - A_LR J,
+
+    which act on the mirror-even and mirror-odd parts of a vector.  `apply`
+    recombines them, so a mirror-symmetric input gives an exactly
+    mirror-symmetric result.
     """
 
     grid: Grid
-    A: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
     params: ProblemParams
 
     def __post_init__(self):
-        if self.A.shape != (self.grid.n, self.grid.n):
-            raise ValueError("matrix shape does not match grid")
+        half = (self.grid.n // 2,) * 2
+        if self.even.shape != half or self.odd.shape != half:
+            raise ValueError("block shapes do not match grid")
+
+
+_BLOCK_ENTRIES = 2 ** 16  # matrix entries per row block of the assembly
 
 
 def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
-    """Assemble the dense operator of the synthetic kernel.
+    """Assemble the folded operator of the synthetic kernel.
 
     Off-diagonal entries are w_j G(x_i, x_j), upgraded to Gauss-Legendre
     cell integrals near the diagonal where the integrable singularity makes
@@ -57,19 +75,37 @@ def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
     O(h) bulk bias on graded meshes where w_i != w_j).  The diagonal cell
     integral is the closed form int |x_i - y|^{2s-1} dy over the cell with
     min-factors 1, exact because every cell's half-width is at most
-    delta(x_i).
+    delta(x_i).  Only the left n/2 rows are computed, in row blocks of
+    about _BLOCK_ENTRIES entries, each folded into `even` and `odd` at
+    once, so no n x n temporary exists.
     """
     x = grid.nodes
     w = grid.weights
     d = grid.delta
-
-    r = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(r, 1.0)  # placeholder, overwritten below
-    G = _envelope(r, d[:, None], d[None, :], kernel.params)
-    _refine_near_diagonal(G, kernel, grid)
-    A = G * w[None, :]
-    np.fill_diagonal(A, _own_cell_integral(0.5 * w, 2.0 * kernel.params.s))
-    return GreenOperator(grid=grid, A=A, params=kernel.params)
+    n = grid.n
+    half = n // 2
+    band = _near_diagonal_averages(kernel, grid)
+    diag = _own_cell_integral(0.5 * w, 2.0 * kernel.params.s)
+    even = np.empty((half, half))
+    odd = np.empty((half, half))
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for r0 in range(0, half, rows):
+        r1 = min(r0 + rows, half)
+        i = np.arange(r0, r1)
+        r = np.abs(x[i, None] - x[None, :])
+        r[i - r0, i] = 1.0  # placeholder, overwritten below
+        G = _envelope(r, d[i, None], d[None, :], kernel.params)
+        for off, avg in band:
+            up = i[i < avg.size]  # rows whose pair (i, i + off) lies in the grid
+            G[up - r0, up + off] = avg[up]
+            down = i[i >= off]
+            G[down - r0, down - off] = avg[down - off]
+        G *= w
+        G[i - r0, i] = diag[i]
+        left, right = G[:, :half], G[:, half:][:, ::-1]
+        np.add(left, right, out=even[r0:r1])
+        np.subtract(left, right, out=odd[r0:r1])
+    return GreenOperator(grid=grid, even=even, odd=odd, params=kernel.params)
 
 
 def _own_cell_integral(half_width, a: float):
@@ -80,14 +116,15 @@ def _own_cell_integral(half_width, a: float):
 _NEAR_BAND = 8        # off-diagonal band refined by Gauss quadrature
 _GAUSS_NODES = 8
 
-def _refine_near_diagonal(G: np.ndarray, kernel: GreenKernel, grid: Grid) -> None:
-    """Replace pointwise kernel values by Gauss cell averages near the diagonal.
+def _near_diagonal_averages(kernel: GreenKernel, grid: Grid) -> list[tuple[int, np.ndarray]]:
+    """Symmetric Gauss cell averages on the band the left rows touch.
 
     Within a few cells of the singularity the kernel's curvature makes the
     midpoint rule only first-order accurate, which dominates the global
     assembly error; an 8-point Gauss rule on those cells removes it.  The
     two one-sided cell averages are combined symmetrically so the kernel
-    matrix G stays exactly symmetric.
+    values stay exactly symmetric.  Returns (off, avg) pairs with avg[a]
+    the value at the node pair (a, a + off), for every a < n/2.
     """
     gx, gw = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     x = grid.nodes
@@ -105,13 +142,12 @@ def _refine_near_diagonal(G: np.ndarray, kernel: GreenKernel, grid: Grid) -> Non
         vals = kernel(np.broadcast_to(x[i0][:, None], y.shape), y)
         return half * (vals @ gw) / w[j0]
 
-    for off in range(1, _NEAR_BAND + 1):
-        if off >= n:
-            break
-        i0, j0 = np.arange(0, n - off), np.arange(off, n)
-        avg = 0.5 * (cell_average(i0, j0) + cell_average(j0, i0))
-        G[i0, j0] = avg
-        G[j0, i0] = avg
+    band = []
+    for off in range(1, min(_NEAR_BAND, n - 1) + 1):
+        i0 = np.arange(min(n // 2, n - off))
+        j0 = i0 + off
+        band.append((off, 0.5 * (cell_average(i0, j0) + cell_average(j0, i0))))
+    return band
 
 
 @dataclass(frozen=True)
@@ -148,7 +184,11 @@ def apply(op: Operator, v: np.ndarray) -> np.ndarray:
         sym = op.symbol if v.ndim == 1 else op.symbol[:, None]
         coef = dst(v.astype(np.longdouble), type=2, norm="ortho", axis=0)
         return idst(sym * coef, type=2, norm="ortho", axis=0).astype(float)
-    return op.A @ v
+    half = op.grid.n // 2
+    left, right = v[:half], v[half:][::-1]
+    ee = op.even @ (0.5 * (left + right))
+    oo = op.odd @ (0.5 * (left - right))
+    return np.concatenate([ee + oo, (ee - oo)[::-1]])
 
 
 def spectral_mt_operator(s: float, grid: Grid) -> SpectralOperator:

@@ -1,12 +1,17 @@
-"""Dense reference formulas that the library computes matrix-free.
+"""Dense reference formulas that the library computes matrix-free or folded.
 
 The matrix transfer's sine-mode build is O(n^3) time and O(n^2) memory,
-which is why the spectral backend applies it by a sine transform; it is
-kept here only as the independent reference the transform is tested
-against.
+which is why the spectral backend applies it by a sine transform; the
+unfolded synthetic assembly builds all n x n entries through several
+n x n temporaries, which is why the library computes only the left rows
+in row blocks and folds them.  Both are kept here only as the independent
+references the library is tested against.
 """
 
 import numpy as np
+
+from nonlocal_sharp.kernels import _envelope
+from nonlocal_sharp.operators import _own_cell_integral
 
 
 def dense_matrix_transfer(s, grid):
@@ -19,3 +24,33 @@ def dense_matrix_transfer(s, grid):
     V /= np.sqrt(h * np.sum(V ** 2, axis=1))[:, None]
     A = h * (V.T * lam ** (-s)) @ V
     return 0.5 * (A + A.T)
+
+
+def dense_synthetic_assembly(kernel, grid, near_band=8, gauss_nodes=8):
+    """The full n x n collocation matrix of the synthetic kernel.
+
+    Envelope values times the weights w_j, symmetric Gauss cell averages
+    on the near_band off-diagonals, the closed-form diagonal.
+    """
+    x, w, d, n = grid.nodes, grid.weights, grid.delta, grid.n
+    r = np.abs(x[:, None] - x[None, :])
+    np.fill_diagonal(r, 1.0)  # placeholder, overwritten below
+    G = _envelope(r, d[:, None], d[None, :], kernel.params)
+    gx, gw = np.polynomial.legendre.leggauss(gauss_nodes)
+    lo_all, hi_all = grid.boundaries[:-1], grid.boundaries[1:]
+
+    def cell_average(i0, j0):
+        lo, hi = lo_all[j0], hi_all[j0]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        y = mid[:, None] + half[:, None] * gx[None, :]
+        vals = kernel(np.broadcast_to(x[i0][:, None], y.shape), y)
+        return half * (vals @ gw) / w[j0]
+
+    for off in range(1, min(near_band, n - 1) + 1):
+        i0, j0 = np.arange(0, n - off), np.arange(off, n)
+        avg = 0.5 * (cell_average(i0, j0) + cell_average(j0, i0))
+        G[i0, j0] = avg
+        G[j0, i0] = avg
+    A = G * w[None, :]
+    np.fill_diagonal(A, _own_cell_integral(0.5 * w, 2.0 * kernel.params.s))
+    return A

@@ -101,7 +101,8 @@ class TestSyntheticEigenpairs:
     def test_non_convergence_raises(self):
         # 200 evenly spaced eigenvalues: one restart cannot isolate the top one
         grid = graded_mesh(200, 1.0)
-        op = GreenOperator(grid=grid, A=np.diag(np.linspace(1.0, 2.0, grid.n)),
+        mus = np.linspace(1.0, 2.0, grid.n)  # every other one to each block
+        op = GreenOperator(grid=grid, even=np.diag(mus[1::2]), odd=np.diag(mus[::2]),
                            params=ProblemParams(s=0.3, gamma=1.0))
         with pytest.raises(ConvergenceError, match="ARPACK did not converge") as exc:
             leading_eigenpairs(op, n_eigs=1, max_iter=1)
@@ -110,7 +111,8 @@ class TestSyntheticEigenpairs:
     def test_residual_check_raises(self):
         # not self-adjoint in <u, v>_w: ARPACK stops, the honest residual fails
         grid = graded_mesh(16, 1.0)
-        op = GreenOperator(grid=grid, A=np.triu(np.ones((grid.n, grid.n))),
+        upper = np.triu(np.ones((grid.n // 2, grid.n // 2)))
+        op = GreenOperator(grid=grid, even=upper, odd=upper,
                            params=ProblemParams(s=0.3, gamma=1.0))
         with pytest.raises(ConvergenceError, match="eigenpair 1 residual") as exc:
             leading_eigenpairs(op, n_eigs=1)

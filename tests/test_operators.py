@@ -1,14 +1,17 @@
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import dense_matrix_transfer
+from reference import dense_matrix_transfer, dense_synthetic_assembly
 
 import nonlocal_sharp
+from nonlocal_sharp import operators
 from nonlocal_sharp import (
     Grid,
     ProblemParams,
@@ -31,18 +34,52 @@ class TestAssemble:
     def test_two_cell_diagonal_closed_form(self):
         # half-width 1/4 on each side: [(1/4)^{2s} + (1/4)^{2s}] / (2s) = 2 at s = 1/4
         op = assemble(synthetic_k5(ProblemParams(s=0.25, gamma=0.7)), two_cell_grid())
-        assert op.A[0, 0] == pytest.approx(2.0, rel=1e-14)
-        assert op.A[1, 1] == pytest.approx(2.0, rel=1e-14)
+        A = apply(op, np.eye(2))
+        assert A[0, 0] == pytest.approx(2.0, rel=1e-14)
+        assert A[1, 1] == pytest.approx(2.0, rel=1e-14)
 
     def test_entries_nonnegative(self):
         op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(64, 3.0))
-        assert np.all(op.A >= 0.0)
+        assert np.all(apply(op, np.eye(64)) >= 0.0)
 
     def test_self_adjoint_in_quadrature_inner_product(self):
         op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=0.6)), graded_mesh(128, 3.0))
-        WA = op.grid.weights[:, None] * op.A
+        WA = op.grid.weights[:, None] * apply(op, np.eye(128))
         asym = np.max(np.abs(WA - WA.T)) / np.max(np.abs(WA))
         assert asym < 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.floats(0.01, 0.49), gamma=st.floats(0.05, 1.0), beta=st.floats(1.0, 4.0),
+           n_half=st.integers(8, 150), block_rows=st.integers(1, 9))
+    def test_folded_equals_unfolded(self, s, gamma, beta, n_half, block_rows):
+        # row blocks of 1-9 rows put block seams inside the 8-wide Gauss band
+        kernel = synthetic_k5(ProblemParams(s=s, gamma=gamma))
+        grid = graded_mesh(2 * n_half, beta)
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", block_rows * grid.n):
+            op = assemble(kernel, grid)
+        M = apply(op, np.eye(grid.n))
+        ref = dense_synthetic_assembly(kernel, grid)
+        top, bottom = M[:n_half], M[n_half:]
+        assert np.max(np.abs(top - ref[:n_half])) <= 1e-14 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(bottom, top[::-1, ::-1])
+
+    def test_stores_only_its_halves(self):
+        op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(64, 3.0))
+        arrays = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
+        assert [a.shape for a in arrays] == [(32, 32), (32, 32)]
+
+    def test_assembly_peak_memory_within_twice_stored_bytes(self):
+        kernel = synthetic_k5(ProblemParams(s=0.2, gamma=1.0))
+        grid = graded_mesh(1000, 3.0)
+        tracemalloc.start()
+        try:
+            op = assemble(kernel, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = op.even.nbytes + op.odd.nbytes
+        assert stored == 1000 ** 2 // 2 * 8
+        assert peak <= 2 * stored, peak / stored
 
     def test_refinement_convergence_first_order(self):
         # apply to the constant 1 and compare against the finest level

@@ -31,8 +31,8 @@ from nonlocal_sharp import (
 
 def scalar_op(value=2.0):
     # two uncoupled cells: the scalar map u -> value * u^p on each node
-    return GreenOperator(grid=Grid([0.0, 0.5]), A=value * np.eye(2),
-                         params=ProblemParams(s=0.25, gamma=1.0))
+    return GreenOperator(grid=Grid([0.0, 0.5]), even=np.array([[value]]),
+                         odd=np.array([[value]]), params=ProblemParams(s=0.25, gamma=1.0))
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +118,12 @@ class TestPicardSolve:
         np.testing.assert_allclose(sol.u, 4.0, rtol=1e-10)
         assert sol.residual <= 1e-12
 
+    def test_synthetic_solution_is_exactly_mirror_symmetric(self):
+        op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0, p=0.5)),
+                      graded_mesh(4000, 3.0))
+        sol = picard_solve(op, SolverConfig(p=0.5))
+        assert np.array_equal(sol.u, sol.u[::-1])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(p=1.0)
@@ -141,12 +147,16 @@ class TestPicardSolve:
             lo, hi = new_lo, new_hi
 
     def test_inconsistent_operator_raises_bracket_error(self):
-        grid = Grid([0.0, 0.5])
+        # four mirrored cells: on mirror-even vectors T acts by the even block
+        # alone, so u -> even @ u^p is the map on the left two nodes; two
+        # mirrored cells would leave T(u)/u constant
+        grid = Grid([0.0, 0.25, 0.5])
         params = ProblemParams(s=0.25, gamma=1.0)
 
-        def signed_op(A):
+        def signed_op(even):
             # a negative entry breaks monotonicity, which the certificate catches
-            return GreenOperator(grid=grid, A=np.array(A), params=params)
+            even = np.array(even)
+            return GreenOperator(grid=grid, even=even, odd=even, params=params)
 
         with pytest.raises(BracketError, match="min T"):
             picard_solve(signed_op([[1.0, -0.5], [0.0, 1.0]]), SolverConfig(p=0.5))
