@@ -78,16 +78,19 @@ def _prediction_json(s: float, gamma: float, p: float, force_critical: bool) -> 
 
 # ---------------------------------------------------------------- case running
 
+def _case_grid(case: dict):
+    """The case's mesh: uniform for the spectral backend, graded by beta_g otherwise."""
+    beta = 1.0 if case["backend"] == "spectral" else float(case.get("beta_g", 3.0))
+    return graded_mesh(int(case["n"]), beta)
+
+
 def _build_operator(case: dict):
-    n = int(case["n"])
-    beta = float(case.get("beta_g", 3.0))
-    backend = case["backend"]
-    if backend == "spectral":
-        grid = graded_mesh(n, 1.0)
+    grid = _case_grid(case)
+    if case["backend"] == "spectral":
         return spectral_mt_operator(float(case["s"]), grid)
     params = ProblemParams(s=float(case["s"]), gamma=float(case["gamma"]),
                            p=float(case["p"]))
-    return assemble(synthetic_k5(params), graded_mesh(n, beta))
+    return assemble(synthetic_k5(params), grid)
 
 
 def _validate_case(case: dict) -> None:
@@ -97,7 +100,7 @@ def _validate_case(case: dict) -> None:
             raise ValueError(f"case missing required field {key!r}")
     params = ProblemParams(s=float(case["s"]), gamma=float(case["gamma"]),
                            p=float(case["p"]))
-    graded_mesh(int(case["n"]), float(case.get("beta_g", 3.0)))
+    _case_grid(case)
     SolverConfig(p=params.p, tol=float(case.get("tol", 1e-10)))
     if case["backend"] == "synthetic":
         synthetic_k5(params)

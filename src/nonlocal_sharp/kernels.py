@@ -65,17 +65,32 @@ def synthetic_k5(params: ProblemParams) -> GreenKernel:
     return GreenKernel(params)
 
 
-def _envelope(r, dx, dy, params: ProblemParams):
+def _envelope(r, dx, dy, params: ProblemParams, out=None, scratch=None):
     """r^{2s-1} min(dx^gamma/r^gamma, 1) min(dy^gamma/r^gamma, 1).
 
     The one place the two-sided envelope is written out: the synthetic
     kernel, the folded assembly and the bound checks all evaluate it here.
+    r has the shape of the result.  Called with r alone, it returns a new
+    array and leaves r as it was.  The assembly also passes `out` and
+    `scratch`, float arrays of r's shape, and a float r that may be
+    overwritten (it ends up holding r^{2s-1}), so no array of that shape
+    is allocated.  Both ways run the same operations in the same order and
+    give the same bits.
     """
+    if out is None:
+        r = np.array(r, dtype=float)
+        out, scratch = np.empty_like(r), np.empty_like(r)
     g = params.gamma
-    rg = r ** g
-    return (r ** (2.0 * params.s - 1.0)
-            * np.minimum(dx ** g / rg, 1.0)
-            * np.minimum(dy ** g / rg, 1.0))
+    rg = scratch
+    np.copyto(rg, r)
+    rg **= g  # the in-place operator keeps numpy's fast paths of `**` (sqrt for 1/2)
+    r **= 2.0 * params.s - 1.0
+    np.divide(dx ** g, rg, out=out)
+    np.minimum(out, 1.0, out=out)
+    np.multiply(r, out, out=out)
+    np.divide(dy ** g, rg, out=rg)
+    np.minimum(rg, 1.0, out=rg)
+    return np.multiply(out, rg, out=out)
 
 
 def eval_synthetic_k5(params: ProblemParams, x, y):

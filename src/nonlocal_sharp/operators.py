@@ -8,12 +8,13 @@ cell because the exactly mirrored grid has half-width <= delta.  The grid
 and the synthetic kernel are symmetric under x -> 1 - x, so the synthetic
 operator is stored folded, as two (n/2, n/2) blocks acting on the
 mirror-even and mirror-odd parts of a vector: half the bytes and half the
-matvec work of the n x n matrix, and exactly mirror-symmetric.  The
-spectral backend is the matrix transfer of the second-difference Dirichlet
-Laplacian: its eigenvectors on the uniform midpoint grid are the
-orthonormal DST-II basis, so the operator stores only its n eigenvalues
-(the symbol) and is applied by a sine transform in O(n log n), spectrally
-exact on its grid.
+matvec work of the n x n matrix, and exactly mirror-symmetric.  A
+mirror-even input, such as every Picard iterate, has an odd part of exact
+zeros, so its apply reads the even block alone.  The spectral backend is
+the matrix transfer of the second-difference Dirichlet Laplacian: its
+eigenvectors on the uniform midpoint grid are the orthonormal DST-II
+basis, so the operator stores only its n eigenvalues (the symbol) and is
+applied by a sine transform in O(n log n), spectrally exact on its grid.
 The transform runs in long double (80-bit extended on x86-64 Linux): FFT
 rounding is absolute, and in float64 it is large enough relative to the
 small boundary values of u to break the solver's nesting certificate.
@@ -77,7 +78,9 @@ def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
     min-factors 1, exact because every cell's half-width is at most
     delta(x_i).  Only the left n/2 rows are computed, in row blocks of
     about _BLOCK_ENTRIES entries, each folded into `even` and `odd` at
-    once, so no n x n temporary exists.
+    once, so no n x n temporary exists.  The row-block buffers are
+    allocated once per call and reused by every block, with every step
+    written in place.
     """
     x = grid.nodes
     w = grid.weights
@@ -89,12 +92,15 @@ def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
     even = np.empty((half, half))
     odd = np.empty((half, half))
     rows = max(1, _BLOCK_ENTRIES // n)
+    buffers = np.empty((3, rows, n))
     for r0 in range(0, half, rows):
         r1 = min(r0 + rows, half)
         i = np.arange(r0, r1)
-        r = np.abs(x[i, None] - x[None, :])
+        r, G, scratch = buffers[:, :r1 - r0]
+        np.subtract(x[i, None], x[None, :], out=r)
+        np.abs(r, out=r)
         r[i - r0, i] = 1.0  # placeholder, overwritten below
-        G = _envelope(r, d[i, None], d[None, :], kernel.params)
+        _envelope(r, d[i, None], d[None, :], kernel.params, out=G, scratch=scratch)
         for off, avg in band:
             up = i[i < avg.size]  # rows whose pair (i, i + off) lies in the grid
             G[up - r0, up + off] = avg[up]
@@ -175,7 +181,10 @@ def apply(op: Operator, v: np.ndarray) -> np.ndarray:
     """Apply the discretized integral operator to node values.
 
     v holds one vector of node values, shape (n,), or m of them as the
-    columns of an (n, m) array.
+    columns of an (n, m) array.  For the folded operator, an input whose
+    mirror-odd part is exactly zero skips the odd block: the result is
+    [E e ; J E e], the value the two-block formula gives, for half the
+    bytes read.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != op.grid.n:
@@ -187,7 +196,10 @@ def apply(op: Operator, v: np.ndarray) -> np.ndarray:
     half = op.grid.n // 2
     left, right = v[:half], v[half:][::-1]
     ee = op.even @ (0.5 * (left + right))
-    oo = op.odd @ (0.5 * (left - right))
+    odd_part = 0.5 * (left - right)
+    if not np.any(odd_part):  # mirror-even input: odd @ 0 would add exact zeros
+        return np.concatenate([ee, ee[::-1]])
+    oo = op.odd @ odd_part
     return np.concatenate([ee + oo, (ee - oo)[::-1]])
 
 

@@ -110,6 +110,14 @@ class TestSolve:
         assert code == 2
         assert "grading too strong for n" in err
 
+    def test_spectral_ignores_grading_it_never_builds(self, capsys, tmp_path):
+        # the spectral backend always runs on the uniform mesh, so --beta-g 5 is harmless
+        code, _, _ = run(capsys, "solve", "--backend", "spectral", "--s", "0.2",
+                         "--p", "0.5", "--n", "4000", "--beta-g", "5",
+                         "--out-dir", str(tmp_path))
+        assert code == 0
+        assert json.loads((tmp_path / "fit.json").read_text())["n"] == 4000
+
     def test_bracket_error_exits_3(self, capsys, tmp_path, monkeypatch):
         def broken(op, config):
             raise BracketError("enclosures not nested")

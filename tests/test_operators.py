@@ -13,6 +13,7 @@ from reference import dense_matrix_transfer, dense_synthetic_assembly
 import nonlocal_sharp
 from nonlocal_sharp import operators
 from nonlocal_sharp import (
+    GreenOperator,
     Grid,
     ProblemParams,
     apply,
@@ -81,6 +82,21 @@ class TestAssemble:
         assert stored == 1000 ** 2 // 2 * 8
         assert peak <= 2 * stored, peak / stored
 
+    def test_assembly_reuses_its_row_block_buffers(self):
+        # a handful of row blocks in flight at once, not fresh ones for every step
+        kernel = synthetic_k5(ProblemParams(s=0.2, gamma=1.0))
+        n = 1000
+        grid = graded_mesh(n, 3.0)
+        tracemalloc.start()
+        try:
+            op = assemble(kernel, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = operators._BLOCK_ENTRIES // n * n * 8
+        extra = (peak - op.even.nbytes - op.odd.nbytes) / block
+        assert extra <= 5.0, extra
+
     def test_refinement_convergence_first_order(self):
         # apply to the constant 1 and compare against the finest level
         kernel = synthetic_k5(ProblemParams(s=0.3, gamma=0.5))
@@ -119,6 +135,22 @@ class TestApply:
         lhs = apply(op, 2.0 * u + 3.0 * v)
         rhs = 2.0 * apply(op, u) + 3.0 * apply(op, v)
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
+
+    def test_mirror_even_input_skips_the_odd_block(self, op):
+        half = op.grid.n // 2
+        blind = GreenOperator(grid=op.grid, even=op.even,
+                              odd=np.full((half, half), np.nan), params=op.params)
+        gen = np.random.default_rng(5)
+        for shape in ((half,), (half, 3)):
+            left = gen.uniform(0, 1, shape)
+            v = np.concatenate([left, left[::-1]])
+            got = apply(blind, v)
+            assert np.all(np.isfinite(got))
+            ee = op.even @ (0.5 * (left + left))
+            oo = op.odd @ (0.5 * (left - left))
+            np.testing.assert_array_equal(got, np.concatenate([ee + oo, (ee - oo)[::-1]]))
+            v[half - 1] += 1.0  # no longer mirror-symmetric: the odd block is used again
+            assert np.all(np.isnan(apply(blind, v)))
 
     def test_shape_mismatch(self, op):
         n = op.grid.n
