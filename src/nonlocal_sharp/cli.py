@@ -15,7 +15,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -219,6 +218,8 @@ def cmd_study(args) -> int:
     if args.jobs == 1 or len(cases) == 1:
         outcomes = [_case_outcome(case) for case in cases]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_case_outcome, cases))  # preserves input order
     rows = [row for row, _ in outcomes if row is not None]

@@ -6,7 +6,8 @@ S = W^{1/2} A W^{-1/2} is symmetric.  Its largest eigenpairs come from
 ARPACK (scipy.sparse.linalg.eigsh) run on S as a matrix-free linear
 operator built on `apply`, the same for both backends, and map back to A
 by W^{-1/2}; each pair keeps the honest residual ||A phi - mu phi||_w of
-A itself.
+A itself.  `leading_eigenpairs` imports scipy.sparse.linalg when called,
+so importing this module loads no scipy module.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .grids import Grid
 from .operators import Operator, apply
@@ -37,6 +37,8 @@ def leading_eigenpairs(op: Operator, n_eigs: int = 1, tol: float = 1e-10,
     ARPACK's own stopping test reported.  The start vector is a seeded
     random vector: a symmetric start is orthogonal to the odd modes.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     if not 1 <= n_eigs <= 20:
         raise ValueError("n_eigs must lie in 1..20")
     if tol <= 0:

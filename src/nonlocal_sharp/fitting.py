@@ -26,19 +26,20 @@ class InsufficientWindowError(ValueError):
 class FitWindow:
     """Node selection for boundary regressions.
 
-    With delta_max = None the cap adapts to the mesh: at most span_decades
+    With delta_max = None the cap adapts to the mesh: at most _SPAN_DECADES
     decades above the smallest eligible distance, never beyond 0.05.  On
     strongly graded meshes this keeps the fit in the deep asymptotic range
     where subleading corrections have died out; on uniform meshes it
     reduces to the plain 0.05 cap.
     """
 
-    delta_min: float | None = None   # None: no cut beyond the node exclusion
     delta_max: float | None = None   # None: adaptive cap
     min_points: int = 10
     exclude_nearest: int = 5
     side: str = "both"               # "both" | "left" | "right"
-    span_decades: float = 4.0
+
+
+_SPAN_DECADES = 4.0  # decades the adaptive cap spans above the smallest distance
 
 
 @dataclass(frozen=True)
@@ -49,17 +50,12 @@ class FitResult:
     n_points: int
     window: FitWindow
     log_exponent_hat: float | None = None
-    # diagnostics of the two log-correction fit forms (see fit_log_correction)
-    plain_log_slope: float | None = None
-    plain_log_r2: float | None = None
     offset_params: tuple[float, float] | None = None  # (a, b) of (a + b|log d|)^k
 
 
 def _window_mask(grid: Grid, window: FitWindow) -> np.ndarray:
     d = grid.delta
     mask = np.ones(grid.n, dtype=bool)
-    if window.delta_min is not None:
-        mask &= d > window.delta_min
     k = window.exclude_nearest
     if k > 0:
         mask[:k] = False
@@ -70,7 +66,7 @@ def _window_mask(grid: Grid, window: FitWindow) -> np.ndarray:
         if not np.any(mask):
             return mask
         floor = float(np.min(d[mask]))
-        mask &= d <= min(0.05, floor * 10.0 ** window.span_decades)
+        mask &= d <= min(0.05, floor * 10.0 ** _SPAN_DECADES)
     if window.side == "left":
         mask[grid.n // 2:] = False
     elif window.side == "right":
@@ -111,13 +107,16 @@ def fit_log_correction(u: np.ndarray, grid: Grid, gamma: float,
                        window: FitWindow | None = None) -> FitResult:
     """Exponent k of a profile delta^gamma (1 + |log delta|^k).
 
-    Two forms are fitted and both reported.  The plain form regresses
-    log(u / delta^gamma) against log |log delta|; its slope only reaches
-    the true exponent when |log delta| dominates the crossover scale, which
-    converged solutions do not attain at feasible resolutions.  The
-    offset-aware form fits log(u / delta^gamma) = k log(a + b |log delta|),
-    which resolves the exponent through the crossover; it is returned as
-    log_exponent_hat, with the plain slope kept as a diagnostic.
+    Fits log(u / delta^gamma) = k log(a + b |log delta|) with a, b > 0,
+    which resolves the exponent through the crossover from the constant to
+    the |log delta|^k regime; converged solutions do not get past that
+    crossover at feasible resolutions, so a plain regression against
+    log |log delta| would not reach k.  The fit is a variable projection
+    (Golub & Pereyra 1973): for a fixed ratio c = a/b the model
+    k log(1 + |log delta|/c) + k log a is linear in (k, k log a) and
+    solved in closed form, and log c is found by a 1-D search.  It needs
+    numpy only.  Returns k as log_exponent_hat and (a, b) as
+    offset_params.
 
     Requires the window to reach delta <= 1e-3, otherwise the log factor is
     not resolved at all.
@@ -142,34 +141,72 @@ def fit_log_correction(u: np.ndarray, grid: Grid, gamma: float,
         # no detectable correction
         return FitResult(exponent_hat=gamma, intercept=intercept, r2=plain_r2,
                          n_points=n_points, window=window, log_exponent_hat=0.0,
-                         plain_log_slope=plain_slope, plain_log_r2=plain_r2,
                          offset_params=(float(np.exp(np.mean(y))), 0.0))
     k, a, b, r2 = _offset_aware_fit(t, y, k0=max(plain_slope, 0.5))
     return FitResult(exponent_hat=gamma, intercept=intercept, r2=r2,
                      n_points=n_points, window=window, log_exponent_hat=k,
-                     plain_log_slope=plain_slope, plain_log_r2=plain_r2,
                      offset_params=(a, b))
 
 
+_LOG_C_BOX = (-60.0, 60.0)  # log(a/b) for log a, log b in [-30, 30]
+_LOG_C_STEP = 0.5           # spacing of the scan over log c
+_GOLDEN_STEPS = 70          # shrink the scan bracket by 0.618^70 ~ 2e-15
+_K_MAX = 10.0               # the slope box is [0, _K_MAX]
+_LOG_AB_MAX = 700.0         # |log a|, |log b| whose exp is a finite positive double
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
 def _offset_aware_fit(t: np.ndarray, y: np.ndarray, k0: float):
-    """Least-squares fit of y = k log(a + b t) with a, b > 0."""
-    from scipy.optimize import curve_fit
+    """Least-squares fit of y = k log(a + b t) with a, b > 0: (k, a, b, r2).
 
-    def model(t, la, lb, k):
-        return k * np.log(np.exp(la) + np.exp(lb) * t)
+    With c = a/b, y = k z_c + k log a for z_c = log(1 + t/c), a 1-D linear
+    regression for each fixed c, whose slope is clipped to [0, _K_MAX]:
+    the sum of squares is convex in k, so that is the bounded optimum.
+    The profiled sum of squares is scanned over log c in _LOG_C_BOX and
+    refined by golden section around the best scan point.  When a or b
+    is no finite positive double, the fallback (k0, 1, 1, 0) is returned:
+    at k = 0 (y does not grow with t) log a is undefined, and a tiny k
+    needs a huge a to carry the level of y.
+    """
+    y_mean = float(np.mean(y))
+    yc = y - y_mean
+    ss_tot = float(yc @ yc)
 
-    try:
-        popt, _ = curve_fit(model, t, y, p0=[0.0, 0.0, k0],
-                            bounds=([-30.0, -30.0, 0.0], [30.0, 30.0, 10.0]),
-                            maxfev=20000)
-    except RuntimeError:
+    def profile(log_c):
+        # (sum of squares, k, mean z_c) of the regression for this c
+        z = np.log1p(t * np.exp(-log_c))
+        z_mean = float(np.mean(z))
+        zc = z - z_mean
+        zz = float(zc @ zc)
+        if not zz > 0.0:  # constant z_c: only the mean fits
+            return ss_tot, 0.0, z_mean
+        k = min(max(float(zc @ yc) / zz, 0.0), _K_MAX)
+        r = yc - k * zc  # residuals directly: ss_tot - k (zc . yc) cancels
+        return float(r @ r), k, z_mean
+
+    scan = np.arange(_LOG_C_BOX[0], _LOG_C_BOX[1] + 0.5 * _LOG_C_STEP, _LOG_C_STEP)
+    ss = [profile(x)[0] for x in scan]
+    best = int(np.argmin(ss))
+    lo, hi = scan[max(best - 1, 0)], scan[min(best + 1, scan.size - 1)]
+    x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    f1, f2 = profile(x1)[0], profile(x2)[0]
+    for _ in range(_GOLDEN_STEPS):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = profile(x1)[0]
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = profile(x2)[0]
+    log_c = min((ss[best], scan[best]), (f1, x1), (f2, x2))[1]
+    ss_res, k, z_mean = profile(log_c)
+    log_a = (y_mean - k * z_mean) / k if k > 0.0 else np.inf
+    log_b = log_a - log_c
+    if not max(abs(log_a), abs(log_b)) <= _LOG_AB_MAX:
         return k0, 1.0, 1.0, 0.0
-    fitted = model(t, *popt)
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot <= 1e-300 else max(0.0, 1.0 - ss_res / ss_tot)
-    la, lb, k = popt
-    return float(k), float(np.exp(la)), float(np.exp(lb)), r2
+    return k, float(np.exp(log_a)), float(np.exp(log_b)), r2
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ applied by a sine transform in O(n log n), spectrally exact on its grid.
 The transform runs in long double (80-bit extended on x86-64 Linux): FFT
 rounding is absolute, and in float64 it is large enough relative to the
 small boundary values of u to break the solver's nesting certificate.
-`apply` is the one entry point for both backends.
+`apply` is the one entry point for both backends.  Only its spectral
+branch imports scipy (`scipy.fft`), on first use, so the synthetic path
+and importing this module load no scipy module.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst, idst
 
 from .grids import Grid
 from .kernels import GreenKernel, ProblemParams, _envelope
@@ -95,23 +96,35 @@ def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
     buffers = np.empty((3, rows, n))
     for r0 in range(0, half, rows):
         r1 = min(r0 + rows, half)
-        i = np.arange(r0, r1)
         r, G, scratch = buffers[:, :r1 - r0]
-        np.subtract(x[i, None], x[None, :], out=r)
+        np.subtract(x[r0:r1, None], x[None, :], out=r)
         np.abs(r, out=r)
-        r[i - r0, i] = 1.0  # placeholder, overwritten below
-        _envelope(r, d[i, None], d[None, :], kernel.params, out=G, scratch=scratch)
+        _diagonal(r, r0, 0, r0, r1)[:] = 1.0  # placeholder, overwritten below
+        _envelope(r, d[r0:r1, None], d[None, :], kernel.params, out=G, scratch=scratch)
         for off, avg in band:
-            up = i[i < avg.size]  # rows whose pair (i, i + off) lies in the grid
-            G[up - r0, up + off] = avg[up]
-            down = i[i >= off]
-            G[down - r0, down - off] = avg[down - off]
+            up = min(r1, avg.size)  # rows whose pair (i, i + off) lies in the grid
+            _diagonal(G, r0, off, r0, up)[:] = avg[r0:up]
+            down = max(r0, off)     # rows whose pair (i, i - off) lies in the grid
+            if down < r1:
+                _diagonal(G, r0, -off, down, r1)[:] = avg[down - off:r1 - off]
         G *= w
-        G[i - r0, i] = diag[i]
+        _diagonal(G, r0, 0, r0, r1)[:] = diag[r0:r1]
         left, right = G[:, :half], G[:, half:][:, ::-1]
         np.add(left, right, out=even[r0:r1])
         np.subtract(left, right, out=odd[r0:r1])
     return GreenOperator(grid=grid, even=even, odd=odd, params=kernel.params)
+
+
+def _diagonal(block: np.ndarray, r0: int, off: int, i0: int, i1: int) -> np.ndarray:
+    """Writable view of the entries (i, i + off), i0 <= i < i1, of a row block.
+
+    The block is C-contiguous and holds the rows r0, r0 + 1, ... of an
+    n-column matrix, so entry (i, j) sits at (i - r0) n + j of its flat
+    view and the wanted entries are one slice of stride n + 1.
+    """
+    n = block.shape[1]
+    start = (i0 - r0) * n + i0 + off
+    return block.reshape(-1)[start:start + max(0, i1 - i0) * (n + 1):n + 1]
 
 
 def _own_cell_integral(half_width, a: float):
@@ -190,6 +203,8 @@ def apply(op: Operator, v: np.ndarray) -> np.ndarray:
     if v.ndim not in (1, 2) or v.shape[0] != op.grid.n:
         raise ValueError("vector length does not match grid")
     if isinstance(op, SpectralOperator):
+        from scipy.fft import dst, idst
+
         sym = op.symbol if v.ndim == 1 else op.symbol[:, None]
         coef = dst(v.astype(np.longdouble), type=2, norm="ortho", axis=0)
         return idst(sym * coef, type=2, norm="ortho", axis=0).astype(float)

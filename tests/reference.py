@@ -1,11 +1,13 @@
-"""Dense reference formulas that the library computes matrix-free or folded.
+"""Reference formulas that the library computes matrix-free, folded or without scipy.
 
 The matrix transfer's sine-mode build is O(n^3) time and O(n^2) memory,
 which is why the spectral backend applies it by a sine transform; the
 unfolded synthetic assembly builds all n x n entries through several
 n x n temporaries, which is why the library computes only the left rows
-in row blocks and folds them.  Both are kept here only as the independent
-references the library is tested against.
+in row blocks and folds them; the critical log fit by scipy's bounded
+curve_fit imports scipy.optimize, which is why the library fits it by
+variable projection with numpy alone.  All are kept here only as the
+independent references the library is tested against.
 """
 
 import numpy as np
@@ -54,3 +56,24 @@ def dense_synthetic_assembly(kernel, grid, near_band=8, gauss_nodes=8):
     A = G * w[None, :]
     np.fill_diagonal(A, _own_cell_integral(0.5 * w, 2.0 * kernel.params.s))
     return A
+
+
+def curve_fit_offset(t, y, k0):
+    """Bounded curve_fit of y = k log(a + b t): (k, a, b, r2), (k0, 1, 1, 0) on failure."""
+    from scipy.optimize import curve_fit
+
+    def model(t, la, lb, k):
+        return k * np.log(np.exp(la) + np.exp(lb) * t)
+
+    try:
+        popt, _ = curve_fit(model, t, y, p0=[0.0, 0.0, k0],
+                            bounds=([-30.0, -30.0, 0.0], [30.0, 30.0, 10.0]),
+                            maxfev=20000)
+    except RuntimeError:
+        return k0, 1.0, 1.0, 0.0
+    fitted = model(t, *popt)
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 if ss_tot <= 1e-300 else max(0.0, 1.0 - ss_res / ss_tot)
+    la, lb, k = popt
+    return float(k), float(np.exp(la)), float(np.exp(lb)), r2

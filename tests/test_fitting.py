@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import curve_fit_offset
 
 from nonlocal_sharp import (
     FitWindow,
@@ -10,6 +13,7 @@ from nonlocal_sharp import (
     graded_mesh,
     predict_mu,
 )
+from nonlocal_sharp.fitting import _offset_aware_fit, _window_mask
 
 
 class TestFitPower:
@@ -90,6 +94,46 @@ class TestFitLogCorrection:
         a, b = res.offset_params
         assert a == pytest.approx(2.0, rel=0.1)
         assert b == pytest.approx(3.0, rel=0.1)
+
+
+def window_log_distances(n=1000, beta=3.0):
+    """|log delta| over the default log-correction window of a graded mesh."""
+    grid = graded_mesh(n, beta)
+    return np.abs(np.log(grid.delta[_window_mask(grid, FitWindow(delta_max=0.05))]))
+
+
+def sum_of_squares(t, y, fit):
+    k, a, b = fit[:3]
+    return float(np.sum((y - k * np.log(a + b * t)) ** 2))
+
+
+class TestOffsetAwareFit:
+    @settings(max_examples=20, deadline=None)
+    @given(la=st.floats(-3.0, 3.0), lb=st.floats(-3.0, 3.0), k=st.floats(0.05, 10.0))
+    def test_no_worse_than_curve_fit_on_exact_profiles(self, la, lb, k):
+        t = window_log_distances()
+        y = k * np.log(np.exp(la) + np.exp(lb) * t)
+        ours = sum_of_squares(t, y, _offset_aware_fit(t, y, 1.0))
+        ref = sum_of_squares(t, y, curve_fit_offset(t, y, 1.0))
+        # exact profiles put both sums at rounding level; allow residuals of 4 ulps of y
+        rounding = t.size * (4.0 * np.finfo(float).eps * np.max(np.abs(y))) ** 2
+        assert ours <= ref * (1.0 + 1e-9) + rounding
+
+    @pytest.mark.parametrize("profile", [
+        lambda t: -np.log(2.0 + 3.0 * t),           # decreasing: k = 0, log a undefined
+        lambda t: 5.0 + 1e-6 * np.log(1.0 + t),     # k = 1e-6 needs log a = 5e6
+    ], ids=["decreasing", "tiny-slope"])
+    def test_offsets_outside_double_range_fall_back(self, profile):
+        t = window_log_distances()
+        assert _offset_aware_fit(t, profile(t), 0.7) == (0.7, 1.0, 1.0, 0.0)
+
+    def test_steep_profile_fits_on_the_box_edge(self):
+        t = window_log_distances()
+        y = 20.0 * np.log(2.0 + 3.0 * t)
+        fit = _offset_aware_fit(t, y, 0.7)
+        assert fit[0] == 10.0
+        ref = curve_fit_offset(t, y, 0.7)
+        assert sum_of_squares(t, y, fit) <= sum_of_squares(t, y, ref) * (1.0 + 1e-9)
 
 
 class TestFitReport:

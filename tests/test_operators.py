@@ -64,6 +64,17 @@ class TestAssemble:
         assert np.max(np.abs(top - ref[:n_half])) <= 1e-14 * np.max(np.abs(ref))
         np.testing.assert_array_equal(bottom, top[::-1, ::-1])
 
+    @pytest.mark.parametrize("n", [8, 10, 14])
+    def test_grid_narrower_than_the_gauss_band(self, n):
+        # the 8-wide Gauss band is wider than n/2: an offset past n/2 pairs only some left rows
+        kernel = synthetic_k5(ProblemParams(s=0.3, gamma=1.0))
+        grid = graded_mesh(n, 2.0)
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", 3 * n):
+            op = assemble(kernel, grid)
+        top = apply(op, np.eye(n))[:n // 2]
+        ref = dense_synthetic_assembly(kernel, grid)[:n // 2]
+        assert np.max(np.abs(top - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_stores_only_its_halves(self):
         op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(64, 3.0))
         arrays = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
@@ -261,3 +272,23 @@ def test_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=src)
     assert out.stdout.strip() == "False"
+
+
+CRITICAL_CASE = {"backend": "synthetic", "s": 0.25, "gamma": 1.0, "p": 0.5, "n": 1000,
+                 "beta_g": 3.0, "force_critical": True}
+
+
+@pytest.mark.parametrize("step", [
+    "import nonlocal_sharp",
+    "from nonlocal_sharp import cli; "
+    "cli.main(['predict', '--s', '0.25', '--gamma', '1', '--p', '0.5', '--force-critical'])",
+    # the log-correction fit needs delta <= 1e-3, which n = 1000 at beta = 3 reaches
+    f"from nonlocal_sharp import cli; assert cli.run_case({CRITICAL_CASE!r})['log_exp_hat'] > 0",
+], ids=["import", "predict", "critical-case"])
+def test_synthetic_path_loads_no_scipy(step):
+    # scipy is imported only by the spectral apply and leading_eigenpairs
+    code = step + "\nimport sys; print([m for m in sys.modules if m.startswith('scipy')])"
+    src = Path(nonlocal_sharp.__file__).parents[1]  # the package under test, not an install
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src)
+    assert out.stdout.splitlines()[-1] == "[]"
