@@ -6,7 +6,7 @@ it against closed-form regime predictions, including the logarithmic
 correction at the critical parameter threshold.
 """
 
-from .grids import Grid, boundary_distance, graded_mesh
+from .grids import Grid, InsufficientWindowError, boundary_distance, graded_mesh
 from .kernels import (
     BoundReport,
     DiagonalSingularityError,
@@ -57,8 +57,6 @@ from .exponents import (
 from .fitting import (
     FitReport,
     FitResult,
-    FitWindow,
-    InsufficientWindowError,
     fit_log_correction,
     fit_power,
     fit_report,
@@ -67,7 +65,7 @@ from .fitting import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid", "boundary_distance", "graded_mesh",
+    "Grid", "InsufficientWindowError", "boundary_distance", "graded_mesh",
     "BoundReport", "DiagonalSingularityError", "GreenKernel", "ProblemParams",
     "check_kernel_bounds", "eval_synthetic_k5", "synthetic_k5",
     "GreenOperator", "apply", "assemble", "green_q_norm",
@@ -80,6 +78,5 @@ __all__ = [
     "BqClassification", "CaseLabel", "EigenvalueProblemSignal",
     "ExponentPrediction", "HlsLadder", "classify_bq", "hls_ladder",
     "nu_case_machine", "nu_sequence", "predict_mu",
-    "FitReport", "FitResult", "FitWindow", "InsufficientWindowError",
-    "fit_log_correction", "fit_power", "fit_report",
+    "FitReport", "FitResult", "fit_log_correction", "fit_power", "fit_report",
 ]

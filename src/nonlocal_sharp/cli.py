@@ -203,11 +203,18 @@ def cmd_solve(args) -> int:
 def cmd_study(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         config = json.load(fh)
-    cases = config.get("cases", [])
-    if not cases:
-        raise ValueError("study config contains no cases")
+    if not isinstance(config, dict):
+        raise ValueError("study config must be a JSON object")
+    cases = config.get("cases")
+    if not isinstance(cases, list) or not cases:
+        raise ValueError("study config contains no cases: 'cases' must be a non-empty list")
+    out_dir = config.get("out_dir", args.out_dir)
+    if not isinstance(out_dir, str):
+        raise ValueError("study config 'out_dir' must be a string")
     for i, case in enumerate(cases):
         try:
+            if not isinstance(case, dict):
+                raise ValueError("a case must be a JSON object")
             _validate_case(case)
         except (ValueError, TypeError, KeyError) as exc:
             raise ValueError(f"case {i}: {exc}") from exc
@@ -226,7 +233,6 @@ def cmd_study(args) -> int:
     errors = [{"case": i, "error": err} for i, (_, err) in enumerate(outcomes)
               if err is not None]
 
-    out_dir = config.get("out_dir", args.out_dir)
     lines = [STUDY_HEADER] + [_row_csv(r) for r in rows]
     _atomic_write(os.path.join(out_dir, "study.csv"), "\n".join(lines) + "\n")
 

@@ -77,6 +77,10 @@ def _fix_sign(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return v if v[np.argmax(np.abs(v))] >= 0 else -v
 
 
+_EXCLUDE = 3      # nodes left out next to each endpoint
+_DELTA_MAX = 0.2  # boundary layer of the ratios
+
+
 @dataclass(frozen=True)
 class BoundaryRatio:
     index: int
@@ -84,21 +88,15 @@ class BoundaryRatio:
     inf_ratio: float | None     # inf phi / delta^gamma, first pair only
 
 
-def eigenfunction_boundary_report(pairs: list[EigenPair], grid: Grid, gamma: float,
-                                  delta_max: float = 0.2,
-                                  exclude_nearest: int = 3) -> list[BoundaryRatio]:
+def eigenfunction_boundary_report(pairs: list[EigenPair], grid: Grid,
+                                  gamma: float) -> list[BoundaryRatio]:
     """sup |phi_n|/delta^gamma (and inf phi_1/delta^gamma) near the boundary.
 
-    The window is delta in (0, delta_max], excluding the nodes closest to
-    each endpoint where the diagonal quadrature pollutes node values.
+    The window is delta in (0, 0.2], excluding the nodes closest to each
+    endpoint where the diagonal quadrature pollutes node values.
     """
-    d = grid.delta
-    mask = d <= delta_max
-    mask[:exclude_nearest] = False
-    mask[grid.n - exclude_nearest:] = False
-    if not np.any(mask):
-        raise ValueError("empty boundary window")
-    prof = d[mask] ** gamma
+    mask = grid.boundary_window(_EXCLUDE, _DELTA_MAX)
+    prof = grid.delta[mask] ** gamma
     out = []
     for pair in pairs:
         vals = pair.phi[mask]

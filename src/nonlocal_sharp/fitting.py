@@ -3,9 +3,10 @@
 Grid functions that behave like delta^mu (possibly times a power of
 |log delta|) near the boundary are measured by plain least squares on
 log-transformed node values.  Inputs are smooth deterministic grid
-functions, so no robust loss is needed; the window excludes the
-quadrature-polluted nodes nearest each endpoint and caps delta to stay in
-the asymptotic regime.
+functions, so no robust loss is needed.  The nodes come from
+`Grid.boundary_window`, which excludes the quadrature-polluted nodes nearest
+each endpoint and caps delta to stay in the asymptotic regime; both halves
+of the grid are pooled.
 """
 
 from __future__ import annotations
@@ -14,66 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid
+from .grids import Grid, InsufficientWindowError
 from .exponents import ExponentPrediction
 
-
-class InsufficientWindowError(ValueError):
-    """Fewer usable nodes than the window requires."""
-
-
-@dataclass(frozen=True)
-class FitWindow:
-    """Node selection for boundary regressions.
-
-    With delta_max = None the cap adapts to the mesh: at most _SPAN_DECADES
-    decades above the smallest eligible distance, never beyond 0.05.  On
-    strongly graded meshes this keeps the fit in the deep asymptotic range
-    where subleading corrections have died out; on uniform meshes it
-    reduces to the plain 0.05 cap.
-    """
-
-    delta_max: float | None = None   # None: adaptive cap
-    min_points: int = 10
-    exclude_nearest: int = 5
-    side: str = "both"               # "both" | "left" | "right"
-
-
-_SPAN_DECADES = 4.0  # decades the adaptive cap spans above the smallest distance
+_EXCLUDE = 5        # nodes left out next to each endpoint
+_MIN_POINTS = 10    # fewest window nodes a fit accepts
+_LOG_FIT_CAP = 0.05  # the critical fits use the full range: the offset fit needs the crossover
 
 
 @dataclass(frozen=True)
 class FitResult:
     exponent_hat: float
-    intercept: float
     r2: float
-    n_points: int
-    window: FitWindow
     log_exponent_hat: float | None = None
     offset_params: tuple[float, float] | None = None  # (a, b) of (a + b|log d|)^k
-
-
-def _window_mask(grid: Grid, window: FitWindow) -> np.ndarray:
-    d = grid.delta
-    mask = np.ones(grid.n, dtype=bool)
-    k = window.exclude_nearest
-    if k > 0:
-        mask[:k] = False
-        mask[grid.n - k:] = False
-    if window.delta_max is not None:
-        mask &= d <= window.delta_max
-    else:
-        if not np.any(mask):
-            return mask
-        floor = float(np.min(d[mask]))
-        mask &= d <= min(0.05, floor * 10.0 ** _SPAN_DECADES)
-    if window.side == "left":
-        mask[grid.n // 2:] = False
-    elif window.side == "right":
-        mask[: grid.n // 2] = False
-    elif window.side != "both":
-        raise ValueError("side must be 'both', 'left' or 'right'")
-    return mask
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray):
@@ -83,28 +38,30 @@ def _least_squares(x: np.ndarray, y: np.ndarray):
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     if ss_tot <= 1e-300:
         # constant data: the fit is exact by definition
-        return float(slope), float(intercept), 1.0
-    return float(slope), float(intercept), max(0.0, 1.0 - ss_res / ss_tot)
+        return float(slope), 1.0
+    return float(slope), max(0.0, 1.0 - ss_res / ss_tot)
 
 
-def fit_power(u: np.ndarray, grid: Grid, window: FitWindow | None = None) -> FitResult:
-    """Least-squares slope of log u against log delta over the window."""
-    window = window or FitWindow()
-    mask = _window_mask(grid, window)
-    n_points = int(np.count_nonzero(mask))
-    if n_points < window.min_points:
-        raise InsufficientWindowError(
-            f"only {n_points} nodes in window, need {window.min_points}")
+def _positive_values(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
     uw = np.asarray(u, dtype=float)[mask]
     if np.any(uw <= 0.0):
         raise ValueError("nonpositive values in fit window")
-    slope, intercept, r2 = _least_squares(np.log(grid.delta[mask]), np.log(uw))
-    return FitResult(exponent_hat=slope, intercept=intercept, r2=r2,
-                     n_points=n_points, window=window)
+    return uw
 
 
-def fit_log_correction(u: np.ndarray, grid: Grid, gamma: float,
-                       window: FitWindow | None = None) -> FitResult:
+def _power_fit(u: np.ndarray, grid: Grid, cap: float | None) -> FitResult:
+    mask = grid.boundary_window(_EXCLUDE, cap, _MIN_POINTS)
+    uw = _positive_values(u, mask)
+    slope, r2 = _least_squares(np.log(grid.delta[mask]), np.log(uw))
+    return FitResult(exponent_hat=slope, r2=r2)
+
+
+def fit_power(u: np.ndarray, grid: Grid) -> FitResult:
+    """Least-squares slope of log u against log delta over the adaptive window."""
+    return _power_fit(u, grid, None)
+
+
+def fit_log_correction(u: np.ndarray, grid: Grid, gamma: float) -> FitResult:
     """Exponent k of a profile delta^gamma (1 + |log delta|^k).
 
     Fits log(u / delta^gamma) = k log(a + b |log delta|) with a, b > 0,
@@ -121,31 +78,21 @@ def fit_log_correction(u: np.ndarray, grid: Grid, gamma: float,
     Requires the window to reach delta <= 1e-3, otherwise the log factor is
     not resolved at all.
     """
-    window = window or FitWindow(delta_max=0.05)  # full range: the offset fit uses the crossover
-    mask = _window_mask(grid, window)
-    n_points = int(np.count_nonzero(mask))
-    if n_points < window.min_points:
-        raise InsufficientWindowError(
-            f"only {n_points} nodes in window, need {window.min_points}")
+    mask = grid.boundary_window(_EXCLUDE, _LOG_FIT_CAP, _MIN_POINTS)
     d = grid.delta[mask]
     if d.min() > 1e-3:
         raise InsufficientWindowError(
             "log-correction fit needs nodes with delta <= 1e-3; refine the mesh")
-    uw = np.asarray(u, dtype=float)[mask]
-    if np.any(uw <= 0.0):
-        raise ValueError("nonpositive values in fit window")
+    uw = _positive_values(u, mask)
     t = np.abs(np.log(d))
     y = np.log(uw / d ** gamma)
-    plain_slope, intercept, plain_r2 = _least_squares(np.log(t), y)
+    plain_slope, plain_r2 = _least_squares(np.log(t), y)
     if float(np.var(y)) < 1e-20:
         # no detectable correction
-        return FitResult(exponent_hat=gamma, intercept=intercept, r2=plain_r2,
-                         n_points=n_points, window=window, log_exponent_hat=0.0,
+        return FitResult(exponent_hat=gamma, r2=plain_r2, log_exponent_hat=0.0,
                          offset_params=(float(np.exp(np.mean(y))), 0.0))
     k, a, b, r2 = _offset_aware_fit(t, y, k0=max(plain_slope, 0.5))
-    return FitResult(exponent_hat=gamma, intercept=intercept, r2=r2,
-                     n_points=n_points, window=window, log_exponent_hat=k,
-                     offset_params=(a, b))
+    return FitResult(exponent_hat=gamma, r2=r2, log_exponent_hat=k, offset_params=(a, b))
 
 
 _LOG_C_BOX = (-60.0, 60.0)  # log(a/b) for log a, log b in [-30, 30]
@@ -220,8 +167,7 @@ class FitReport:
     log_exp_pred: float | None = None
 
 
-def fit_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction,
-               window: FitWindow | None = None) -> FitReport:
+def fit_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction) -> FitReport:
     """Compare a grid function against a closed-form exponent prediction.
 
     In the critical regime the predicted logarithmic factor is divided out
@@ -229,18 +175,17 @@ def fit_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction,
     separately.
     """
     if prediction.regime != "critical":
-        res = fit_power(u, grid, window)
+        res = fit_power(u, grid)
         return FitReport(mu_hat=res.exponent_hat, mu_pred=prediction.mu,
                          abs_err=abs(res.exponent_hat - prediction.mu),
                          r2=res.r2, critical=False)
-    log_res = fit_log_correction(u, grid, prediction.mu, window)
+    log_res = fit_log_correction(u, grid, prediction.mu)
     # divide out the calibrated slowly-varying factor, then measure the power
     a, b = log_res.offset_params
     k = log_res.log_exponent_hat
     t = np.abs(np.log(grid.delta))
     correction = (a + b * t) ** k
-    power_window = window or FitWindow(delta_max=0.05)
-    res = fit_power(np.asarray(u, dtype=float) / correction, grid, power_window)
+    res = _power_fit(np.asarray(u, dtype=float) / correction, grid, _LOG_FIT_CAP)
     return FitReport(mu_hat=res.exponent_hat, mu_pred=prediction.mu,
                      abs_err=abs(res.exponent_hat - prediction.mu),
                      r2=res.r2, critical=True,

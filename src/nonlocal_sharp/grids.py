@@ -6,6 +6,8 @@ weights are the cell widths.  A grading exponent clusters cells towards the
 two endpoints so that boundary layers of the form delta^gamma are resolved.
 Every grid is built from its left half and mirrored exactly, so the
 boundary distance and the cell widths of the two halves are identical.
+`Grid.boundary_window` is the one rule that selects the boundary-layer
+nodes every boundary estimate is measured on.
 """
 
 from __future__ import annotations
@@ -13,6 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+class InsufficientWindowError(ValueError):
+    """Fewer nodes in a boundary window than its estimate requires."""
+
+
+_SPAN_DECADES = 4.0  # decades the adaptive cap spans above the smallest distance
+_CAP_CEILING = 0.05  # the adaptive cap never reaches beyond this distance
 
 
 def boundary_distance(x):
@@ -80,6 +90,32 @@ class Grid:
     @property
     def is_uniform(self) -> bool:
         return bool(np.allclose(self.weights, 1.0 / self.n, rtol=1e-12, atol=0))
+
+    def boundary_window(self, exclude: int, delta_max: float | None = None,
+                        min_points: int = 1) -> np.ndarray:
+        """Boolean mask of the boundary-layer nodes {delta <= delta_max}.
+
+        The exclude nodes nearest each endpoint, whose values the diagonal
+        quadrature pollutes, are dropped.  With delta_max = None the cap
+        adapts to the mesh: at most _SPAN_DECADES decades above the smallest
+        remaining distance, never beyond 0.05.  On strongly graded meshes
+        this keeps the window in the deep asymptotic range where subleading
+        corrections have died out; on uniform meshes it reduces to the
+        plain 0.05 cap.  The mask is mirror-symmetric, as the grid is.
+        Raises InsufficientWindowError when fewer than min_points nodes
+        remain.
+        """
+        mask = np.zeros(self.n, dtype=bool)
+        mask[exclude:self.n - exclude] = True
+        if delta_max is None:
+            floor = float(np.min(self.delta[mask], initial=np.inf))
+            delta_max = min(_CAP_CEILING, floor * 10.0 ** _SPAN_DECADES)
+        mask &= self.delta <= delta_max
+        count = int(np.count_nonzero(mask))
+        if count < min_points:
+            raise InsufficientWindowError(
+                f"only {count} nodes in window, need {min_points}")
+        return mask
 
 
 def graded_mesh(n: int, beta: float = 3.0) -> Grid:

@@ -258,20 +258,19 @@ def green_q_norm(kernel: GreenKernel, grid: Grid, x0_index: int, q: float) -> fl
     return total ** (1.0 / q)
 
 
-def green_q_norm_profile(kernel: GreenKernel, grid: Grid, q: float,
-                         delta_max: float | None = None, exclude_nearest: int = 3):
+_PROFILE_EXCLUDE = 3     # nodes left out next to the endpoint
+_PROFILE_MIN_POINTS = 4  # two per mirror half: the boundary slope needs two
+
+
+def green_q_norm_profile(kernel: GreenKernel, grid: Grid, q: float):
     """q-norms centred at left-boundary-layer nodes, with their distances.
 
-    Returns (delta, norms) for nodes with delta <= delta_max, skipping the
-    nodes nearest the endpoint (diagonal-cell pollution).  The default cap
-    adapts to the mesh -- at most four decades above the smallest eligible
-    distance, never beyond 0.05 -- keeping the profile in the asymptotic
-    range where subleading corrections have died out.
+    Returns (delta, norms) for the left half of the grid's adaptive
+    boundary window, skipping the nodes nearest the endpoint (diagonal-cell
+    pollution).  Raises InsufficientWindowError when fewer than two left-half
+    nodes remain.
     """
-    d = grid.delta
-    if delta_max is None:
-        floor = float(np.min(d[exclude_nearest:grid.n // 2]))
-        delta_max = min(0.05, floor * 1e4)
-    idx = [i for i in range(exclude_nearest, grid.n // 2) if d[i] <= delta_max]
+    mask = grid.boundary_window(_PROFILE_EXCLUDE, None, _PROFILE_MIN_POINTS)
+    idx = np.flatnonzero(mask[: grid.n // 2])
     norms = np.array([green_q_norm(kernel, grid, i, q) for i in idx])
-    return d[np.array(idx)], norms
+    return grid.delta[idx], norms

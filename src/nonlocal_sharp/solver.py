@@ -113,6 +113,12 @@ def picard_solve(op: Operator, config: SolverConfig) -> SemilinearSolution:
         residual)
 
 
+_HARNACK_EXCLUDE = 3      # nodes left out next to each endpoint
+_HARNACK_DELTA_MAX = 0.1  # boundary layer of the global ratio
+_BALL_CENTRE = 0.5        # interior ball of the local ratio
+_BALL_RADIUS = 0.1
+
+
 @dataclass(frozen=True)
 class HarnackReport:
     global_ratio: float     # (sup u/w) / (inf u/w) over the boundary window
@@ -121,27 +127,21 @@ class HarnackReport:
     inf_ratio: float
 
 
-def harnack_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction,
-                   center: float = 0.5, radius: float = 0.1,
-                   delta_max: float = 0.1, exclude_nearest: int = 3) -> HarnackReport:
+def harnack_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction) -> HarnackReport:
     """Two-sided comparability of u with the predicted boundary profile.
 
-    global: sup and inf of u / w over delta < delta_max, with w the profile
-    delta^mu (or its logarithmic refinement in the critical regime);
-    local: sup/inf of u over the interior ball B_radius(center).
+    global: sup and inf of u / w over the boundary window delta <= 0.1, with
+    w the profile delta^mu (or its logarithmic refinement in the critical
+    regime); local: sup/inf of u over the interior ball B_0.1(1/2).
     """
     u = np.asarray(u, dtype=float)
-    d = grid.delta
-    mask = d < delta_max
-    if exclude_nearest > 0:
-        mask[:exclude_nearest] = False
-        mask[grid.n - exclude_nearest:] = False
-    profile = prediction.profile(d[mask])
+    mask = grid.boundary_window(_HARNACK_EXCLUDE, _HARNACK_DELTA_MAX)
+    profile = prediction.profile(grid.delta[mask])
     ratios = u[mask] / profile
     sup_ratio = float(np.max(ratios))
     inf_ratio = float(np.min(ratios))
 
-    ball = np.abs(grid.nodes - center) <= radius
+    ball = np.abs(grid.nodes - _BALL_CENTRE) <= _BALL_RADIUS
     local = float(np.max(u[ball]) / np.min(u[ball]))
     return HarnackReport(global_ratio=sup_ratio / inf_ratio, local_ratio=local,
                          sup_ratio=sup_ratio, inf_ratio=inf_ratio)

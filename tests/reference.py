@@ -1,4 +1,5 @@
-"""Reference formulas that the library computes matrix-free, folded or without scipy.
+"""Reference formulas that the library computes matrix-free, folded or without scipy,
+and the node selections that the boundary window replaced.
 
 The matrix transfer's sine-mode build is O(n^3) time and O(n^2) memory,
 which is why the spectral backend applies it by a sine transform; the
@@ -6,7 +7,11 @@ unfolded synthetic assembly builds all n x n entries through several
 n x n temporaries, which is why the library computes only the left rows
 in row blocks and folds them; the critical log fit by scipy's bounded
 curve_fit imports scipy.optimize, which is why the library fits it by
-variable projection with numpy alone.  All are kept here only as the
+variable projection with numpy alone.  The fits, the Harnack report, the
+eigenfunction ratios and the q-norm profile each used to select their
+boundary nodes with their own rule; the rules are kept as they were
+written, for the values in use, so that the one `Grid.boundary_window`
+can be shown to select the same nodes.  All are kept here only as the
 independent references the library is tested against.
 """
 
@@ -77,3 +82,49 @@ def curve_fit_offset(t, y, k0):
     r2 = 1.0 if ss_tot <= 1e-300 else max(0.0, 1.0 - ss_res / ss_tot)
     la, lb, k = popt
     return float(k), float(np.exp(la)), float(np.exp(lb)), r2
+
+
+def fit_window_mask(grid, delta_max, exclude_nearest=5):
+    """The fits' window with side = "both"; delta_max = None is the adaptive cap."""
+    d = grid.delta
+    mask = np.ones(grid.n, dtype=bool)
+    k = exclude_nearest
+    if k > 0:
+        mask[:k] = False
+        mask[grid.n - k:] = False
+    if delta_max is not None:
+        mask &= d <= delta_max
+    else:
+        if not np.any(mask):
+            return mask
+        floor = float(np.min(d[mask]))
+        mask &= d <= min(0.05, floor * 10.0 ** 4.0)
+    return mask
+
+
+def harnack_window_mask(grid, delta_max=0.1, exclude_nearest=3):
+    """The Harnack report's global window, strict in delta."""
+    d = grid.delta
+    mask = d < delta_max
+    if exclude_nearest > 0:
+        mask[:exclude_nearest] = False
+        mask[grid.n - exclude_nearest:] = False
+    return mask
+
+
+def eigen_window_mask(grid, delta_max=0.2, exclude_nearest=3):
+    """The eigenfunction ratios' window; an empty one raised ValueError."""
+    d = grid.delta
+    mask = d <= delta_max
+    mask[:exclude_nearest] = False
+    mask[grid.n - exclude_nearest:] = False
+    return mask
+
+
+def q_norm_profile_indices(grid, delta_max=None, exclude_nearest=3):
+    """The left-half node indices of the q-norm profile."""
+    d = grid.delta
+    if delta_max is None:
+        floor = float(np.min(d[exclude_nearest:grid.n // 2]))
+        delta_max = min(0.05, floor * 1e4)
+    return [i for i in range(exclude_nearest, grid.n // 2) if d[i] <= delta_max]

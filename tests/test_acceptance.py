@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from nonlocal_sharp import (
-    FitWindow,
     ProblemParams,
     check_kernel_bounds,
     enclosure,

@@ -81,6 +81,13 @@ class TestGreenNorm:
         assert data["predicted_slope"] == pytest.approx(0.4, rel=1e-12)
         assert data["slope"] == pytest.approx(0.4, abs=0.1)
 
+    @pytest.mark.parametrize("n, beta", [("8", "3"), ("40", "1")])
+    def test_empty_window_exits_2(self, capsys, n, beta):
+        code, _, err = run(capsys, "green-norm", "--s", "0.2", "--q", "1",
+                           "--n", n, "--beta-g", beta)
+        assert code == 2
+        assert err.startswith("error:")
+
 
 class TestSolve:
     def test_outputs_and_determinism(self, capsys, tmp_path):
@@ -188,6 +195,23 @@ class TestStudy:
             assert code == 2
             assert "case 1" in err
             assert not (tmp_path / "study.csv").exists()
+
+    @pytest.mark.parametrize("config", [
+        [1, 2],
+        {"cases": 5},
+        {"cases": [SMALL_CASE], "out_dir": 5},
+    ], ids=["array", "cases-not-a-list", "out-dir-not-a-string"])
+    def test_malformed_config_exits_2_before_running(self, capsys, tmp_path, monkeypatch,
+                                                     config):
+        calls = []
+        monkeypatch.setattr(cli, "run_case", calls.append)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run(capsys, "study", "--config", str(path), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert calls == []
+        assert not (tmp_path / "study.csv").exists()
 
     def test_missing_field_exits_2(self, capsys, tmp_path):
         bad = {k: v for k, v in SMALL_CASE.items() if k != "p"}

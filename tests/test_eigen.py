@@ -3,7 +3,6 @@ import pytest
 
 from nonlocal_sharp import (
     ConvergenceError,
-    FitWindow,
     GreenOperator,
     ProblemParams,
     apply,

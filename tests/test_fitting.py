@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from reference import curve_fit_offset
 
 from nonlocal_sharp import (
-    FitWindow,
     InsufficientWindowError,
     fit_log_correction,
     fit_power,
@@ -13,7 +12,7 @@ from nonlocal_sharp import (
     graded_mesh,
     predict_mu,
 )
-from nonlocal_sharp.fitting import _offset_aware_fit, _window_mask
+from nonlocal_sharp.fitting import _EXCLUDE, _LOG_FIT_CAP, _offset_aware_fit
 
 
 class TestFitPower:
@@ -39,16 +38,7 @@ class TestFitPower:
     def test_window_robustness_for_pure_power(self):
         grid = graded_mesh(2000, 3.0)
         u = grid.delta ** 0.6
-        for win in (FitWindow(), FitWindow(delta_max=0.01),
-                    FitWindow(exclude_nearest=20), FitWindow(side="left")):
-            assert fit_power(u, grid, win).exponent_hat == pytest.approx(0.6, abs=1e-10)
-
-    def test_symmetry_pooling(self):
-        grid = graded_mesh(1000, 3.0)
-        u = grid.delta ** 0.8
-        left = fit_power(u, grid, FitWindow(side="left")).exponent_hat
-        both = fit_power(u, grid).exponent_hat
-        assert left == pytest.approx(both, abs=1e-10)
+        assert fit_power(u, grid).exponent_hat == pytest.approx(0.6, abs=1e-10)
 
     def test_nonpositive_values_rejected(self):
         grid = graded_mesh(500, 2.0)
@@ -56,14 +46,9 @@ class TestFitPower:
             fit_power(np.zeros(500), grid)
 
     def test_insufficient_window(self):
-        grid = graded_mesh(500, 2.0)
+        grid = graded_mesh(8, 1.0)  # every node is among the 5 nearest an endpoint
         with pytest.raises(InsufficientWindowError):
-            fit_power(grid.delta, grid, FitWindow(delta_max=1e-12))
-
-    def test_bad_side_rejected(self):
-        grid = graded_mesh(500, 2.0)
-        with pytest.raises(ValueError):
-            fit_power(grid.delta, grid, FitWindow(side="up"))
+            fit_power(grid.delta, grid)
 
 
 class TestFitLogCorrection:
@@ -99,7 +84,7 @@ class TestFitLogCorrection:
 def window_log_distances(n=1000, beta=3.0):
     """|log delta| over the default log-correction window of a graded mesh."""
     grid = graded_mesh(n, beta)
-    return np.abs(np.log(grid.delta[_window_mask(grid, FitWindow(delta_max=0.05))]))
+    return np.abs(np.log(grid.delta[grid.boundary_window(_EXCLUDE, _LOG_FIT_CAP)]))
 
 
 def sum_of_squares(t, y, fit):

@@ -1,9 +1,30 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from reference import (
+    eigen_window_mask,
+    fit_window_mask,
+    harnack_window_mask,
+    q_norm_profile_indices,
+)
 
-from nonlocal_sharp import Grid, boundary_distance, graded_mesh
+from nonlocal_sharp import (
+    EigenPair,
+    Grid,
+    InsufficientWindowError,
+    boundary_distance,
+    eigenfunction_boundary_report,
+    fit_power,
+    fit_report,
+    graded_mesh,
+    green_q_norm_profile,
+    harnack_report,
+    operators,
+    predict_mu,
+)
 
 
 class TestBoundaryDistance:
@@ -102,3 +123,91 @@ class TestGradedMesh:
         np.testing.assert_array_equal(g.delta, g.delta[::-1])
         np.testing.assert_array_equal(g.weights, g.weights[::-1])
         assert np.all(0.5 * g.weights <= g.delta)
+
+
+def windows_of(call):
+    """The masks `call` takes from Grid.boundary_window, None for one that raised.
+
+    A ValueError raised after the windows are chosen (a coarse log fit, an
+    empty interior ball) ends the call but keeps the masks it recorded.
+    """
+    seen = []
+    original = Grid.boundary_window
+
+    def spy(self, *args, **kwargs):
+        try:
+            mask = original(self, *args, **kwargs)
+        except InsufficientWindowError:
+            seen.append(None)
+            raise
+        seen.append(mask)
+        return mask
+
+    with patch.object(Grid, "boundary_window", spy):
+        try:
+            call()
+        except ValueError:
+            pass
+    return seen
+
+
+def assert_same_windows(seen, expected):
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)
+
+
+class TestBoundaryWindow:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=4, max_value=2048).map(lambda h: 2 * h),
+           beta=st.one_of(st.sampled_from(np.arange(1.0, 4.25, 0.5).tolist()),
+                          st.floats(min_value=1.0, max_value=4.0)))
+    @example(n=8, beta=1.0)    # empty Harnack and eigen windows
+    @example(n=70, beta=1.0)   # one left-half q-norm node
+    @example(n=190, beta=1.0)  # ten fit nodes, the fewest accepted
+    def test_callers_select_the_previous_nodes(self, n, beta):
+        try:
+            grid = graded_mesh(n, beta)
+        except ValueError:
+            assume(False)
+        d = grid.delta
+
+        adaptive = fit_window_mask(grid, None)
+        expected = [adaptive if adaptive.sum() >= 10 else None]
+        assert_same_windows(windows_of(lambda: fit_power(d ** 0.7, grid)), expected)
+
+        # the critical fit_report: the log fit, then the power fit, both at 0.05
+        capped = fit_window_mask(grid, 0.05)
+        if capped.sum() < 10:
+            expected = [None]
+        elif d[capped].min() > 1e-3:  # the log fit rejects the window
+            expected = [capped]
+        else:
+            expected = [capped, capped]
+        u = d * (1.0 + np.abs(np.log(d))) ** 2
+        critical = predict_mu(0.25, 1.0, 0.5)
+        assert_same_windows(windows_of(lambda: fit_report(u, grid, critical)), expected)
+
+        harnack = harnack_window_mask(grid)
+        pred = predict_mu(0.2, 1.0, 0.5)
+        assert_same_windows(windows_of(lambda: harnack_report(d ** 0.8, grid, pred)),
+                            [harnack if harnack.any() else None])
+
+        eigen = eigen_window_mask(grid)
+        pair = EigenPair(index=1, mu=1.0, phi=d.copy(), residual=0.0)
+        assert_same_windows(
+            windows_of(lambda: eigenfunction_boundary_report([pair], grid, 1.0)),
+            [eigen if eigen.any() else None])
+
+        idx = q_norm_profile_indices(grid)
+        with patch.object(operators, "green_q_norm", lambda kernel, grid, i, q: float(i)):
+            if len(idx) < 2:
+                with pytest.raises(InsufficientWindowError):
+                    green_q_norm_profile(None, grid, 1.0)
+            else:
+                deltas, norms = green_q_norm_profile(None, grid, 1.0)
+                assert norms.tolist() == idx
+                np.testing.assert_array_equal(deltas, d[idx])
