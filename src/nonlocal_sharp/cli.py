@@ -1,7 +1,11 @@
 """Command-line driver: predictions, solves, parameter studies, reports.
 
-Exit codes: 0 success, 2 argument/configuration validation failure,
-3 numerical failure (non-convergence or a broken solver certificate).
+Exit codes: 0 success; 2 argument or configuration validation failure,
+found before any solve (a case is validated by building everything its run
+needs but the operator, its fit window included); 3 run-time failure of a
+valid case, one of `_RUN_ERRORS`: non-convergence or a broken solver
+certificate (RuntimeError), memory, arithmetic, or a numerical check
+(ValueError raised while running).  No failure path exits 1.
 All file outputs are written atomically (temporary file + rename) with
 deterministic formatting: floats at 17 significant digits, '.' decimal
 separator, '\\n' line endings, JSON with stable key order.
@@ -15,16 +19,18 @@ import os
 import sys
 import tempfile
 import time
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .eigen import eigenfunction_boundary_report, leading_eigenpairs
-from .exponents import classify_bq, nu_case_machine, predict_mu
-from .fitting import fit_report
-from .grids import graded_mesh
+from .exponents import ExponentPrediction, classify_bq, nu_case_machine, predict_mu
+from .fitting import fit_report, fit_window
+from .grids import Grid, graded_mesh
 from .kernels import ProblemParams, check_kernel_bounds, synthetic_k5
 from .operators import assemble, green_q_norm_profile, spectral_mt_operator
-from .solver import BracketError, ConvergenceError, SolverConfig, harnack_report, picard_solve
+from .solver import ConvergenceError, SolverConfig, harnack_report, picard_solve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -77,77 +83,140 @@ def _prediction_json(s: float, gamma: float, p: float, force_critical: bool) -> 
 
 # ---------------------------------------------------------------- case running
 
-def _case_grid(case: dict):
-    """The case's mesh: uniform for the spectral backend, graded by beta_g otherwise."""
-    beta = 1.0 if case["backend"] == "spectral" else float(case.get("beta_g", 3.0))
-    return graded_mesh(int(case["n"]), beta)
+_REQUIRED = object()
+# name -> (JSON type, default); the README's table of case fields mirrors it
+_CASE_FIELDS = {
+    "backend": ("string", _REQUIRED),
+    "s": ("number", _REQUIRED),
+    "gamma": ("number", _REQUIRED),
+    "p": ("number", _REQUIRED),
+    "n": ("integer", _REQUIRED),
+    "beta_g": ("number", 3.0),
+    "tol": ("number", 1e-10),
+    "force_critical": ("boolean", False),
+}
+_JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "boolean": bool}
+
+# The run-time failures of a valid case, exit 3: non-convergence and broken
+# certificates (RuntimeError), numerical checks such as the fit's positive
+# values (ValueError), ArithmeticError and MemoryError.  Anything else is a bug.
+_RUN_ERRORS = (RuntimeError, ValueError, ArithmeticError, MemoryError)
 
 
-def _build_operator(case: dict):
-    grid = _case_grid(case)
-    if case["backend"] == "spectral":
-        return spectral_mt_operator(float(case["s"]), grid)
-    params = ProblemParams(s=float(case["s"]), gamma=float(case["gamma"]),
-                           p=float(case["p"]))
-    return assemble(synthetic_k5(params), grid)
+def _error_text(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _validate_case(case: dict) -> None:
-    """Run the library's own checks on a case without building its operator."""
-    for key in ("backend", "s", "gamma", "p", "n"):
-        if key not in case:
-            raise ValueError(f"case missing required field {key!r}")
-    params = ProblemParams(s=float(case["s"]), gamma=float(case["gamma"]),
-                           p=float(case["p"]))
-    _case_grid(case)
-    SolverConfig(p=params.p, tol=float(case.get("tol", 1e-10)))
-    if case["backend"] == "synthetic":
-        synthetic_k5(params)
-    elif case["backend"] == "spectral":
+def _operator_plan(backend: str, params: ProblemParams, n: int, beta_g: float):
+    """Check that a backend runs these parameters, and build its mesh.
+
+    Returns (grid, build): build() makes the operator, the expensive step,
+    which a caller defers until its other checks have passed.  The spectral
+    backend has gamma = 1 by construction and runs on the uniform mesh, so
+    it ignores beta_g; the synthetic one needs s < 1/2.
+    """
+    if backend == "spectral":
         if params.gamma != 1.0:
             raise ValueError("spectral backend has gamma = 1 by construction")
-    else:
-        raise ValueError(f"unknown backend {case['backend']!r}")
+        grid = graded_mesh(n, 1.0)
+        return grid, partial(spectral_mt_operator, params.s, grid)
+    if backend == "synthetic":
+        kernel = synthetic_k5(params)
+        grid = graded_mesh(n, beta_g)
+        return grid, partial(assemble, kernel, grid)
+    raise ValueError(f"unknown backend {backend!r}")
 
 
-def run_case(case: dict) -> dict:
-    """Solve one study case and return its result row as a dict."""
+class _Case(NamedTuple):
+    """A validated case: everything its run needs except the operator."""
+
+    backend: str
+    params: ProblemParams
+    grid: Grid
+    build: Callable
+    solver: SolverConfig
+    prediction: ExponentPrediction
+
+
+def _field(case: dict, name: str):
+    kind, default = _CASE_FIELDS[name]
+    if name not in case:
+        if default is _REQUIRED:
+            raise ValueError(f"case missing required field {name!r}")
+        return default
+    value = case[name]
+    # bool is an int in Python, but a JSON boolean is no number
+    if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "boolean"):
+        raise ValueError(f"case field {name!r} must be a JSON {kind}, got {value!r}")
+    if kind != "number":
+        return value
+    if not abs(value) <= sys.float_info.max:  # NaN, infinity, or an integer no double holds
+        raise ValueError(f"case field {name!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _parse_case(case) -> _Case:
+    """Validate a case dict by building what its run needs, short of the operator.
+
+    This is the one place a case's fields are read.  Unknown fields,
+    missing required ones and values of another JSON type are rejected;
+    then the library's own checks run as the parameters, mesh, backend,
+    solver settings and prediction are built, and the fit window is taken
+    on the mesh, so a case whose fit could not run fails before it solves.
+    Raises ValueError.
+    """
+    if not isinstance(case, dict):
+        raise ValueError("a case must be a JSON object")
+    unknown = sorted(set(case) - set(_CASE_FIELDS))
+    if unknown:
+        raise ValueError(f"unknown case field {unknown[0]!r}; "
+                         f"the fields are {', '.join(_CASE_FIELDS)}")
+    f = {name: _field(case, name) for name in _CASE_FIELDS}
+    params = ProblemParams(s=f["s"], gamma=f["gamma"], p=f["p"])
+    grid, build = _operator_plan(f["backend"], params, f["n"], f["beta_g"])
+    solver = SolverConfig(p=params.p, tol=f["tol"])
+    prediction = predict_mu(params.s, params.gamma, params.p,
+                            force_critical=f["force_critical"])
+    fit_window(grid, prediction.regime == "critical")
+    return _Case(f["backend"], params, grid, build, solver, prediction)
+
+
+def _run(case: _Case) -> dict:
     start = time.perf_counter()
-    s, gamma, p = float(case["s"]), float(case["gamma"]), float(case["p"])
-    op = _build_operator(case)
-    tol = float(case.get("tol", 1e-10))
-    sol = picard_solve(op, SolverConfig(p=p, tol=tol))
-    pred = predict_mu(s, gamma, p, force_critical=bool(case.get("force_critical", False)))
-    rep = fit_report(sol.u, op.grid, pred)
-    ghp = harnack_report(sol.u, op.grid, pred)
+    sol = picard_solve(case.build(), case.solver)
+    pred = case.prediction
+    rep = fit_report(sol.u, case.grid, pred)
+    ghp = harnack_report(sol.u, case.grid, pred)
     wall_ms = (time.perf_counter() - start) * 1e3
     return {
-        "s": s, "gamma": gamma, "p": p, "backend": case["backend"],
-        "n": int(case["n"]),
+        "s": case.params.s, "gamma": case.params.gamma, "p": case.params.p,
+        "backend": case.backend, "n": case.grid.n,
         "mu_pred": pred.mu, "mu_hat": rep.mu_hat, "r2": rep.r2,
         "regime": pred.regime,
         "log_exp_pred": rep.log_exp_pred, "log_exp_hat": rep.log_exp_hat,
         "ghp_ratio": ghp.global_ratio,
         "iterations": sol.iterations, "residual": sol.residual,
         "wall_ms": wall_ms,
-        "_solution": sol, "_grid": op.grid,
+        "_solution": sol, "_grid": case.grid,
     }
+
+
+def run_case(case: dict) -> dict:
+    """Solve one study case and return its result row as a dict."""
+    return _run(_parse_case(case))
 
 
 def _case_outcome(case: dict) -> tuple[dict | None, str | None]:
     """(row, None) from run_case, or (None, error) for a case that failed.
 
     Catching here keeps one failing case from discarding the rows of the
-    others, in the serial loop and in pool workers alike.  The caught
-    types are the run-time failures of a validated case: non-convergence
-    and broken certificates (RuntimeError), fit windows and other numerical
-    checks (ValueError, ArithmeticError), and memory; anything else is a
-    bug and propagates.
+    others, in the serial loop and in pool workers alike.  The error comes
+    back as a string: a ConvergenceError does not survive unpickling.
     """
     try:
         return run_case(case), None
-    except (RuntimeError, ValueError, ArithmeticError, MemoryError) as exc:
-        return None, f"{type(exc).__name__}: {exc}"
+    except _RUN_ERRORS as exc:
+        return None, _error_text(exc)
 
 
 def _row_csv(row: dict) -> str:
@@ -175,21 +244,20 @@ def cmd_predict(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    case = {"backend": args.backend, "s": args.s, "gamma": args.gamma,
-            "p": args.p, "n": args.n, "beta_g": args.beta_g, "tol": args.tol,
-            "force_critical": args.force_critical}
-    _validate_case(case)
+    case = _parse_case({"backend": args.backend, "s": args.s, "gamma": args.gamma,
+                        "p": args.p, "n": args.n, "beta_g": args.beta_g, "tol": args.tol,
+                        "force_critical": args.force_critical})
     os.makedirs(args.out_dir, exist_ok=True)
     fit_path = os.path.join(args.out_dir, "fit.json")
     try:
-        row = run_case(case)
-    except (ConvergenceError, BracketError) as exc:
+        row = _run(case)
+    except _RUN_ERRORS as exc:
         residual = exc.residual if isinstance(exc, ConvergenceError) else None
-        diag = {"error": str(exc), "residual": residual,
+        diag = {"error": _error_text(exc), "residual": residual,
                 "s": args.s, "gamma": args.gamma, "p": args.p,
                 "backend": args.backend, "n": args.n}
         _atomic_write(fit_path, _json_text(diag))
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_NUMERICAL
     grid, sol = row["_grid"], row["_solution"]
     lines = ["x,delta,u"]
@@ -213,10 +281,8 @@ def cmd_study(args) -> int:
         raise ValueError("study config 'out_dir' must be a string")
     for i, case in enumerate(cases):
         try:
-            if not isinstance(case, dict):
-                raise ValueError("a case must be a JSON object")
-            _validate_case(case)
-        except (ValueError, TypeError, KeyError) as exc:
+            _parse_case(case)
+        except ValueError as exc:
             raise ValueError(f"case {i}: {exc}") from exc
 
     if args.jobs < 1:
@@ -256,16 +322,10 @@ def cmd_study(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    case = {"backend": args.backend, "s": args.s, "gamma": args.gamma,
-            "p": 0.5, "n": args.n, "beta_g": args.beta_g}
-    _validate_case(case)
-    op = _build_operator(case)
-    try:
-        pairs = leading_eigenpairs(op, n_eigs=args.n_eigs, tol=args.tol)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    ratios = eigenfunction_boundary_report(pairs, op.grid, args.gamma)
+    grid, build = _operator_plan(args.backend, ProblemParams(s=args.s, gamma=args.gamma),
+                                 args.n, args.beta_g)
+    pairs = leading_eigenpairs(build(), n_eigs=args.n_eigs, tol=args.tol)
+    ratios = eigenfunction_boundary_report(pairs, grid, args.gamma)
     lines = ["index,mu,lambda,residual"]
     for pair in pairs:
         lines.append(f"{pair.index},{_fmt(pair.mu)},{_fmt(1.0 / pair.mu)},"
@@ -306,10 +366,12 @@ def cmd_green_norm(args) -> int:
 
 
 def cmd_verify_kernel(args) -> int:
+    params = ProblemParams(s=args.s, gamma=args.gamma)
     if args.backend == "synthetic":
-        target = synthetic_k5(ProblemParams(s=args.s, gamma=args.gamma))
+        target = synthetic_k5(params)
     else:
-        target = spectral_mt_operator(args.s, graded_mesh(args.n, 1.0))
+        _, build = _operator_plan("spectral", params, args.n, beta_g=1.0)
+        target = build()
     report = check_kernel_bounds(target, n_samples=args.n_samples, seed=args.seed)
     out = {"c0_hat": report.c0_hat, "c1_hat": report.c1_hat,
            "violations": report.violations, "n_samples": report.n_samples}
@@ -395,12 +457,13 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConvergenceError, BracketError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    # solve and study catch their run-time ValueErrors; any other is an argument error
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except _RUN_ERRORS as exc:
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -3,10 +3,10 @@
 Grid functions that behave like delta^mu (possibly times a power of
 |log delta|) near the boundary are measured by plain least squares on
 log-transformed node values.  Inputs are smooth deterministic grid
-functions, so no robust loss is needed.  The nodes come from
-`Grid.boundary_window`, which excludes the quadrature-polluted nodes nearest
-each endpoint and caps delta to stay in the asymptotic regime; both halves
-of the grid are pooled.
+functions, so no robust loss is needed.  The nodes come from `fit_window`,
+the one rule every fit and the CLI's pre-check use: `Grid.boundary_window`
+excludes the quadrature-polluted nodes nearest each endpoint and caps delta
+to stay in the asymptotic regime; both halves of the grid are pooled.
 """
 
 from __future__ import annotations
@@ -49,8 +49,25 @@ def _positive_values(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return uw
 
 
-def _power_fit(u: np.ndarray, grid: Grid, cap: float | None) -> FitResult:
-    mask = grid.boundary_window(_EXCLUDE, cap, _MIN_POINTS)
+def fit_window(grid: Grid, critical: bool) -> np.ndarray:
+    """Boolean mask of the nodes a fit of this regime measures on.
+
+    Non-critical fits take the adaptive cap.  The critical fits take delta
+    <= 0.05, since the offset fit needs the crossover, and the window must
+    reach delta <= 1e-3, otherwise the log factor is not resolved at all.
+    Raises InsufficientWindowError when the grid cannot fill the window,
+    so a caller can reject a mesh before it solves on it.
+    """
+    if not critical:
+        return grid.boundary_window(_EXCLUDE, None, _MIN_POINTS)
+    mask = grid.boundary_window(_EXCLUDE, _LOG_FIT_CAP, _MIN_POINTS)
+    if grid.delta[mask].min() > 1e-3:
+        raise InsufficientWindowError(
+            "log-correction fit needs nodes with delta <= 1e-3; refine the mesh")
+    return mask
+
+
+def _power_fit(u: np.ndarray, grid: Grid, mask: np.ndarray) -> FitResult:
     uw = _positive_values(u, mask)
     slope, r2 = _least_squares(np.log(grid.delta[mask]), np.log(uw))
     return FitResult(exponent_hat=slope, r2=r2)
@@ -58,7 +75,7 @@ def _power_fit(u: np.ndarray, grid: Grid, cap: float | None) -> FitResult:
 
 def fit_power(u: np.ndarray, grid: Grid) -> FitResult:
     """Least-squares slope of log u against log delta over the adaptive window."""
-    return _power_fit(u, grid, None)
+    return _power_fit(u, grid, fit_window(grid, critical=False))
 
 
 def fit_log_correction(u: np.ndarray, grid: Grid, gamma: float) -> FitResult:
@@ -73,16 +90,13 @@ def fit_log_correction(u: np.ndarray, grid: Grid, gamma: float) -> FitResult:
     k log(1 + |log delta|/c) + k log a is linear in (k, k log a) and
     solved in closed form, and log c is found by a 1-D search.  It needs
     numpy only.  Returns k as log_exponent_hat and (a, b) as
-    offset_params.
-
-    Requires the window to reach delta <= 1e-3, otherwise the log factor is
-    not resolved at all.
+    offset_params.  The nodes are the critical `fit_window`.
     """
-    mask = grid.boundary_window(_EXCLUDE, _LOG_FIT_CAP, _MIN_POINTS)
+    return _log_fit(u, grid, gamma, fit_window(grid, critical=True))
+
+
+def _log_fit(u: np.ndarray, grid: Grid, gamma: float, mask: np.ndarray) -> FitResult:
     d = grid.delta[mask]
-    if d.min() > 1e-3:
-        raise InsufficientWindowError(
-            "log-correction fit needs nodes with delta <= 1e-3; refine the mesh")
     uw = _positive_values(u, mask)
     t = np.abs(np.log(d))
     y = np.log(uw / d ** gamma)
@@ -172,20 +186,22 @@ def fit_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction) -> Fit
 
     In the critical regime the predicted logarithmic factor is divided out
     before measuring the leading power, and the log exponent is fitted
-    separately.
+    separately; both critical fits measure on one window.
     """
-    if prediction.regime != "critical":
-        res = fit_power(u, grid)
+    critical = prediction.regime == "critical"
+    mask = fit_window(grid, critical)
+    if not critical:
+        res = _power_fit(u, grid, mask)
         return FitReport(mu_hat=res.exponent_hat, mu_pred=prediction.mu,
                          abs_err=abs(res.exponent_hat - prediction.mu),
                          r2=res.r2, critical=False)
-    log_res = fit_log_correction(u, grid, prediction.mu)
+    log_res = _log_fit(u, grid, prediction.mu, mask)
     # divide out the calibrated slowly-varying factor, then measure the power
     a, b = log_res.offset_params
     k = log_res.log_exponent_hat
     t = np.abs(np.log(grid.delta))
     correction = (a + b * t) ** k
-    res = _power_fit(np.asarray(u, dtype=float) / correction, grid, _LOG_FIT_CAP)
+    res = _power_fit(np.asarray(u, dtype=float) / correction, grid, mask)
     return FitReport(mu_hat=res.exponent_hat, mu_pred=prediction.mu,
                      abs_err=abs(res.exponent_hat - prediction.mu),
                      r2=res.r2, critical=True,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import ExponentPrediction
-from .grids import Grid
+from .grids import Grid, InsufficientWindowError
 from .operators import Operator, apply
 
 
@@ -133,6 +133,7 @@ def harnack_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction) ->
     global: sup and inf of u / w over the boundary window delta <= 0.1, with
     w the profile delta^mu (or its logarithmic refinement in the critical
     regime); local: sup/inf of u over the interior ball B_0.1(1/2).
+    Raises InsufficientWindowError when the window or the ball holds no node.
     """
     u = np.asarray(u, dtype=float)
     mask = grid.boundary_window(_HARNACK_EXCLUDE, _HARNACK_DELTA_MAX)
@@ -142,6 +143,9 @@ def harnack_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction) ->
     inf_ratio = float(np.min(ratios))
 
     ball = np.abs(grid.nodes - _BALL_CENTRE) <= _BALL_RADIUS
+    if not ball.any():
+        raise InsufficientWindowError(
+            f"no node in the interior ball |x - {_BALL_CENTRE}| <= {_BALL_RADIUS}")
     local = float(np.max(u[ball]) / np.min(u[ball]))
     return HarnackReport(global_ratio=sup_ratio / inf_ratio, local_ratio=local,
                          sup_ratio=sup_ratio, inf_ratio=inf_ratio)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,36 @@ def write_config(tmp_path, cases, **extra):
 
 SMALL_CASE = {"backend": "synthetic", "s": 0.2, "gamma": 1.0, "p": 0.5,
               "n": 64, "beta_g": 3.0, "tol": 1e-8}
+
+# uniform meshes too coarse for their fit window: fewer than 10 nodes are
+# left, or the critical window stops short of delta = 1e-3
+UNFILLABLE_FIT_WINDOWS = [
+    {"backend": "synthetic", "s": 0.2, "gamma": 1.0, "p": 0.5, "n": 8, "beta_g": 1.0},
+    {"backend": "synthetic", "s": 0.25, "gamma": 1.0, "p": 0.5, "n": 64, "beta_g": 1.0,
+     "force_critical": True},
+    {"backend": "synthetic", "s": 0.25, "gamma": 1.0, "p": 0.5, "n": 2000, "beta_g": 1.0,
+     "force_critical": True},
+]
+UNFILLABLE_IDS = ["n8", "critical-n64", "critical-n2000"]
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def record_solves(monkeypatch):
+    """Route cli.picard_solve through a spy and return the list of its calls."""
+    calls, solve = [], cli.picard_solve
+
+    def spy(op, config):
+        calls.append(config)
+        return solve(op, config)
+    monkeypatch.setattr(cli, "picard_solve", spy)
+    return calls
+
+
+def solve_flags(case):
+    flags = ["--backend", case["backend"]]
+    for key in ("s", "gamma", "p", "n", "beta_g"):
+        flags += ["--" + key.replace("_", "-"), str(case[key])]
+    return flags + (["--force-critical"] if case.get("force_critical") else [])
 
 
 class TestPredict:
@@ -69,6 +101,12 @@ class TestVerifyKernel:
         data = json.loads(out)
         assert data["violations"] == 0
         assert data["c1_hat"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_spectral_rejects_gamma_other_than_1(self, capsys):
+        code, _, err = run(capsys, "verify-kernel", "--backend", "spectral", "--s", "0.2",
+                           "--gamma", "0.5", "--n", "64", "--n-samples", "100")
+        assert code == 2
+        assert "gamma = 1" in err
 
 
 class TestGreenNorm:
@@ -136,6 +174,29 @@ class TestSolve:
         diag = json.loads((tmp_path / "fit.json").read_text())
         assert "not nested" in diag["error"] and diag["residual"] is None
 
+    @pytest.mark.parametrize("case", UNFILLABLE_FIT_WINDOWS, ids=UNFILLABLE_IDS)
+    def test_unfillable_fit_window_exits_2_before_solving(self, capsys, tmp_path,
+                                                          monkeypatch, case):
+        calls = record_solves(monkeypatch)
+        code, _, err = run(capsys, "solve", *solve_flags(case), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert calls == []
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("error", [MemoryError, FloatingPointError])
+    def test_run_time_error_writes_record_and_exits_3(self, capsys, tmp_path, monkeypatch,
+                                                      error):
+        def fail(kernel, grid):
+            raise error("no room")
+        monkeypatch.setattr(cli, "assemble", fail)
+        code, _, err = run(capsys, "solve", "--s", "0.2", "--p", "0.5", "--n", "64",
+                           "--out-dir", str(tmp_path))
+        assert code == 3
+        assert f"{error.__name__}: no room" in err
+        diag = json.loads((tmp_path / "fit.json").read_text())
+        assert diag["error"] == f"{error.__name__}: no room" and diag["residual"] is None
+
 
 class TestEigen:
     def test_spectral_csv(self, capsys, tmp_path):
@@ -148,6 +209,16 @@ class TestEigen:
         assert len(lines) == 3
         ratios = json.loads((tmp_path / "boundary_ratios.json").read_text())
         assert len(ratios) == 2
+
+    @pytest.mark.parametrize("error", [MemoryError, FloatingPointError])
+    def test_run_time_error_exits_3(self, capsys, tmp_path, monkeypatch, error):
+        def fail(kernel, grid):
+            raise error("no room")
+        monkeypatch.setattr(cli, "assemble", fail)
+        code, _, err = run(capsys, "eigen", "--backend", "synthetic", "--s", "0.2",
+                           "--n", "64", "--out-dir", str(tmp_path))
+        assert code == 3
+        assert f"{error.__name__}: no room" in err
 
 
 class TestStudy:
@@ -189,12 +260,28 @@ class TestStudy:
     def test_malformed_case_exits_2_before_running(self, capsys, tmp_path):
         for bad in ({**SMALL_CASE, "s": 0.7},  # synthetic backend needs s < 1/2
                     {**SMALL_CASE, "backend": "spectral", "gamma": 0.5},  # spectral is gamma = 1
-                    {**SMALL_CASE, "tol": 0}):
+                    {**SMALL_CASE, "tol": 0},
+                    {**SMALL_CASE, "beta": 1},  # unknown field
+                    {**SMALL_CASE, "force_critical": "false"},
+                    {**SMALL_CASE, "n": 64.9},
+                    {**SMALL_CASE, "gamma": True},
+                    {**SMALL_CASE, "tol": float("nan")}):  # written as NaN, which json reads
             cfg = write_config(tmp_path, [SMALL_CASE, bad])
             code, _, err = run(capsys, "study", "--config", cfg)
             assert code == 2
             assert "case 1" in err
             assert not (tmp_path / "study.csv").exists()
+
+    @pytest.mark.parametrize("case", UNFILLABLE_FIT_WINDOWS, ids=UNFILLABLE_IDS)
+    def test_unfillable_fit_window_exits_2_before_solving(self, capsys, tmp_path,
+                                                          monkeypatch, case):
+        calls = record_solves(monkeypatch)
+        cfg = write_config(tmp_path, [SMALL_CASE, case])
+        code, _, err = run(capsys, "study", "--config", cfg)
+        assert code == 2
+        assert "case 1" in err
+        assert calls == []
+        assert not (tmp_path / "study.csv").exists()
 
     @pytest.mark.parametrize("config", [
         [1, 2],
@@ -259,3 +346,21 @@ class TestStudy:
         assert summary["errors"] == [{"case": 1, "error": "ConvergenceError: did not converge"}]
         assert summary["n_cases"] == 3
         assert (tmp_path / "study.csv").read_text().splitlines() == [full[0], full[1], full[3]]
+
+
+class TestCaseFields:
+    def test_documented_configs_parse(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"A study config is JSON:\n\n```json\n(.*?)```", readme, re.S)
+        shipped = json.loads((ROOT / "configs" / "acceptance.json").read_text())
+        for case in json.loads(example.group(1))["cases"] + shipped["cases"]:
+            cli._parse_case(case)
+
+    def test_readme_table_lists_the_fields(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(\w+)` \| (\w+) \| ([^|]+) \|", readme, re.M)
+        documented = {name: (kind, default.strip()) for name, kind, default in rows}
+        fields = {name: (kind, "required" if default is cli._REQUIRED
+                         else json.dumps(default))
+                  for name, (kind, default) in cli._CASE_FIELDS.items()}
+        assert documented == fields

@@ -179,14 +179,9 @@ class TestBoundaryWindow:
         expected = [adaptive if adaptive.sum() >= 10 else None]
         assert_same_windows(windows_of(lambda: fit_power(d ** 0.7, grid)), expected)
 
-        # the critical fit_report: the log fit, then the power fit, both at 0.05
+        # the critical fit_report: the log fit and the power fit share one window at 0.05
         capped = fit_window_mask(grid, 0.05)
-        if capped.sum() < 10:
-            expected = [None]
-        elif d[capped].min() > 1e-3:  # the log fit rejects the window
-            expected = [capped]
-        else:
-            expected = [capped, capped]
+        expected = [capped if capped.sum() >= 10 else None]
         u = d * (1.0 + np.abs(np.log(d))) ** 2
         critical = predict_mu(0.25, 1.0, 0.5)
         assert_same_windows(windows_of(lambda: fit_report(u, grid, critical)), expected)

@@ -10,6 +10,7 @@ from nonlocal_sharp import (
     ConvergenceError,
     Grid,
     GreenOperator,
+    InsufficientWindowError,
     ProblemParams,
     SolverConfig,
     apply,
@@ -257,3 +258,9 @@ class TestHarnackReport:
         rep = harnack_report(sol.u, op.grid, pred)
         assert rep.local_ratio <= rep.global_ratio
         assert rep.global_ratio <= 10.0
+
+    def test_empty_interior_ball_raises(self):
+        # the central nodes sit at 0.397 and 0.603; the boundary window is not empty
+        grid = graded_mesh(16, 4.0)
+        with pytest.raises(InsufficientWindowError, match="interior ball"):
+            harnack_report(grid.delta ** 0.8, grid, predict_mu(0.2, 1.0, 0.5))
