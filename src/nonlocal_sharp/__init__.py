@@ -13,7 +13,6 @@ from .kernels import (
     GreenKernel,
     ProblemParams,
     check_kernel_bounds,
-    eval_synthetic_k5,
     synthetic_k5,
 )
 from .operators import (
@@ -40,7 +39,6 @@ from .solver import (
     harnack_report,
     picard_map,
     picard_solve,
-    solve_linear,
 )
 from .exponents import (
     BqClassification,
@@ -54,29 +52,22 @@ from .exponents import (
     nu_sequence,
     predict_mu,
 )
-from .fitting import (
-    FitReport,
-    FitResult,
-    fit_log_correction,
-    fit_power,
-    fit_report,
-)
+from .fitting import FitReport, fit_power, fit_report
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Grid", "InsufficientWindowError", "boundary_distance", "graded_mesh",
     "BoundReport", "DiagonalSingularityError", "GreenKernel", "ProblemParams",
-    "check_kernel_bounds", "eval_synthetic_k5", "synthetic_k5",
+    "check_kernel_bounds", "synthetic_k5",
     "GreenOperator", "apply", "assemble", "green_q_norm",
     "green_q_norm_profile", "spectral_mt_operator",
     "BoundaryRatio", "EigenPair",
     "eigenfunction_boundary_report", "leading_eigenpairs",
     "BracketError", "ConvergenceError", "HarnackReport", "SemilinearSolution",
     "SolverConfig", "enclosure", "harnack_report", "picard_map", "picard_solve",
-    "solve_linear",
     "BqClassification", "CaseLabel", "EigenvalueProblemSignal",
     "ExponentPrediction", "HlsLadder", "classify_bq", "hls_ladder",
     "nu_case_machine", "nu_sequence", "predict_mu",
-    "FitReport", "FitResult", "fit_log_correction", "fit_power", "fit_report",
+    "FitReport", "fit_power", "fit_report",
 ]

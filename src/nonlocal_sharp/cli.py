@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .eigen import eigenfunction_boundary_report, leading_eigenpairs
+from .eigen import check_eigen_request, eigenfunction_boundary_report, leading_eigenpairs
 from .exponents import ExponentPrediction, classify_bq, nu_case_machine, predict_mu
 from .fitting import fit_report, fit_window
 from .grids import Grid, graded_mesh
@@ -36,14 +36,18 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-STUDY_HEADER = ("s,gamma,p,backend,n,mu_pred,mu_hat,r2,regime,"
-                "log_exp_pred,log_exp_hat,ghp_ratio,iterations,residual,wall_ms")
+# the study.csv columns, each read from the run row of the same name
+STUDY_COLUMNS = ("s", "gamma", "p", "backend", "n", "mu_pred", "mu_hat", "r2", "regime",
+                 "log_exp_pred", "log_exp_hat", "ghp_ratio", "iterations", "residual",
+                 "wall_ms")
 
 
 def _fmt(x) -> str:
-    """Deterministic float formatting at 17 significant digits."""
+    """Deterministic float formatting at 17 significant digits; strings pass through."""
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
@@ -172,10 +176,10 @@ def _parse_case(case) -> _Case:
         raise ValueError(f"unknown case field {unknown[0]!r}; "
                          f"the fields are {', '.join(_CASE_FIELDS)}")
     f = {name: _field(case, name) for name in _CASE_FIELDS}
-    params = ProblemParams(s=f["s"], gamma=f["gamma"], p=f["p"])
+    params = ProblemParams(s=f["s"], gamma=f["gamma"])
     grid, build = _operator_plan(f["backend"], params, f["n"], f["beta_g"])
-    solver = SolverConfig(p=params.p, tol=f["tol"])
-    prediction = predict_mu(params.s, params.gamma, params.p,
+    solver = SolverConfig(p=f["p"], tol=f["tol"])
+    prediction = predict_mu(params.s, params.gamma, solver.p,
                             force_critical=f["force_critical"])
     fit_window(grid, prediction.regime == "critical")
     return _Case(f["backend"], params, grid, build, solver, prediction)
@@ -189,11 +193,11 @@ def _run(case: _Case) -> dict:
     ghp = harnack_report(sol.u, case.grid, pred)
     wall_ms = (time.perf_counter() - start) * 1e3
     return {
-        "s": case.params.s, "gamma": case.params.gamma, "p": case.params.p,
+        "s": case.params.s, "gamma": case.params.gamma, "p": case.solver.p,
         "backend": case.backend, "n": case.grid.n,
         "mu_pred": pred.mu, "mu_hat": rep.mu_hat, "r2": rep.r2,
         "regime": pred.regime,
-        "log_exp_pred": rep.log_exp_pred, "log_exp_hat": rep.log_exp_hat,
+        "log_exp_pred": pred.log_exponent, "log_exp_hat": rep.log_exp_hat,
         "ghp_ratio": ghp.global_ratio,
         "iterations": sol.iterations, "residual": sol.residual,
         "wall_ms": wall_ms,
@@ -222,13 +226,8 @@ def _case_outcome(case: dict) -> tuple[dict | None, str | None]:
 def _row_csv(row: dict) -> str:
     # The CSV contract is byte-identical output for identical configs, so the
     # wall_ms column carries a deterministic 0; measured timings go to JSON.
-    return ",".join([
-        _fmt(row["s"]), _fmt(row["gamma"]), _fmt(row["p"]), row["backend"],
-        str(row["n"]), _fmt(row["mu_pred"]), _fmt(row["mu_hat"]), _fmt(row["r2"]),
-        row["regime"], _fmt(row["log_exp_pred"]), _fmt(row["log_exp_hat"]),
-        _fmt(row["ghp_ratio"]), str(row["iterations"]), _fmt(row["residual"]),
-        "0",
-    ])
+    fields = {**row, "wall_ms": "0"}
+    return ",".join(_fmt(fields[name]) for name in STUDY_COLUMNS)
 
 
 def _row_json(row: dict) -> dict:
@@ -276,9 +275,11 @@ def cmd_study(args) -> int:
     cases = config.get("cases")
     if not isinstance(cases, list) or not cases:
         raise ValueError("study config contains no cases: 'cases' must be a non-empty list")
-    out_dir = config.get("out_dir", args.out_dir)
+    out_dir = config.get("out_dir", ".")
     if not isinstance(out_dir, str):
         raise ValueError("study config 'out_dir' must be a string")
+    if args.out_dir is not None:
+        out_dir = args.out_dir
     for i, case in enumerate(cases):
         try:
             _parse_case(case)
@@ -299,7 +300,7 @@ def cmd_study(args) -> int:
     errors = [{"case": i, "error": err} for i, (_, err) in enumerate(outcomes)
               if err is not None]
 
-    lines = [STUDY_HEADER] + [_row_csv(r) for r in rows]
+    lines = [",".join(STUDY_COLUMNS)] + [_row_csv(r) for r in rows]
     _atomic_write(os.path.join(out_dir, "study.csv"), "\n".join(lines) + "\n")
 
     summary = {"n_cases": len(cases)}
@@ -324,6 +325,7 @@ def cmd_study(args) -> int:
 def cmd_eigen(args) -> int:
     grid, build = _operator_plan(args.backend, ProblemParams(s=args.s, gamma=args.gamma),
                                  args.n, args.beta_g)
+    check_eigen_request(grid.n, args.n_eigs, args.tol)
     pairs = leading_eigenpairs(build(), n_eigs=args.n_eigs, tol=args.tol)
     ratios = eigenfunction_boundary_report(pairs, grid, args.gamma)
     lines = ["index,mu,lambda,residual"]
@@ -410,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("study", help="run a JSON config of cases; write study CSV + summary")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--out-dir", default=".")
+    sp.add_argument("--out-dir", default=None)  # else the config's out_dir, else "."
     sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=cmd_study)
 

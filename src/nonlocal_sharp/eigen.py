@@ -29,6 +29,19 @@ class EigenPair:
     residual: float     # ||A phi - mu phi||_w
 
 
+def check_eigen_request(n: int, n_eigs: int, tol: float) -> None:
+    """Raise ValueError unless `leading_eigenpairs` accepts n_eigs and tol on n nodes.
+
+    Cheap, so a caller can check a request before it builds the operator.
+    """
+    if not 1 <= n_eigs <= 20:
+        raise ValueError("n_eigs must lie in 1..20")
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    if n_eigs >= n:
+        raise ValueError("n_eigs must be smaller than the number of nodes")
+
+
 def leading_eigenpairs(op: Operator, n_eigs: int = 1, tol: float = 1e-10,
                        max_iter: int = 10_000) -> list[EigenPair]:
     """Largest n_eigs eigenpairs, ordered by decreasing eigenvalue.
@@ -37,15 +50,10 @@ def leading_eigenpairs(op: Operator, n_eigs: int = 1, tol: float = 1e-10,
     ARPACK's own stopping test reported.  The start vector is a seeded
     random vector: a symmetric start is orthogonal to the odd modes.
     """
+    n = op.grid.n
+    check_eigen_request(n, n_eigs, tol)
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    if not 1 <= n_eigs <= 20:
-        raise ValueError("n_eigs must lie in 1..20")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    n = op.grid.n
-    if n_eigs >= n:
-        raise ValueError("n_eigs must be smaller than the number of nodes")
     w = op.grid.weights
     sw = np.sqrt(w)
     S = LinearOperator((n, n), matvec=lambda y: sw * apply(op, np.ravel(y) / sw),

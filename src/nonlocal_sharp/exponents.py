@@ -39,7 +39,6 @@ class ExponentPrediction:
     sigma: float
     regime: str  # "eigen-dominated" | "scaling-dominated" | "critical"
     log_exponent: float | None = None
-    forced_critical: bool = False
 
     def profile(self, delta):
         """Predicted boundary profile evaluated at distances delta."""
@@ -58,18 +57,18 @@ def predict_mu(s: float, gamma: float, p: float,
 
     The critical threshold gamma = 2s/(1-p) is detected with relative
     tolerance 1e-12; pass force_critical=True to pin it for parameters that
-    are critical by construction.
+    are critical by construction.  p must lie in (0, 1); p = 1, the
+    eigenvalue problem, raises EigenvalueProblemSignal.
     """
-    ProblemParams(s=s, gamma=gamma, p=p)
+    ProblemParams(s=s, gamma=gamma)
     if p == 1.0:
         raise EigenvalueProblemSignal("p = 1 is the eigenvalue problem; use the spectral module")
+    if not 0.0 < p < 1.0:
+        raise ValueError("nonlinearity power p must lie in (0, 1)")
     scaling = 2.0 * s / (1.0 - p)
-    critical = force_critical or _close(gamma, scaling)
-    if critical:
-        return ExponentPrediction(
-            mu=gamma, sigma=1.0, regime="critical",
-            log_exponent=1.0 / (1.0 - p), forced_critical=force_critical,
-        )
+    if force_critical or _close(gamma, scaling):
+        return ExponentPrediction(mu=gamma, sigma=1.0, regime="critical",
+                                  log_exponent=1.0 / (1.0 - p))
     if gamma < scaling:
         return ExponentPrediction(mu=gamma, sigma=1.0, regime="eigen-dominated")
     return ExponentPrediction(mu=scaling, sigma=scaling / gamma, regime="scaling-dominated")
@@ -91,7 +90,9 @@ def classify_bq(N: int, s: float, gamma: float, q: float) -> BqClassification:
     and t^{(N-q(N-2s))/(q gamma)} for larger q (up to the integrability
     limit N/(N-2s)).
     """
-    ProblemParams(s=s, gamma=gamma, N=N)
+    if N < 1:
+        raise ValueError("dimension N must be a positive integer")
+    ProblemParams(s=s, gamma=gamma)
     q_high = N / (N - 2.0 * s) if N > 2.0 * s else math.inf
     q_low = N / (N - 2.0 * s + gamma)
     if not (0.0 < q < q_high):

@@ -7,11 +7,13 @@ functions, so no robust loss is needed.  The nodes come from `fit_window`,
 the one rule every fit and the CLI's pre-check use: `Grid.boundary_window`
 excludes the quadrature-polluted nodes nearest each endpoint and caps delta
 to stay in the asymptotic regime; both halves of the grid are pooled.
+Every fit returns one type, `FitReport`: `fit_power` fills mu_hat and r2,
+and `fit_report` of a critical prediction also the fitted log factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,11 +26,18 @@ _LOG_FIT_CAP = 0.05  # the critical fits use the full range: the offset fit need
 
 
 @dataclass(frozen=True)
-class FitResult:
-    exponent_hat: float
+class FitReport:
+    """Measured exponents; compare them with an `ExponentPrediction`.
+
+    mu_hat, r2 -- slope and R^2 of the log-log power fit
+    log_exp_hat, offset_params -- critical fits only: the exponent k and
+        the (a, b) of the factor (a + b |log delta|)^k divided out first
+    """
+
+    mu_hat: float
     r2: float
-    log_exponent_hat: float | None = None
-    offset_params: tuple[float, float] | None = None  # (a, b) of (a + b|log d|)^k
+    log_exp_hat: float | None = None
+    offset_params: tuple[float, float] | None = None
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray):
@@ -67,19 +76,19 @@ def fit_window(grid: Grid, critical: bool) -> np.ndarray:
     return mask
 
 
-def _power_fit(u: np.ndarray, grid: Grid, mask: np.ndarray) -> FitResult:
+def _power_fit(u: np.ndarray, grid: Grid, mask: np.ndarray) -> FitReport:
     uw = _positive_values(u, mask)
     slope, r2 = _least_squares(np.log(grid.delta[mask]), np.log(uw))
-    return FitResult(exponent_hat=slope, r2=r2)
+    return FitReport(mu_hat=slope, r2=r2)
 
 
-def fit_power(u: np.ndarray, grid: Grid) -> FitResult:
+def fit_power(u: np.ndarray, grid: Grid) -> FitReport:
     """Least-squares slope of log u against log delta over the adaptive window."""
     return _power_fit(u, grid, fit_window(grid, critical=False))
 
 
-def fit_log_correction(u: np.ndarray, grid: Grid, gamma: float) -> FitResult:
-    """Exponent k of a profile delta^gamma (1 + |log delta|^k).
+def _log_fit(u: np.ndarray, grid: Grid, gamma: float, mask: np.ndarray):
+    """Exponent k and offsets (a, b) of a profile delta^gamma (a + b |log delta|)^k.
 
     Fits log(u / delta^gamma) = k log(a + b |log delta|) with a, b > 0,
     which resolves the exponent through the crossover from the constant to
@@ -89,24 +98,18 @@ def fit_log_correction(u: np.ndarray, grid: Grid, gamma: float) -> FitResult:
     (Golub & Pereyra 1973): for a fixed ratio c = a/b the model
     k log(1 + |log delta|/c) + k log a is linear in (k, k log a) and
     solved in closed form, and log c is found by a 1-D search.  It needs
-    numpy only.  Returns k as log_exponent_hat and (a, b) as
-    offset_params.  The nodes are the critical `fit_window`.
+    numpy only.
     """
-    return _log_fit(u, grid, gamma, fit_window(grid, critical=True))
-
-
-def _log_fit(u: np.ndarray, grid: Grid, gamma: float, mask: np.ndarray) -> FitResult:
     d = grid.delta[mask]
     uw = _positive_values(u, mask)
     t = np.abs(np.log(d))
     y = np.log(uw / d ** gamma)
-    plain_slope, plain_r2 = _least_squares(np.log(t), y)
     if float(np.var(y)) < 1e-20:
         # no detectable correction
-        return FitResult(exponent_hat=gamma, r2=plain_r2, log_exponent_hat=0.0,
-                         offset_params=(float(np.exp(np.mean(y))), 0.0))
-    k, a, b, r2 = _offset_aware_fit(t, y, k0=max(plain_slope, 0.5))
-    return FitResult(exponent_hat=gamma, r2=r2, log_exponent_hat=k, offset_params=(a, b))
+        return 0.0, (float(np.exp(np.mean(y))), 0.0)
+    plain_slope = _least_squares(np.log(t), y)[0]
+    k, a, b, _ = _offset_aware_fit(t, y, k0=max(plain_slope, 0.5))
+    return k, (a, b)
 
 
 _LOG_C_BOX = (-60.0, 60.0)  # log(a/b) for log a, log b in [-30, 30]
@@ -170,39 +173,19 @@ def _offset_aware_fit(t: np.ndarray, y: np.ndarray, k0: float):
     return k, float(np.exp(log_a)), float(np.exp(log_b)), r2
 
 
-@dataclass(frozen=True)
-class FitReport:
-    mu_hat: float
-    mu_pred: float
-    abs_err: float
-    r2: float
-    critical: bool
-    log_exp_hat: float | None = None
-    log_exp_pred: float | None = None
-
-
 def fit_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction) -> FitReport:
-    """Compare a grid function against a closed-form exponent prediction.
+    """Measure the exponents of a grid function in the prediction's regime.
 
-    In the critical regime the predicted logarithmic factor is divided out
-    before measuring the leading power, and the log exponent is fitted
-    separately; both critical fits measure on one window.
+    In the critical regime the logarithmic factor is fitted first (the
+    exponent k and offsets (a, b) of `_log_fit`) and divided out before
+    measuring the leading power; both critical fits measure on one window.
     """
     critical = prediction.regime == "critical"
     mask = fit_window(grid, critical)
     if not critical:
-        res = _power_fit(u, grid, mask)
-        return FitReport(mu_hat=res.exponent_hat, mu_pred=prediction.mu,
-                         abs_err=abs(res.exponent_hat - prediction.mu),
-                         r2=res.r2, critical=False)
-    log_res = _log_fit(u, grid, prediction.mu, mask)
+        return _power_fit(u, grid, mask)
+    k, (a, b) = _log_fit(u, grid, prediction.mu, mask)
     # divide out the calibrated slowly-varying factor, then measure the power
-    a, b = log_res.offset_params
-    k = log_res.log_exponent_hat
-    t = np.abs(np.log(grid.delta))
-    correction = (a + b * t) ** k
+    correction = (a + b * np.abs(np.log(grid.delta))) ** k
     res = _power_fit(np.asarray(u, dtype=float) / correction, grid, mask)
-    return FitReport(mu_hat=res.exponent_hat, mu_pred=prediction.mu,
-                     abs_err=abs(res.exponent_hat - prediction.mu),
-                     r2=res.r2, critical=True,
-                     log_exp_hat=k, log_exp_pred=prediction.log_exponent)
+    return replace(res, log_exp_hat=k, offset_params=(a, b))

@@ -24,22 +24,20 @@ from .grids import boundary_distance
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Parameter tuple (N, s, gamma, p), validated once for every caller."""
+    """The operator's parameters (s, gamma), validated once for every caller.
+
+    The nonlinearity power p is no operator parameter: `predict_mu` and
+    `SolverConfig`, which read it, check it themselves.
+    """
 
     s: float
     gamma: float
-    p: float = 0.5
-    N: int = 1
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("dimension N must be a positive integer")
         if not 0.0 < self.s <= 1.0:
             raise ValueError("fractional order s must lie in (0, 1]")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("boundary exponent gamma must lie in (0, 1]")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError("nonlinearity power p must lie in (0, 1]")
 
 
 class DiagonalSingularityError(ValueError):
@@ -53,13 +51,22 @@ class GreenKernel:
     params: ProblemParams
 
     def __call__(self, x, y):
-        return eval_synthetic_k5(self.params, x, y)
+        """|x-y|^{2s-1} min(delta(x)^g/|x-y|^g, 1) min(delta(y)^g/|x-y|^g, 1).
+
+        Vectorized over x, y; the diagonal x = y is singular and must be
+        handled by cell-integrated quadrature instead.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        r = np.abs(x - y)
+        if np.any(r == 0.0):
+            raise DiagonalSingularityError("kernel is singular on the diagonal x = y")
+        val = _envelope(r, boundary_distance(x), boundary_distance(y), self.params)
+        return float(val) if val.ndim == 0 else val
 
 
 def synthetic_k5(params: ProblemParams) -> GreenKernel:
-    """Envelope-exact kernel backend; requires N = 1 and s < 1/2."""
-    if params.N != 1:
-        raise ValueError("synthetic backend computes on the unit interval (N = 1)")
+    """Envelope-exact kernel backend on the unit interval; requires s < 1/2."""
     if not params.s < 0.5:
         raise ValueError("synthetic backend requires s < 1/2 (integrable 1-D singularity)")
     return GreenKernel(params)
@@ -91,21 +98,6 @@ def _envelope(r, dx, dy, params: ProblemParams, out=None, scratch=None):
     np.divide(dy ** g, rg, out=rg)
     np.minimum(rg, 1.0, out=rg)
     return np.multiply(out, rg, out=out)
-
-
-def eval_synthetic_k5(params: ProblemParams, x, y):
-    """|x-y|^{2s-1} min(delta(x)^g/|x-y|^g, 1) min(delta(y)^g/|x-y|^g, 1).
-
-    Vectorized over x, y; the diagonal x = y is singular and must be
-    handled by cell-integrated quadrature instead.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = np.abs(x - y)
-    if np.any(r == 0.0):
-        raise DiagonalSingularityError("kernel is singular on the diagonal x = y")
-    val = _envelope(r, boundary_distance(x), boundary_distance(y), params)
-    return float(val) if val.ndim == 0 else val
 
 
 @dataclass(frozen=True)

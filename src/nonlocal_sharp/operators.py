@@ -228,7 +228,7 @@ def spectral_mt_operator(s: float, grid: Grid) -> SpectralOperator:
     Only the n eigenvalues are stored; `apply` supplies the eigenvectors
     through the sine transform.
     """
-    params = ProblemParams(s=s, gamma=1.0, N=1)
+    params = ProblemParams(s=s, gamma=1.0)
     if not grid.is_uniform:
         raise ValueError("matrix transfer is defined on uniform grids only")
     n = grid.n

@@ -51,14 +51,6 @@ class SemilinearSolution:
     bracket_gap: float    # b/a - 1 for the enclosure [a u, b u] of the fixed point
 
 
-def solve_linear(op: Operator, f: np.ndarray) -> np.ndarray:
-    """u = G[f] for nonnegative data f."""
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0.0):
-        raise ValueError("linear theory assumes nonnegative data")
-    return apply(op, f)
-
-
 def picard_map(op: Operator, p: float, u: np.ndarray) -> np.ndarray:
     """T(u) = G[u^p]; monotone and p-homogeneous on nonnegative inputs."""
     u = np.asarray(u, dtype=float)
@@ -123,8 +115,6 @@ _BALL_RADIUS = 0.1
 class HarnackReport:
     global_ratio: float     # (sup u/w) / (inf u/w) over the boundary window
     local_ratio: float      # sup u / inf u over the interior ball
-    sup_ratio: float
-    inf_ratio: float
 
 
 def harnack_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction) -> HarnackReport:
@@ -139,13 +129,11 @@ def harnack_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction) ->
     mask = grid.boundary_window(_HARNACK_EXCLUDE, _HARNACK_DELTA_MAX)
     profile = prediction.profile(grid.delta[mask])
     ratios = u[mask] / profile
-    sup_ratio = float(np.max(ratios))
-    inf_ratio = float(np.min(ratios))
 
     ball = np.abs(grid.nodes - _BALL_CENTRE) <= _BALL_RADIUS
     if not ball.any():
         raise InsufficientWindowError(
             f"no node in the interior ball |x - {_BALL_CENTRE}| <= {_BALL_RADIUS}")
     local = float(np.max(u[ball]) / np.min(u[ball]))
-    return HarnackReport(global_ratio=sup_ratio / inf_ratio, local_ratio=local,
-                         sup_ratio=sup_ratio, inf_ratio=inf_ratio)
+    return HarnackReport(global_ratio=float(np.max(ratios)) / float(np.min(ratios)),
+                         local_ratio=local)

@@ -24,7 +24,7 @@ from nonlocal_sharp import (
 
 def solve_semilinear(s, gamma, p, n, beta=3.0, tol=1e-10, force_critical=False):
     grid = graded_mesh(n, beta)
-    op = assemble(synthetic_k5(ProblemParams(s=s, gamma=gamma, p=p)), grid)
+    op = assemble(synthetic_k5(ProblemParams(s=s, gamma=gamma)), grid)
     sol = picard_solve(op, SolverConfig(p=p, tol=tol))
     pred = predict_mu(s, gamma, p, force_critical=force_critical)
     return op, sol, pred

@@ -16,7 +16,6 @@ from nonlocal_sharp import (
     ProblemParams,
     check_kernel_bounds,
     enclosure,
-    fit_log_correction,
     fit_power,
     fit_report,
     harnack_report,
@@ -24,7 +23,7 @@ from nonlocal_sharp import (
     nu_case_machine,
     picard_map,
     predict_mu,
-    solve_linear,
+    apply,
     synthetic_k5,
     assemble,
     graded_mesh,
@@ -76,7 +75,7 @@ class TestAcceptance:
         mu_err = abs(pairs[0].mu - np.pi ** -0.6)
         target = np.sqrt(2.0) * np.sin(np.pi * op.grid.nodes)
         l2_err = np.sqrt(np.sum(op.grid.weights * (pairs[0].phi - target) ** 2))
-        slope = fit_power(np.abs(pairs[0].phi), op.grid).exponent_hat
+        slope = fit_power(np.abs(pairs[0].phi), op.grid).mu_hat
         report(2, mu_err < 1e-3 and l2_err < 1e-3 and abs(slope - 1.0) <= 0.05,
                f"mu_1 err {mu_err:.2e}, phi_1 L2 err {l2_err:.2e}, "
                f"boundary slope {slope:.4f}")
@@ -121,11 +120,11 @@ class TestAcceptance:
     def test_criterion_07_linear_torsion_slopes(self, case_scaling_dominated,
                                                 case_gamma_equals_s):
         op_a = case_scaling_dominated[0]
-        slope_a = fit_power(solve_linear(op_a, np.ones(op_a.grid.n)),
-                            op_a.grid).exponent_hat
+        slope_a = fit_power(apply(op_a, np.ones(op_a.grid.n)),
+                            op_a.grid).mu_hat
         op_b = case_gamma_equals_s[0]
-        slope_b = fit_power(solve_linear(op_b, np.ones(op_b.grid.n)),
-                            op_b.grid).exponent_hat
+        slope_b = fit_power(apply(op_b, np.ones(op_b.grid.n)),
+                            op_b.grid).mu_hat
         report(7, abs(slope_a - 0.4) <= 0.03 and abs(slope_b - 0.3) <= 0.03,
                f"torsion slopes {slope_a:.4f} (target 0.4), "
                f"{slope_b:.4f} (target 0.3)")
@@ -158,7 +157,7 @@ class TestAcceptance:
             rhs = lam ** 0.5 * picard_map(op, 0.5, u)
             homog_err = max(homog_err, float(np.max(np.abs(lhs - rhs))
                                              / np.max(lhs)))
-        torsion = solve_linear(op, np.ones(op.grid.n))
+        torsion = apply(op, np.ones(op.grid.n))
         a, b = enclosure(torsion, picard_map(op, 0.5, torsion), 0.5)
         lo0, hi0 = a * torsion, b * torsion
         lo, hi = lo0, hi0

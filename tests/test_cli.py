@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from nonlocal_sharp import BracketError, ConvergenceError, cli, predict_mu
-from nonlocal_sharp.cli import STUDY_HEADER, main
+from nonlocal_sharp.cli import STUDY_COLUMNS, main
 
 
 def run(capsys, *argv):
@@ -78,6 +78,12 @@ class TestPredict:
         code, _, _ = run(capsys, "predict", "--s", "0.2")
         assert code == 2
 
+    @pytest.mark.parametrize("p", ["0", "1", "1.5"])
+    def test_p_outside_unit_interval_exits_2(self, capsys, p):
+        code, _, err = run(capsys, "predict", "--s", "0.2", "--gamma", "1", "--p", p)
+        assert code == 2
+        assert err.startswith("error:")
+
 
 class TestBq:
     def test_log_threshold(self, capsys):
@@ -91,6 +97,11 @@ class TestBq:
     def test_out_of_range_q_exits_2(self, capsys):
         code, _, _ = run(capsys, "bq", "--s", "0.2", "--gamma", "1", "--q", "3")
         assert code == 2
+
+    def test_zero_dimension_exits_2(self, capsys):
+        code, _, err = run(capsys, "bq", "--N", "0", "--s", "0.2", "--q", "0.5")
+        assert code == 2
+        assert "dimension N" in err
 
 
 class TestVerifyKernel:
@@ -220,6 +231,17 @@ class TestEigen:
         assert code == 3
         assert f"{error.__name__}: no room" in err
 
+    @pytest.mark.parametrize("flags", [["--n-eigs", "50"], ["--tol", "0"]],
+                             ids=["n-eigs", "tol"])
+    def test_bad_request_exits_2_before_building(self, capsys, tmp_path, monkeypatch, flags):
+        calls = []
+        monkeypatch.setattr(cli, "assemble", lambda kernel, grid: calls.append(grid))
+        code, _, err = run(capsys, "eigen", "--backend", "synthetic", "--s", "0.2",
+                           "--n", "4000", *flags, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert calls == []
+
 
 class TestStudy:
     def test_summary_and_rows(self, capsys, tmp_path):
@@ -232,7 +254,7 @@ class TestStudy:
         on_disk = json.loads((tmp_path / "summary.json").read_text())
         assert on_disk == summary
         lines = (tmp_path / "study.csv").read_text().splitlines()
-        assert lines[0] == STUDY_HEADER
+        assert lines[0] == ",".join(STUDY_COLUMNS)
         assert len(lines) == 2
 
     def test_mu_pred_matches_library_bit_for_bit(self, capsys, tmp_path):
@@ -240,7 +262,7 @@ class TestStudy:
         assert main(["study", "--config", cfg]) == 0
         capsys.readouterr()
         row = (tmp_path / "study.csv").read_text().splitlines()[1].split(",")
-        mu_pred = float(row[STUDY_HEADER.split(",").index("mu_pred")])
+        mu_pred = float(row[STUDY_COLUMNS.index("mu_pred")])
         assert mu_pred == predict_mu(0.2, 1.0, 0.5).mu
 
     def test_duplicate_case_gives_identical_rows(self, capsys, tmp_path):
@@ -265,6 +287,7 @@ class TestStudy:
                     {**SMALL_CASE, "force_critical": "false"},
                     {**SMALL_CASE, "n": 64.9},
                     {**SMALL_CASE, "gamma": True},
+                    {**SMALL_CASE, "p": 1.5},
                     {**SMALL_CASE, "tol": float("nan")}):  # written as NaN, which json reads
             cfg = write_config(tmp_path, [SMALL_CASE, bad])
             code, _, err = run(capsys, "study", "--config", cfg)
@@ -298,6 +321,14 @@ class TestStudy:
         assert code == 2
         assert err.startswith("error:")
         assert calls == []
+        assert not (tmp_path / "study.csv").exists()
+
+    def test_out_dir_flag_overrides_config(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, [SMALL_CASE])  # its out_dir is tmp_path
+        flag_dir = tmp_path / "flag"
+        assert run(capsys, "study", "--config", cfg, "--out-dir", str(flag_dir))[0] == 0
+        assert (flag_dir / "study.csv").exists()
+        assert (flag_dir / "summary.json").exists()
         assert not (tmp_path / "study.csv").exists()
 
     def test_missing_field_exits_2(self, capsys, tmp_path):

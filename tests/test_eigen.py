@@ -58,7 +58,7 @@ class TestSpectralEigenpairs:
     def test_boundary_slope_is_gamma(self, spectral_pairs):
         op, pairs = spectral_pairs
         res = fit_power(np.abs(pairs[0].phi), op.grid)
-        assert res.exponent_hat == pytest.approx(1.0, abs=0.05)
+        assert res.mu_hat == pytest.approx(1.0, abs=0.05)
 
     def test_laplacian_ground_state(self):
         op = spectral_mt_operator(1.0, graded_mesh(1000, 1.0))

@@ -38,7 +38,7 @@ class TestPredictMu:
     def test_force_critical_flag(self):
         pred = predict_mu(0.25 * (1 + 1e-9), 1.0, 0.5, force_critical=True)
         assert pred.regime == "critical"
-        assert pred.forced_critical
+        assert pred.log_exponent == pytest.approx(2.0, rel=1e-15)
 
     def test_gamma_equals_s_regime(self):
         pred = predict_mu(0.3, 0.3, 0.5)
@@ -50,8 +50,9 @@ class TestPredictMu:
             predict_mu(0.3, 1.0, 1.0)
 
     def test_validation(self):
-        for args in ((1.5, 1.0, 0.5), (0.3, 0.0, 0.5), (0.3, 1.0, -0.1)):
-            with pytest.raises(ValueError):
+        for args in ((1.5, 1.0, 0.5), (0.3, 0.0, 0.5), (0.3, 1.0, -0.1),
+                     (0.3, 1.0, 0.0), (0.3, 1.0, 1.5)):
+            with pytest.raises(ValueError, match="must lie in"):
                 predict_mu(*args)
 
     def test_profile_shapes(self):
@@ -91,6 +92,10 @@ class TestClassifyBq:
             assert cls.phi_exponent == pytest.approx(exp, rel=1e-12)
         if regime == "log":
             assert cls.log_exponent == pytest.approx(1.0, rel=1e-15)
+
+    def test_dimension_validation(self):
+        with pytest.raises(ValueError, match="dimension N"):
+            classify_bq(0, 0.2, 1.0, 0.5)
 
     def test_q_out_of_range(self):
         with pytest.raises(ValueError):

@@ -6,39 +6,38 @@ from reference import curve_fit_offset
 
 from nonlocal_sharp import (
     InsufficientWindowError,
-    fit_log_correction,
     fit_power,
     fit_report,
     graded_mesh,
     predict_mu,
 )
-from nonlocal_sharp.fitting import _EXCLUDE, _LOG_FIT_CAP, _offset_aware_fit
+from nonlocal_sharp.fitting import _EXCLUDE, _LOG_FIT_CAP, _offset_aware_fit, fit_window
 
 
 class TestFitPower:
     def test_exact_power_recovered(self):
         grid = graded_mesh(1000, 3.0)
         res = fit_power(grid.delta ** 0.7, grid)
-        assert res.exponent_hat == pytest.approx(0.7, abs=1e-10)
+        assert res.mu_hat == pytest.approx(0.7, abs=1e-10)
         assert res.r2 >= 1.0 - 1e-12
 
     def test_perturbed_power(self):
         grid = graded_mesh(2000, 3.0)
         u = 3.0 * grid.delta ** 0.4 * (1.0 + 0.1 * grid.delta)
         res = fit_power(u, grid)
-        assert res.exponent_hat == pytest.approx(0.4, abs=5e-3)
+        assert res.mu_hat == pytest.approx(0.4, abs=5e-3)
 
     def test_amplitude_invariance(self):
         grid = graded_mesh(500, 2.0)
         u = grid.delta ** 0.5
-        a = fit_power(u, grid).exponent_hat
-        b = fit_power(1e6 * u, grid).exponent_hat
+        a = fit_power(u, grid).mu_hat
+        b = fit_power(1e6 * u, grid).mu_hat
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_window_robustness_for_pure_power(self):
         grid = graded_mesh(2000, 3.0)
         u = grid.delta ** 0.6
-        assert fit_power(u, grid).exponent_hat == pytest.approx(0.6, abs=1e-10)
+        assert fit_power(u, grid).mu_hat == pytest.approx(0.6, abs=1e-10)
 
     def test_nonpositive_values_rejected(self):
         grid = graded_mesh(500, 2.0)
@@ -51,31 +50,38 @@ class TestFitPower:
             fit_power(grid.delta, grid)
 
 
+def log_fit(u, grid, gamma):
+    """fit_report of a critical prediction with mu = gamma: the log-factor fit."""
+    return fit_report(u, grid, predict_mu(0.25, gamma, 0.5, force_critical=True))
+
+
 class TestFitLogCorrection:
     def test_constructed_quadratic_log(self):
         grid = graded_mesh(4000, 3.0)
         t = np.abs(np.log(grid.delta))
         u = grid.delta * (1.0 + t ** 2)
-        res = fit_log_correction(u, grid, 1.0)
-        assert res.log_exponent_hat == pytest.approx(2.0, abs=0.1)
-        assert res.r2 >= 0.999
+        res = log_fit(u, grid, 1.0)
+        assert res.log_exp_hat == pytest.approx(2.0, abs=0.1)
+        # R^2 of the log fit itself, on the window fit_report measures on
+        mask = fit_window(grid, critical=True)
+        assert _offset_aware_fit(t[mask], np.log(u[mask] / grid.delta[mask]), 0.5)[3] >= 0.999
 
     def test_pure_power_gives_zero_exponent(self):
         grid = graded_mesh(4000, 3.0)
-        res = fit_log_correction(grid.delta ** 0.5, grid, 0.5)
-        assert abs(res.log_exponent_hat) <= 0.05
+        res = log_fit(grid.delta ** 0.5, grid, 0.5)
+        assert abs(res.log_exp_hat) <= 0.05
 
     def test_coarse_mesh_rejected(self):
         grid = graded_mesh(64, 1.0)  # uniform: delta_min ~ 1/128 > 1e-3
         with pytest.raises(InsufficientWindowError):
-            fit_log_correction(grid.delta, grid, 1.0)
+            log_fit(grid.delta, grid, 1.0)
 
     def test_offset_params_recovered(self):
         grid = graded_mesh(4000, 3.0)
         t = np.abs(np.log(grid.delta))
         u = grid.delta ** 0.7 * (2.0 + 3.0 * t) ** 1.5
-        res = fit_log_correction(u, grid, 0.7)
-        assert res.log_exponent_hat == pytest.approx(1.5, abs=0.02)
+        res = log_fit(u, grid, 0.7)
+        assert res.log_exp_hat == pytest.approx(1.5, abs=0.02)
         a, b = res.offset_params
         assert a == pytest.approx(2.0, rel=0.1)
         assert b == pytest.approx(3.0, rel=0.1)
@@ -126,10 +132,9 @@ class TestFitReport:
         grid = graded_mesh(1000, 3.0)
         pred = predict_mu(0.2, 1.0, 0.5)  # mu = 0.8
         rep = fit_report(grid.delta ** 0.8, grid, pred)
-        assert not rep.critical
         assert rep.mu_hat == pytest.approx(0.8, abs=1e-10)
-        assert rep.abs_err <= 1e-10
         assert rep.log_exp_hat is None
+        assert rep.offset_params is None
 
     def test_critical_constructed_profile(self):
         grid = graded_mesh(4000, 3.0)
@@ -137,7 +142,5 @@ class TestFitReport:
         t = np.abs(np.log(grid.delta))
         u = grid.delta * (1.0 + t) ** 2
         rep = fit_report(u, grid, pred)
-        assert rep.critical
-        assert rep.log_exp_pred == pytest.approx(2.0)
         assert rep.log_exp_hat == pytest.approx(2.0, abs=0.1)
         assert rep.mu_hat == pytest.approx(1.0, abs=0.01)

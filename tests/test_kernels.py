@@ -7,7 +7,6 @@ from nonlocal_sharp import (
     DiagonalSingularityError,
     ProblemParams,
     check_kernel_bounds,
-    eval_synthetic_k5,
     graded_mesh,
     spectral_mt_operator,
     synthetic_k5,
@@ -16,13 +15,10 @@ from nonlocal_sharp import (
 
 class TestProblemParams:
     @pytest.mark.parametrize("kwargs", [
-        {"s": 0.0, "gamma": 0.5, "p": 0.5},
-        {"s": 1.5, "gamma": 0.5, "p": 0.5},
-        {"s": 0.3, "gamma": 0.0, "p": 0.5},
-        {"s": 0.3, "gamma": 1.5, "p": 0.5},
-        {"s": 0.3, "gamma": 0.5, "p": 0.0},
-        {"s": 0.3, "gamma": 0.5, "p": 1.5},
-        {"s": 0.3, "gamma": 0.5, "p": 0.5, "N": 0},
+        {"s": 0.0, "gamma": 0.5},
+        {"s": 1.5, "gamma": 0.5},
+        {"s": 0.3, "gamma": 0.0},
+        {"s": 0.3, "gamma": 1.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -33,19 +29,17 @@ class TestSyntheticKernel:
     def test_hand_evaluated_value(self):
         # |x-y| = 1/2, both deltas = 1/4 < 1/2, so both min-factors engage:
         # 0.5^{-0.4} * (0.25^0.3 / 0.5^0.3)^2 = 2^{0.4} * 2^{-0.6} = 2^{-0.2}
-        val = eval_synthetic_k5(ProblemParams(s=0.3, gamma=0.3), 0.25, 0.75)
+        val = synthetic_k5(ProblemParams(s=0.3, gamma=0.3))(0.25, 0.75)
         assert val == pytest.approx(2.0 ** -0.2, rel=1e-14)
         assert val == pytest.approx(0.8705505632961241, rel=1e-12)
 
     def test_diagonal_raises(self):
         with pytest.raises(DiagonalSingularityError):
-            eval_synthetic_k5(ProblemParams(s=0.3, gamma=0.3), 0.5, 0.5)
+            synthetic_k5(ProblemParams(s=0.3, gamma=0.3))(0.5, 0.5)
 
     def test_backend_validation(self):
         with pytest.raises(ValueError):
             synthetic_k5(ProblemParams(s=0.5, gamma=0.5))  # needs s < 1/2
-        with pytest.raises(ValueError):
-            synthetic_k5(ProblemParams(s=0.3, gamma=0.5, N=2))
 
     @settings(max_examples=200, deadline=None)
     @given(s=st.floats(0.05, 0.45), g=st.floats(0.05, 1.0),
@@ -53,9 +47,9 @@ class TestSyntheticKernel:
     def test_symmetry_and_envelopes(self, s, g, x, y):
         if x == y:
             return
-        params = ProblemParams(s=s, gamma=g)
-        v = eval_synthetic_k5(params, x, y)
-        assert v == pytest.approx(eval_synthetic_k5(params, y, x), rel=1e-14)
+        kernel = synthetic_k5(ProblemParams(s=s, gamma=g))
+        v = kernel(x, y)
+        assert v == pytest.approx(kernel(y, x), rel=1e-14)
         r = abs(x - y)
         assert v <= r ** (2 * s - 1) * (1 + 1e-12)        # upper envelope
         dx, dy = min(x, 1 - x), min(y, 1 - y)

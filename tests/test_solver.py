@@ -24,7 +24,6 @@ from nonlocal_sharp import (
     picard_map,
     picard_solve,
     predict_mu,
-    solve_linear,
     spectral_mt_operator,
     synthetic_k5,
 )
@@ -38,33 +37,29 @@ def scalar_op(value=2.0):
 
 @pytest.fixture(scope="module")
 def small_op():
-    return assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0, p=0.5)),
+    return assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)),
                     graded_mesh(500, 3.0))
 
 
 class TestSolveLinear:
-    def test_zero_data(self, small_op):
-        np.testing.assert_array_equal(solve_linear(small_op, np.zeros(500)), 0.0)
+    """The linear problem u = G[f], solved by one `apply`."""
 
-    def test_negative_data_rejected(self, small_op):
-        f = np.zeros(500)
-        f[3] = -1.0
-        with pytest.raises(ValueError):
-            solve_linear(small_op, f)
+    def test_zero_data(self, small_op):
+        np.testing.assert_array_equal(apply(small_op, np.zeros(500)), 0.0)
 
     def test_torsion_slope_power_regime(self, case_scaling_dominated):
         # s=0.2, gamma=1: B_1 power regime, slope min(gamma, 2s) = 0.4
         op, _, _ = case_scaling_dominated
-        u = solve_linear(op, np.ones(op.grid.n))
+        u = apply(op, np.ones(op.grid.n))
         res = fit_power(u, op.grid)
-        assert res.exponent_hat == pytest.approx(0.4, abs=0.03)
+        assert res.mu_hat == pytest.approx(0.4, abs=0.03)
 
     def test_torsion_slope_linear_regime(self, case_gamma_equals_s):
         # s=0.3, gamma=0.3 < 2s: B_1 linear regime, slope gamma = 0.3
         op, _, _ = case_gamma_equals_s
-        u = solve_linear(op, np.ones(op.grid.n))
+        u = apply(op, np.ones(op.grid.n))
         res = fit_power(u, op.grid)
-        assert res.exponent_hat == pytest.approx(0.3, abs=0.03)
+        assert res.mu_hat == pytest.approx(0.3, abs=0.03)
 
 
 class TestPicardMap:
@@ -93,7 +88,7 @@ class TestPicardMap:
 
 def torsion_pair(op, p):
     """The enclosure [a u, b u] at the torsion function u = G[1]."""
-    u = solve_linear(op, np.ones(op.grid.n))
+    u = apply(op, np.ones(op.grid.n))
     a, b = enclosure(u, picard_map(op, p, u), p)
     return a * u, b * u
 
@@ -120,14 +115,15 @@ class TestPicardSolve:
         assert sol.residual <= 1e-12
 
     def test_synthetic_solution_is_exactly_mirror_symmetric(self):
-        op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0, p=0.5)),
+        op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)),
                       graded_mesh(4000, 3.0))
         sol = picard_solve(op, SolverConfig(p=0.5))
         assert np.array_equal(sol.u, sol.u[::-1])
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(p=1.0)
+        for p in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="0 < p < 1"):
+                SolverConfig(p=p)
         with pytest.raises(ValueError):
             SolverConfig(p=0.5, tol=0.0)
 
@@ -194,13 +190,13 @@ class TestCertificateProperty:
         if spectral:  # the matrix transfer is gamma = 1 for any 0 < s <= 1
             op = spectral_mt_operator(2.0 * s, graded_mesh(n, 1.0))
         else:
-            op = assemble(synthetic_k5(ProblemParams(s=s, gamma=gamma, p=p)),
+            op = assemble(synthetic_k5(ProblemParams(s=s, gamma=gamma)),
                           graded_mesh(n, 3.0))
         ref = picard_solve(op, SolverConfig(p=p, tol=1e-13))
         sol = picard_solve(op, SolverConfig(p=p, tol=tol))
         for out, t in ((ref, 1e-13), (sol, tol)):
             assert out.bracket_gap <= t and out.residual <= t
-        u = solve_linear(op, np.ones(n))
+        u = apply(op, np.ones(n))
         for _ in range(k):
             u = picard_map(op, p, u)
         a, b = enclosure(u, picard_map(op, p, u), p)
@@ -212,7 +208,7 @@ class TestCertificateProperty:
 def meshes():
     out = {}
     for n in (1000, 2000):
-        op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0, p=0.5)),
+        op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)),
                       graded_mesh(n, 3.0))
         out[n] = (op, picard_solve(op, SolverConfig(p=0.5, tol=1e-10)))
     return out
