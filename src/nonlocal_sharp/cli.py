@@ -201,7 +201,7 @@ def _run(case: _Case) -> dict:
         "ghp_ratio": ghp.global_ratio,
         "iterations": sol.iterations, "residual": sol.residual,
         "wall_ms": wall_ms,
-        "_solution": sol, "_grid": case.grid,
+        "_solution": sol,
     }
 
 
@@ -210,15 +210,15 @@ def run_case(case: dict) -> dict:
     return _run(_parse_case(case))
 
 
-def _case_outcome(case: dict) -> tuple[dict | None, str | None]:
-    """(row, None) from run_case, or (None, error) for a case that failed.
+def _case_outcome(case: _Case) -> tuple[dict | None, str | None]:
+    """(row, None) from a validated case's run, or (None, error) if it failed.
 
     Catching here keeps one failing case from discarding the rows of the
     others, in the serial loop and in pool workers alike.  The error comes
     back as a string: a ConvergenceError does not survive unpickling.
     """
     try:
-        return run_case(case), None
+        return _run(case), None
     except _RUN_ERRORS as exc:
         return None, _error_text(exc)
 
@@ -258,9 +258,8 @@ def cmd_solve(args) -> int:
         _atomic_write(fit_path, _json_text(diag))
         print(f"error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_NUMERICAL
-    grid, sol = row["_grid"], row["_solution"]
     lines = ["x,delta,u"]
-    for x, d, u in zip(grid.nodes, grid.delta, sol.u):
+    for x, d, u in zip(case.grid.nodes, case.grid.delta, row["_solution"].u):
         lines.append(f"{_fmt(x)},{_fmt(d)},{_fmt(u)}")
     _atomic_write(os.path.join(args.out_dir, "solution.csv"), "\n".join(lines) + "\n")
     _atomic_write(fit_path, _json_text(_row_json(row)))
@@ -280,22 +279,23 @@ def cmd_study(args) -> int:
         raise ValueError("study config 'out_dir' must be a string")
     if args.out_dir is not None:
         out_dir = args.out_dir
+    parsed = []
     for i, case in enumerate(cases):
         try:
-            _parse_case(case)
+            parsed.append(_parse_case(case))
         except ValueError as exc:
             raise ValueError(f"case {i}: {exc}") from exc
 
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
 
-    if args.jobs == 1 or len(cases) == 1:
-        outcomes = [_case_outcome(case) for case in cases]
+    if args.jobs == 1 or len(parsed) == 1:
+        outcomes = [_case_outcome(case) for case in parsed]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_case_outcome, cases))  # preserves input order
+            outcomes = list(pool.map(_case_outcome, parsed))  # preserves input order
     rows = [row for row, _ in outcomes if row is not None]
     errors = [{"case": i, "error": err} for i, (_, err) in enumerate(outcomes)
               if err is not None]
@@ -356,13 +356,14 @@ def cmd_green_norm(args) -> int:
     kernel = synthetic_k5(params)
     grid = graded_mesh(args.n, args.beta_g)
     deltas, norms = green_q_norm_profile(kernel, grid, args.q)
-    slope, intercept = np.polyfit(np.log(deltas), np.log(norms), 1)
     cls = classify_bq(1, args.s, args.gamma, args.q)
-    predicted = {"linear": args.gamma, "log": args.gamma,
-                 "power": args.gamma * cls.phi_exponent}[cls.regime]
+    if cls.log_exponent is not None:
+        # at the threshold, divide out the factor (1 + |log delta|^{1/q}) first
+        norms = norms / (1.0 + np.abs(np.log(deltas)) ** cls.log_exponent)
+    slope, intercept = np.polyfit(np.log(deltas), np.log(norms), 1)
     out = {"slope": float(slope), "intercept": float(intercept),
            "n_points": int(deltas.size), "regime": cls.regime,
-           "predicted_slope": predicted}
+           "predicted_slope": args.gamma * cls.phi_exponent}
     sys.stdout.write(_json_text(out))
     return EXIT_OK
 
@@ -403,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="solve one case; write solution CSV + fit JSON")
     add_params(sp)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--beta-g", type=float, default=3.0)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--beta-g", type=float, default=_CASE_FIELDS["beta_g"][1])
+    sp.add_argument("--tol", type=float, default=_CASE_FIELDS["tol"][1])
     sp.add_argument("--backend", choices=["synthetic", "spectral"], default="synthetic")
     sp.add_argument("--force-critical", action="store_true")
     sp.add_argument("--out-dir", default=".")

@@ -20,6 +20,8 @@ from .grids import Grid
 from .operators import Operator, apply
 from .solver import ConvergenceError
 
+_MAX_ITER = 10_000  # ARPACK restarts before ConvergenceError
+
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -42,8 +44,8 @@ def check_eigen_request(n: int, n_eigs: int, tol: float) -> None:
         raise ValueError("n_eigs must be smaller than the number of nodes")
 
 
-def leading_eigenpairs(op: Operator, n_eigs: int = 1, tol: float = 1e-10,
-                       max_iter: int = 10_000) -> list[EigenPair]:
+def leading_eigenpairs(op: Operator, n_eigs: int = 1,
+                       tol: float = 1e-10) -> list[EigenPair]:
     """Largest n_eigs eigenpairs, ordered by decreasing eigenvalue.
 
     Every pair must reach ||A phi - mu phi||_w <= tol * mu_1, whatever
@@ -60,7 +62,7 @@ def leading_eigenpairs(op: Operator, n_eigs: int = 1, tol: float = 1e-10,
                        dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        mus, Y = eigsh(S, k=n_eigs, which="LA", v0=v0, tol=tol, maxiter=max_iter)
+        mus, Y = eigsh(S, k=n_eigs, which="LA", v0=v0, tol=tol, maxiter=_MAX_ITER)
     except ArpackNoConvergence as exc:
         raise ConvergenceError(f"ARPACK did not converge: {exc}", np.inf) from exc
     order = np.argsort(mus)[::-1]

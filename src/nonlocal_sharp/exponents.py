@@ -110,16 +110,14 @@ class HlsLadder:
     k_star: int
 
 
-def hls_ladder(N: int, s: float, p0: float = 2.0) -> HlsLadder:
-    """Smoothing bootstrap p_{k+1} = N p_k / (N - 2 s p_k), from p0 = 2.
+def hls_ladder(N: int, s: float) -> HlsLadder:
+    """Smoothing bootstrap p_{k+1} = N p_k / (N - 2 s p_k), from p_0 = 2.
 
     Stops at the first exponent above N/(2s); a nonpositive denominator
     means the next exponent exceeds every bound, terminating immediately.
     """
-    if p0 < 1.0:
-        raise ValueError("ladder must start at p0 >= 1")
     target = N / (2.0 * s)
-    seq = [float(p0)]
+    seq = [2.0]
     k = 0
     while seq[-1] <= target:
         denom = N - 2.0 * s * seq[-1]
@@ -137,7 +135,6 @@ class CaseLabel:
     label: str  # DIRECT | I | II.A.1 | II.A.2 | II.B | III | IV
     sigma_out: float
     log_flag: bool
-    log_power: float | None = None
     nu_1: float | None = None
     nu_infinity: float | None = None
 
@@ -171,7 +168,7 @@ def nu_case_machine(s: float, gamma: float, m: float,
             return CaseLabel("I", sigma_out=1.0, log_flag=False)
     if force_critical or _close(gamma, t_crit):
         return CaseLabel("II.A.2", sigma_out=1.0, log_flag=True,
-                         log_power=m / (m - 1.0), nu_1=nu_1, nu_infinity=nu_inf)
+                         nu_1=nu_1, nu_infinity=nu_inf)
     if gamma < t_crit:
         return CaseLabel("II.B", sigma_out=1.0, log_flag=False,
                          nu_1=nu_1, nu_infinity=nu_inf)

@@ -8,7 +8,8 @@ the one rule every fit and the CLI's pre-check use: `Grid.boundary_window`
 excludes the quadrature-polluted nodes nearest each endpoint and caps delta
 to stay in the asymptotic regime; both halves of the grid are pooled.
 Every fit returns one type, `FitReport`: `fit_power` fills mu_hat and r2,
-and `fit_report` of a critical prediction also the fitted log factor.
+and `fit_report` of a critical prediction also the fitted log factor, or
+k = 0 with nothing divided out when it detects no correction.
 """
 
 from __future__ import annotations
@@ -87,31 +88,6 @@ def fit_power(u: np.ndarray, grid: Grid) -> FitReport:
     return _power_fit(u, grid, fit_window(grid, critical=False))
 
 
-def _log_fit(u: np.ndarray, grid: Grid, gamma: float, mask: np.ndarray):
-    """Exponent k and offsets (a, b) of a profile delta^gamma (a + b |log delta|)^k.
-
-    Fits log(u / delta^gamma) = k log(a + b |log delta|) with a, b > 0,
-    which resolves the exponent through the crossover from the constant to
-    the |log delta|^k regime; converged solutions do not get past that
-    crossover at feasible resolutions, so a plain regression against
-    log |log delta| would not reach k.  The fit is a variable projection
-    (Golub & Pereyra 1973): for a fixed ratio c = a/b the model
-    k log(1 + |log delta|/c) + k log a is linear in (k, k log a) and
-    solved in closed form, and log c is found by a 1-D search.  It needs
-    numpy only.
-    """
-    d = grid.delta[mask]
-    uw = _positive_values(u, mask)
-    t = np.abs(np.log(d))
-    y = np.log(uw / d ** gamma)
-    if float(np.var(y)) < 1e-20:
-        # no detectable correction
-        return 0.0, (float(np.exp(np.mean(y))), 0.0)
-    plain_slope = _least_squares(np.log(t), y)[0]
-    k, a, b, _ = _offset_aware_fit(t, y, k0=max(plain_slope, 0.5))
-    return k, (a, b)
-
-
 _LOG_C_BOX = (-60.0, 60.0)  # log(a/b) for log a, log b in [-30, 30]
 _LOG_C_STEP = 0.5           # spacing of the scan over log c
 _GOLDEN_STEPS = 70          # shrink the scan bracket by 0.618^70 ~ 2e-15
@@ -120,17 +96,18 @@ _LOG_AB_MAX = 700.0         # |log a|, |log b| whose exp is a finite positive do
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _offset_aware_fit(t: np.ndarray, y: np.ndarray, k0: float):
-    """Least-squares fit of y = k log(a + b t) with a, b > 0: (k, a, b, r2).
+def _offset_aware_fit(t: np.ndarray, y: np.ndarray):
+    """Least-squares fit of y = k log(a + b t) with a, b > 0: (k, a, b).
 
-    With c = a/b, y = k z_c + k log a for z_c = log(1 + t/c), a 1-D linear
-    regression for each fixed c, whose slope is clipped to [0, _K_MAX]:
-    the sum of squares is convex in k, so that is the bounded optimum.
-    The profiled sum of squares is scanned over log c in _LOG_C_BOX and
-    refined by golden section around the best scan point.  When a or b
-    is no finite positive double, the fallback (k0, 1, 1, 0) is returned:
-    at k = 0 (y does not grow with t) log a is undefined, and a tiny k
-    needs a huge a to carry the level of y.
+    A variable projection (Golub & Pereyra 1973): with c = a/b,
+    y = k z_c + k log a for z_c = log(1 + t/c), a 1-D linear regression for
+    each fixed c, whose slope is clipped to [0, _K_MAX]: the sum of squares
+    is convex in k, so that is the bounded optimum.  The profiled sum of
+    squares is scanned over log c in _LOG_C_BOX and refined by golden
+    section around the best scan point.  When a or b is no finite positive
+    double, (0, exp(mean y), 0) is returned, no detectable correction: at
+    k = 0 (y does not grow with t, constant y included) log a is undefined,
+    and a tiny k needs a huge a to carry the level of y.
     """
     y_mean = float(np.mean(y))
     yc = y - y_mean
@@ -164,28 +141,34 @@ def _offset_aware_fit(t: np.ndarray, y: np.ndarray, k0: float):
             x2 = lo + _INV_PHI * (hi - lo)
             f2 = profile(x2)[0]
     log_c = min((ss[best], scan[best]), (f1, x1), (f2, x2))[1]
-    ss_res, k, z_mean = profile(log_c)
+    _, k, z_mean = profile(log_c)
     log_a = (y_mean - k * z_mean) / k if k > 0.0 else np.inf
     log_b = log_a - log_c
     if not max(abs(log_a), abs(log_b)) <= _LOG_AB_MAX:
-        return k0, 1.0, 1.0, 0.0
-    r2 = 1.0 if ss_tot <= 1e-300 else max(0.0, 1.0 - ss_res / ss_tot)
-    return k, float(np.exp(log_a)), float(np.exp(log_b)), r2
+        return 0.0, float(np.exp(y_mean)), 0.0
+    return k, float(np.exp(log_a)), float(np.exp(log_b))
 
 
 def fit_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction) -> FitReport:
     """Measure the exponents of a grid function in the prediction's regime.
 
-    In the critical regime the logarithmic factor is fitted first (the
-    exponent k and offsets (a, b) of `_log_fit`) and divided out before
-    measuring the leading power; both critical fits measure on one window.
+    In the critical regime, u ~ delta^mu (a + b |log delta|)^k: the
+    logarithmic factor is fitted first, as log(u / delta^mu) = k log(a + b t)
+    with t = |log delta| (`_offset_aware_fit`), and divided out before the
+    leading power is measured; both critical fits measure on one window.
+    The offsets resolve k through the crossover from the constant to the
+    |log delta|^k regime, which converged solutions do not get past at
+    feasible resolutions, so a plain regression against log |log delta|
+    would not reach k.  A fit with no detectable correction reports k = 0
+    and divides out nothing.
     """
     critical = prediction.regime == "critical"
     mask = fit_window(grid, critical)
     if not critical:
         return _power_fit(u, grid, mask)
-    k, (a, b) = _log_fit(u, grid, prediction.mu, mask)
-    # divide out the calibrated slowly-varying factor, then measure the power
+    d = grid.delta[mask]
+    t, y = np.abs(np.log(d)), np.log(_positive_values(u, mask) / d ** prediction.mu)
+    k, a, b = _offset_aware_fit(t, y)
     correction = (a + b * np.abs(np.log(grid.delta))) ** k
     res = _power_fit(np.asarray(u, dtype=float) / correction, grid, mask)
     return replace(res, log_exp_hat=k, offset_params=(a, b))

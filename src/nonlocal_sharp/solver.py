@@ -30,11 +30,13 @@ class BracketError(RuntimeError):
     """The sub/supersolution certificate is inconsistent with a monotone map."""
 
 
+_MAX_ITER = 1000  # Picard iterations before ConvergenceError
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     p: float
     tol: float = 1e-10
-    max_iter: int = 1000
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -85,7 +87,7 @@ def picard_solve(op: Operator, config: SolverConfig) -> SemilinearSolution:
     u = apply(op, np.ones(op.grid.n))
     lo = hi = None
     residual = np.inf
-    for iterations in range(1, config.max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         tu = picard_map(op, p, u)
         a, b = enclosure(u, tu, p)
         new_lo, new_hi = a * u, b * u
@@ -101,7 +103,7 @@ def picard_solve(op: Operator, config: SolverConfig) -> SemilinearSolution:
                                       iterations=iterations, bracket_gap=gap)
         u = tu
     raise ConvergenceError(
-        f"Picard iteration did not reach tol={tol} in {config.max_iter} iterations",
+        f"Picard iteration did not reach tol={tol} in {_MAX_ITER} iterations",
         residual)
 
 

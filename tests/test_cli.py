@@ -130,6 +130,16 @@ class TestGreenNorm:
         assert data["predicted_slope"] == pytest.approx(0.4, rel=1e-12)
         assert data["slope"] == pytest.approx(0.4, abs=0.1)
 
+    def test_log_threshold_slope(self, capsys):
+        # q = N/(N - 2s + gamma): the factor (1 + |log delta|^{1/q}) is divided out
+        code, out, _ = run(capsys, "green-norm", "--s", "0.2", "--gamma", "1",
+                           "--q", "0.625")
+        assert code == 0
+        data = json.loads(out)
+        assert data["regime"] == "log"
+        assert data["predicted_slope"] == 1.0
+        assert data["slope"] == pytest.approx(1.0, abs=0.05)
+
     @pytest.mark.parametrize("n, beta", [("8", "3"), ("40", "1")])
     def test_empty_window_exits_2(self, capsys, n, beta):
         code, _, err = run(capsys, "green-norm", "--s", "0.2", "--q", "1",
@@ -314,7 +324,7 @@ class TestStudy:
     def test_malformed_config_exits_2_before_running(self, capsys, tmp_path, monkeypatch,
                                                      config):
         calls = []
-        monkeypatch.setattr(cli, "run_case", calls.append)
+        monkeypatch.setattr(cli, "_run", calls.append)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         code, _, err = run(capsys, "study", "--config", str(path), "--out-dir", str(tmp_path))
@@ -362,13 +372,13 @@ class TestStudy:
         assert main(["study", "--config", cfg]) == 0
         capsys.readouterr()
         full = (tmp_path / "study.csv").read_text().splitlines()
-        solve = cli.run_case
+        solve = cli._run
 
-        def run_case(case):  # pool workers are forked and inherit the patch
-            if case["s"] == 0.3:
+        def fail_one(case):  # pool workers are forked and inherit the patch
+            if case.params.s == 0.3:
                 raise ConvergenceError("did not converge", 1.0)
             return solve(case)
-        monkeypatch.setattr(cli, "run_case", run_case)
+        monkeypatch.setattr(cli, "_run", fail_one)
         code, out, err = run(capsys, "study", "--config", cfg, "--jobs", jobs)
         assert code == 3
         assert "case 1" in err

@@ -7,6 +7,7 @@ from nonlocal_sharp import (
     ProblemParams,
     apply,
     assemble,
+    eigen,
     eigenfunction_boundary_report,
     fit_power,
     graded_mesh,
@@ -97,14 +98,15 @@ class TestSyntheticEigenpairs:
         with pytest.raises(ValueError):
             leading_eigenpairs(spectral_mt_operator(0.3, graded_mesh(8, 1.0)), n_eigs=8)
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
         # 200 evenly spaced eigenvalues: one restart cannot isolate the top one
         grid = graded_mesh(200, 1.0)
         mus = np.linspace(1.0, 2.0, grid.n)  # every other one to each block
         op = GreenOperator(grid=grid, even=np.diag(mus[1::2]), odd=np.diag(mus[::2]),
                            params=ProblemParams(s=0.3, gamma=1.0))
+        monkeypatch.setattr(eigen, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="ARPACK did not converge") as exc:
-            leading_eigenpairs(op, n_eigs=1, max_iter=1)
+            leading_eigenpairs(op, n_eigs=1)
         assert exc.value.residual == np.inf
 
     def test_residual_check_raises(self):

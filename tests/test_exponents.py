@@ -133,10 +133,6 @@ class TestHlsLadder:
         lad = hls_ladder(N, s)
         assert len(lad.sequence) - 1 <= math.ceil(N / (2 * s * 2.0))
 
-    def test_start_validation(self):
-        with pytest.raises(ValueError):
-            hls_ladder(1, 0.2, p0=0.5)
-
 
 class TestNuCaseMachine:
     def test_subcritical_case(self):
@@ -151,7 +147,6 @@ class TestNuCaseMachine:
         assert lab.label == "II.A.2"
         assert lab.sigma_out == 1.0
         assert lab.log_flag
-        assert lab.log_power == pytest.approx(2.0, rel=1e-12)
 
     def test_case_one(self):
         lab = nu_case_machine(0.4, 1.0, 2.0)

@@ -11,7 +11,13 @@ from nonlocal_sharp import (
     graded_mesh,
     predict_mu,
 )
-from nonlocal_sharp.fitting import _EXCLUDE, _LOG_FIT_CAP, _offset_aware_fit, fit_window
+from nonlocal_sharp.fitting import (
+    _EXCLUDE,
+    _LOG_FIT_CAP,
+    _offset_aware_fit,
+    _power_fit,
+    fit_window,
+)
 
 
 class TestFitPower:
@@ -64,7 +70,9 @@ class TestFitLogCorrection:
         assert res.log_exp_hat == pytest.approx(2.0, abs=0.1)
         # R^2 of the log fit itself, on the window fit_report measures on
         mask = fit_window(grid, critical=True)
-        assert _offset_aware_fit(t[mask], np.log(u[mask] / grid.delta[mask]), 0.5)[3] >= 0.999
+        t, y = t[mask], np.log(u[mask] / grid.delta[mask])
+        ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+        assert 1.0 - sum_of_squares(t, y, _offset_aware_fit(t, y)) / ss_tot >= 0.999
 
     def test_pure_power_gives_zero_exponent(self):
         grid = graded_mesh(4000, 3.0)
@@ -94,7 +102,7 @@ def window_log_distances(n=1000, beta=3.0):
 
 
 def sum_of_squares(t, y, fit):
-    k, a, b = fit[:3]
+    k, a, b = fit[:3]  # curve_fit_offset also returns its R^2
     return float(np.sum((y - k * np.log(a + b * t)) ** 2))
 
 
@@ -104,7 +112,7 @@ class TestOffsetAwareFit:
     def test_no_worse_than_curve_fit_on_exact_profiles(self, la, lb, k):
         t = window_log_distances()
         y = k * np.log(np.exp(la) + np.exp(lb) * t)
-        ours = sum_of_squares(t, y, _offset_aware_fit(t, y, 1.0))
+        ours = sum_of_squares(t, y, _offset_aware_fit(t, y))
         ref = sum_of_squares(t, y, curve_fit_offset(t, y, 1.0))
         # exact profiles put both sums at rounding level; allow residuals of 4 ulps of y
         rounding = t.size * (4.0 * np.finfo(float).eps * np.max(np.abs(y))) ** 2
@@ -116,12 +124,13 @@ class TestOffsetAwareFit:
     ], ids=["decreasing", "tiny-slope"])
     def test_offsets_outside_double_range_fall_back(self, profile):
         t = window_log_distances()
-        assert _offset_aware_fit(t, profile(t), 0.7) == (0.7, 1.0, 1.0, 0.0)
+        y = profile(t)
+        assert _offset_aware_fit(t, y) == (0.0, float(np.exp(np.mean(y))), 0.0)
 
     def test_steep_profile_fits_on_the_box_edge(self):
         t = window_log_distances()
         y = 20.0 * np.log(2.0 + 3.0 * t)
-        fit = _offset_aware_fit(t, y, 0.7)
+        fit = _offset_aware_fit(t, y)
         assert fit[0] == 10.0
         ref = curve_fit_offset(t, y, 0.7)
         assert sum_of_squares(t, y, fit) <= sum_of_squares(t, y, ref) * (1.0 + 1e-9)
@@ -144,3 +153,17 @@ class TestFitReport:
         rep = fit_report(u, grid, pred)
         assert rep.log_exp_hat == pytest.approx(2.0, abs=0.1)
         assert rep.mu_hat == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("profile, mu_tol", [
+        (lambda d, t: d * np.exp(5.0) * (1.0 + t) ** 1e-6, 1e-3),  # no real log factor
+        (lambda d, t: d / (2.0 + 3.0 * t), None),                  # a decaying factor
+    ], ids=["flat", "decaying"])
+    def test_degenerate_log_factor_reports_none(self, profile, mu_tol):
+        grid = graded_mesh(4000, 3.0)
+        u = profile(grid.delta, np.abs(np.log(grid.delta)))
+        rep = fit_report(u, grid, predict_mu(0.25, 1.0, 0.5, force_critical=True))
+        assert rep.log_exp_hat == 0.0
+        # nothing is divided out: mu_hat is the plain power fit on the critical window
+        assert rep.mu_hat == _power_fit(u, grid, fit_window(grid, critical=True)).mu_hat
+        if mu_tol is not None:
+            assert abs(rep.mu_hat - 1.0) < mu_tol

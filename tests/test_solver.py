@@ -24,6 +24,7 @@ from nonlocal_sharp import (
     picard_map,
     picard_solve,
     predict_mu,
+    solver,
     spectral_mt_operator,
     synthetic_k5,
 )
@@ -175,9 +176,10 @@ class TestPicardSolve:
         fit = json.loads((tmp_path / "fit.json").read_text())
         assert fit["n"] == 65536 and fit["residual"] <= 1e-10
 
-    def test_non_convergence(self, small_op):
-        with pytest.raises(ConvergenceError):
-            picard_solve(small_op, SolverConfig(p=0.5, tol=1e-14, max_iter=2))
+    def test_non_convergence(self, small_op, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match="in 2 iterations"):
+            picard_solve(small_op, SolverConfig(p=0.5, tol=1e-14))
 
 
 class TestCertificateProperty:
