@@ -89,6 +89,7 @@ def fit_power(u: np.ndarray, grid: Grid) -> FitReport:
 
 
 _LOG_C_BOX = (-60.0, 60.0)  # log(a/b) for log a, log b in [-30, 30]
+_LOG_C_FIRST = 10.0         # the scan covers |log c| <= 10 first
 _LOG_C_STEP = 0.5           # spacing of the scan over log c
 _GOLDEN_STEPS = 70          # shrink the scan bracket by 0.618^70 ~ 2e-15
 _K_MAX = 10.0               # the slope box is [0, _K_MAX]
@@ -103,8 +104,10 @@ def _offset_aware_fit(t: np.ndarray, y: np.ndarray):
     y = k z_c + k log a for z_c = log(1 + t/c), a 1-D linear regression for
     each fixed c, whose slope is clipped to [0, _K_MAX]: the sum of squares
     is convex in k, so that is the bounded optimum.  The profiled sum of
-    squares is scanned over log c in _LOG_C_BOX and refined by golden
-    section around the best scan point.  When a or b is no finite positive
+    squares is scanned over |log c| <= _LOG_C_FIRST, and over all of
+    _LOG_C_BOX only when the best point is on an edge of that range (the
+    two scans share their grid points), then refined by golden section
+    around the best scan point.  When a or b is no finite positive
     double, (0, exp(mean y), 0) is returned, no detectable correction: at
     k = 0 (y does not grow with t, constant y included) log a is undefined,
     and a tiny k needs a huge a to carry the level of y.
@@ -125,9 +128,12 @@ def _offset_aware_fit(t: np.ndarray, y: np.ndarray):
         r = yc - k * zc  # residuals directly: ss_tot - k (zc . yc) cancels
         return float(r @ r), k, z_mean
 
-    scan = np.arange(_LOG_C_BOX[0], _LOG_C_BOX[1] + 0.5 * _LOG_C_STEP, _LOG_C_STEP)
-    ss = [profile(x)[0] for x in scan]
-    best = int(np.argmin(ss))
+    for lo, hi in ((-_LOG_C_FIRST, _LOG_C_FIRST), _LOG_C_BOX):
+        scan = np.arange(lo, hi + 0.5 * _LOG_C_STEP, _LOG_C_STEP)
+        ss = [profile(x)[0] for x in scan]
+        best = int(np.argmin(ss))
+        if 0 < best < scan.size - 1:
+            break
     lo, hi = scan[max(best - 1, 0)], scan[min(best + 1, scan.size - 1)]
     x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
     f1, f2 = profile(x1)[0], profile(x2)[0]

@@ -12,15 +12,16 @@ matvec work of the n x n matrix, and exactly mirror-symmetric.  A
 mirror-even input, such as every Picard iterate, has an odd part of exact
 zeros, so its apply reads the even block alone.  The spectral backend is
 the matrix transfer of the second-difference Dirichlet Laplacian: its
-eigenvectors on the uniform midpoint grid are the orthonormal DST-II
-basis, so the operator stores only its n eigenvalues (the symbol) and is
-applied by a sine transform in O(n log n), spectrally exact on its grid.
-The transform runs in long double (80-bit extended on x86-64 Linux): FFT
-rounding is absolute, and in float64 it is large enough relative to the
-small boundary values of u to break the solver's nesting certificate.
-`apply` is the one entry point for both backends.  Only its spectral
-branch imports scipy (`scipy.fft`), on first use, so the synthetic path
-and importing this module load no scipy module.
+eigenvectors on the uniform midpoint grid are the DST-II sine modes, so
+the operator stores only its n eigenvalues (the symbol).  Extended oddly
+to 2n points, a grid function sees the midpoint Dirichlet Laplacian as
+the 2n-point periodic one, a circulant whose Fourier modes are those sine
+modes; `apply` is that circulant, numpy's real FFT of the odd extension
+times the symbol, in O(n log n), spectrally exact on its grid.  The FFTs
+run in long double (80-bit extended on x86-64 Linux): FFT rounding is
+absolute, and in float64 it is large enough relative to the small
+boundary values of u to break the solver's nesting certificate.  `apply`
+is the one entry point for both backends, and both run on numpy alone.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def _near_diagonal_averages(kernel: GreenKernel, grid: Grid) -> list[tuple[int, 
 
 @dataclass(frozen=True)
 class SpectralOperator:
-    """Matrix transfer stored as its symbol: eigenvalues in DST-II mode order.
+    """Matrix transfer stored as its symbol: eigenvalues in sine mode order.
 
     symbol[k - 1] = lambda_k(h)^{-s}, the eigenvalue of the sine mode
     sin(k pi x) restricted to the uniform midpoint grid.  The operator is
@@ -197,17 +198,21 @@ def apply(op: Operator, v: np.ndarray) -> np.ndarray:
     columns of an (n, m) array.  For the folded operator, an input whose
     mirror-odd part is exactly zero skips the odd block: the result is
     [E e ; J E e], the value the two-block formula gives, for half the
-    bytes read.
+    bytes read.  For the spectral operator, each column is extended oddly
+    to [v, -v reversed] and transformed by a long-double rfft of length
+    2n; Fourier mode k (k = 1..n) is sine mode k and is scaled by
+    symbol[k - 1], the mean by 0, and the first n values of the irfft are
+    returned in float64.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != op.grid.n:
         raise ValueError("vector length does not match grid")
     if isinstance(op, SpectralOperator):
-        from scipy.fft import dst, idst
-
-        sym = op.symbol if v.ndim == 1 else op.symbol[:, None]
-        coef = dst(v.astype(np.longdouble), type=2, norm="ortho", axis=0)
-        return idst(sym * coef, type=2, norm="ortho", axis=0).astype(float)
+        n = op.grid.n
+        coef = np.fft.rfft(np.concatenate([v, -v[::-1]], dtype=np.longdouble), axis=0)
+        coef[0] = 0.0  # the mean, which no sine mode has
+        coef[1:] *= op.symbol if v.ndim == 1 else op.symbol[:, None]
+        return np.fft.irfft(coef, 2 * n, axis=0)[:n].astype(float)
     half = op.grid.n // 2
     left, right = v[:half], v[half:][::-1]
     ee = op.even @ (0.5 * (left + right))
@@ -226,7 +231,7 @@ def spectral_mt_operator(s: float, grid: Grid) -> SpectralOperator:
     lambda_k(h) = (4/h^2) sin^2(k pi h / 2) and discrete sine eigenvectors,
     which are exact for this stencil under antisymmetric ghost reflection.
     Only the n eigenvalues are stored; `apply` supplies the eigenvectors
-    through the sine transform.
+    through the FFT of the odd extension.
     """
     params = ProblemParams(s=s, gamma=1.0)
     if not grid.is_uniform:

@@ -2,10 +2,14 @@
 and the node selections that the boundary window replaced.
 
 The matrix transfer's sine-mode build is O(n^3) time and O(n^2) memory,
-which is why the spectral backend applies it by a sine transform; the
-unfolded synthetic assembly builds all n x n entries through several
-n x n temporaries, which is why the library computes only the left rows
-in row blocks and folds them; the critical log fit by scipy's bounded
+which is why the spectral backend applies it by a transform; its
+orthonormal DST-II pair from scipy.fft costs a scipy.fft import in every
+process that applies it, which is why the library applies the same
+S^T diag(symbol) S as a circulant, by numpy's long-double FFT of the odd
+extension of a vector; the unfolded synthetic assembly builds all n x n
+entries through several n x n temporaries, which is why the library
+computes only the left rows in row blocks and folds them; the critical
+log fit by scipy's bounded
 curve_fit imports scipy.optimize, which is why the library fits it by
 variable projection with numpy alone.  The fits, the Harnack report, the
 eigenfunction ratios and the q-norm profile each used to select their
@@ -31,6 +35,15 @@ def dense_matrix_transfer(s, grid):
     V /= np.sqrt(h * np.sum(V ** 2, axis=1))[:, None]
     A = h * (V.T * lam ** (-s)) @ V
     return 0.5 * (A + A.T)
+
+
+def dst_matrix_transfer(symbol, v):
+    """idst(symbol * dst(v)) with the orthonormal DST-II pair, in long double, along axis 0."""
+    from scipy.fft import dst, idst
+
+    sym = symbol if np.ndim(v) == 1 else symbol[:, None]
+    coef = dst(np.asarray(v, dtype=np.longdouble), type=2, norm="ortho", axis=0)
+    return idst(sym * coef, type=2, norm="ortho", axis=0).astype(float)
 
 
 def dense_synthetic_assembly(kernel, grid, near_band=8, gauss_nodes=8):

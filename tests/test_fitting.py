@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from nonlocal_sharp import (
     graded_mesh,
     predict_mu,
 )
+from nonlocal_sharp import fitting
 from nonlocal_sharp.fitting import (
     _EXCLUDE,
     _LOG_FIT_CAP,
@@ -134,6 +137,20 @@ class TestOffsetAwareFit:
         assert fit[0] == 10.0
         ref = curve_fit_offset(t, y, 0.7)
         assert sum_of_squares(t, y, fit) <= sum_of_squares(t, y, ref) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("la, lb, k", [
+        (np.log(2.0), np.log(3.0), 1.5),  # log(a/b) = -0.4: inside the first scan
+        (15.0, -15.0, 2.0),               # log(a/b) = 30: past its upper edge
+        (-14.0, 15.0, 1.5),               # log(a/b) = -29: past its lower edge
+    ], ids=["interior", "widen-up", "widen-down"])
+    def test_scan_gives_the_full_box_result(self, la, lb, k):
+        t = window_log_distances()
+        y = k * np.log(np.exp(la) + np.exp(lb) * t)
+        fit = _offset_aware_fit(t, y)
+        with mock.patch.object(fitting, "_LOG_C_FIRST", fitting._LOG_C_BOX[1]):
+            assert fit == _offset_aware_fit(t, y)  # one scan over the whole box
+        rounding = t.size * (4.0 * np.finfo(float).eps * np.max(np.abs(y))) ** 2
+        assert sum_of_squares(t, y, fit) <= rounding
 
 
 class TestFitReport:

@@ -1,3 +1,5 @@
+import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import dense_matrix_transfer, dense_synthetic_assembly
+from reference import dense_matrix_transfer, dense_synthetic_assembly, dst_matrix_transfer
 
 import nonlocal_sharp
 from nonlocal_sharp import operators
@@ -231,6 +233,21 @@ class TestSpectralMT:
         assert got.shape == ref.shape and got.dtype == np.float64
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("s", [0.25, 0.7])
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_transform_matches_sine_transform_on_picard_iterates(self, n, s):
+        # positive mirror-even inputs, the shape of a Picard iterate: the torsion and its
+        # p-th power, alone and as the columns of one (n, 3) input
+        op = spectral_mt_operator(s, graded_mesh(n, 1.0))
+        torsion = apply(op, np.ones(n))
+        batch = np.stack([np.ones(n), torsion, torsion ** 0.5], axis=1)
+        for v in (torsion, torsion ** 0.5, batch):
+            ref = dst_matrix_transfer(op.symbol, v)
+            got = apply(op, v)
+            assert got.shape == ref.shape
+            ulps = np.max(np.abs(got - ref) / np.spacing(np.abs(ref)))
+            assert ulps <= 4, ulps
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -276,7 +293,31 @@ def test_import_leaves_out_scipy_integrate():
 
 CRITICAL_CASE = {"backend": "synthetic", "s": 0.25, "gamma": 1.0, "p": 0.5, "n": 1000,
                  "beta_g": 3.0, "force_critical": True}
+SPECTRAL_CASE = {"backend": "spectral", "s": 0.3, "gamma": 1.0, "p": 0.5, "n": 256}
 
+
+def scipy_modules_loaded(step, tmp_path):
+    """The scipy modules a fresh process running `step` holds, and those any process logs.
+
+    With PYTHONPROFILEIMPORTTIME every process, pool workers included, logs its
+    imports to stderr, so an import in a worker shows there although it leaves the
+    step's own sys.modules alone.  argv[1] is tmp_path, which holds a two-case
+    spectral study config.
+    """
+    cases = [SPECTRAL_CASE, {**SPECTRAL_CASE, "s": 0.6, "p": 0.4}]
+    (tmp_path / "study.json").write_text(json.dumps({"cases": cases}))
+    code = step + "\nimport sys; print([m for m in sys.modules if m.startswith('scipy')])"
+    src = Path(nonlocal_sharp.__file__).parents[1]  # the package under test, not an install
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True, cwd=src,
+                         env={**os.environ, "PYTHONPROFILEIMPORTTIME": "1"})
+    logged = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+              if line.startswith("import time:")]
+    assert logged, "no import log"
+    return out.stdout.splitlines()[-1], [m for m in logged if m.startswith("scipy")]
+
+
+# scipy is imported only by leading_eigenpairs, which no study case calls
 
 @pytest.mark.parametrize("step", [
     "import nonlocal_sharp",
@@ -285,10 +326,16 @@ CRITICAL_CASE = {"backend": "synthetic", "s": 0.25, "gamma": 1.0, "p": 0.5, "n":
     # the log-correction fit needs delta <= 1e-3, which n = 1000 at beta = 3 reaches
     f"from nonlocal_sharp import cli; assert cli.run_case({CRITICAL_CASE!r})['log_exp_hat'] > 0",
 ], ids=["import", "predict", "critical-case"])
-def test_synthetic_path_loads_no_scipy(step):
-    # scipy is imported only by the spectral apply and leading_eigenpairs
-    code = step + "\nimport sys; print([m for m in sys.modules if m.startswith('scipy')])"
-    src = Path(nonlocal_sharp.__file__).parents[1]  # the package under test, not an install
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, cwd=src)
-    assert out.stdout.splitlines()[-1] == "[]"
+def test_synthetic_path_loads_no_scipy(step, tmp_path):
+    assert scipy_modules_loaded(step, tmp_path) == ("[]", [])
+
+
+@pytest.mark.parametrize("step", [
+    f"from nonlocal_sharp import cli; assert cli.run_case({SPECTRAL_CASE!r})['iterations'] > 0",
+    # two cases and two jobs: the cases run in pool workers
+    "import sys; from nonlocal_sharp import cli; "
+    "assert cli.main(['study', '--config', sys.argv[1] + '/study.json', "
+    "'--out-dir', sys.argv[1], '--jobs', '2']) == 0",
+], ids=["case", "study"])
+def test_spectral_path_loads_no_scipy(step, tmp_path):
+    assert scipy_modules_loaded(step, tmp_path) == ("[]", [])
