@@ -243,9 +243,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    case = _parse_case({"backend": args.backend, "s": args.s, "gamma": args.gamma,
-                        "p": args.p, "n": args.n, "beta_g": args.beta_g, "tol": args.tol,
-                        "force_critical": args.force_critical})
+    case = _parse_case({name: getattr(args, name) for name in _CASE_FIELDS})
     os.makedirs(args.out_dir, exist_ok=True)
     fit_path = os.path.join(args.out_dir, "fit.json")
     try:
@@ -288,6 +286,7 @@ def cmd_study(args) -> int:
 
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
+    os.makedirs(out_dir, exist_ok=True)
 
     if args.jobs == 1 or len(parsed) == 1:
         outcomes = [_case_outcome(case) for case in parsed]
@@ -326,13 +325,13 @@ def cmd_eigen(args) -> int:
     grid, build = _operator_plan(args.backend, ProblemParams(s=args.s, gamma=args.gamma),
                                  args.n, args.beta_g)
     check_eigen_request(grid.n, args.n_eigs, args.tol)
+    os.makedirs(args.out_dir, exist_ok=True)
     pairs = leading_eigenpairs(build(), n_eigs=args.n_eigs, tol=args.tol)
     ratios = eigenfunction_boundary_report(pairs, grid, args.gamma)
     lines = ["index,mu,lambda,residual"]
     for pair in pairs:
         lines.append(f"{pair.index},{_fmt(pair.mu)},{_fmt(1.0 / pair.mu)},"
                      f"{_fmt(pair.residual)}")
-    os.makedirs(args.out_dir, exist_ok=True)
     _atomic_write(os.path.join(args.out_dir, "eigenpairs.csv"), "\n".join(lines) + "\n")
     report = [{"index": r.index, "sup_ratio": r.sup_ratio, "inf_ratio": r.inf_ratio}
               for r in ratios]

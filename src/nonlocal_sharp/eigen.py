@@ -38,8 +38,8 @@ def check_eigen_request(n: int, n_eigs: int, tol: float) -> None:
     """
     if not 1 <= n_eigs <= 20:
         raise ValueError("n_eigs must lie in 1..20")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValueError("tolerance must be positive and finite")
     if n_eigs >= n:
         raise ValueError("n_eigs must be smaller than the number of nodes")
 

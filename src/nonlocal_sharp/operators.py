@@ -1,10 +1,12 @@
 """Discretized Green operators: folded assembly, matrix-free transfer, q-norms.
 
 The integral operator u -> int G(., y) u(y) dy is collocated at grid nodes
-with cell quadrature: A_ij ~ int_{cell_j} G(x_i, y) dy.  Off-diagonal cells
-use the midpoint rule; the singular diagonal cell is integrated in closed
-form through the |x - y|^{2s-1} envelope, whose min-factors are 1 on every
-cell because the exactly mirrored grid has half-width <= delta.  The grid
+with cell quadrature: A_ij ~ int_{cell_j} G(x_i, y) dy.  The envelope at
+the nodes (the midpoint rule) gives every entry; the entries it misses are
+then written from one row-sorted table: the singular diagonal cell,
+integrated in closed form through the |x - y|^{2s-1} envelope, whose
+min-factors are 1 on every cell because the exactly mirrored grid has
+half-width <= delta, and a Gauss-refined band around it.  The grid
 and the synthetic kernel are symmetric under x -> 1 - x, so the synthetic
 operator is stored folded, as two (n/2, n/2) blocks acting on the
 mirror-even and mirror-odd parts of a vector: half the bytes and half the
@@ -70,27 +72,22 @@ _BLOCK_ENTRIES = 2 ** 16  # matrix entries per row block of the assembly
 def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
     """Assemble the folded operator of the synthetic kernel.
 
-    Off-diagonal entries are w_j G(x_i, x_j), upgraded to Gauss-Legendre
-    cell integrals near the diagonal where the integrable singularity makes
-    the midpoint rule first-order; in-band values are symmetrized at the
-    kernel level, Ghat_ij = (I_ij/w_j + I_ji/w_i)/2, which keeps every row
-    a consistent quadrature (entrywise averaging (A+A^T)/2 would inject an
-    O(h) bulk bias on graded meshes where w_i != w_j).  The diagonal cell
-    integral is the closed form int |x_i - y|^{2s-1} dy over the cell with
-    min-factors 1, exact because every cell's half-width is at most
-    delta(x_i).  Only the left n/2 rows are computed, in row blocks of
-    about _BLOCK_ENTRIES entries, each folded into `even` and `odd` at
-    once, so no n x n temporary exists.  The row-block buffers are
-    allocated once per call and reused by every block, with every step
-    written in place.
+    Every entry is first w_j G(x_i, x_j), the envelope at the nodes; then
+    the entries it misses, the singular diagonal cell and the Gauss band
+    around it, are written from one row-sorted table of corrected entries
+    (`_corrected_entries`).  Off the table r_ij = |x_i - x_j| > 0; on it r
+    is set to 1, so r = 0 never reaches the envelope.  Only the left n/2
+    rows are computed, in row blocks of about _BLOCK_ENTRIES entries, each
+    folded into `even` and `odd` at once, so no n x n temporary exists.
+    The row-block buffers are allocated once per call and reused by every
+    block, with every step written in place.
     """
     x = grid.nodes
     w = grid.weights
     d = grid.delta
     n = grid.n
     half = n // 2
-    band = _near_diagonal_averages(kernel, grid)
-    diag = _own_cell_integral(0.5 * w, 2.0 * kernel.params.s)
+    rows_at, cols_at, values = _corrected_entries(kernel, grid)
     even = np.empty((half, half))
     odd = np.empty((half, half))
     rows = max(1, _BLOCK_ENTRIES // n)
@@ -98,34 +95,18 @@ def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
     for r0 in range(0, half, rows):
         r1 = min(r0 + rows, half)
         r, G, scratch = buffers[:, :r1 - r0]
+        lo, hi = np.searchsorted(rows_at, (r0, r1))
+        at = (rows_at[lo:hi] - r0) * n + cols_at[lo:hi]  # flat indices in the block
         np.subtract(x[r0:r1, None], x[None, :], out=r)
         np.abs(r, out=r)
-        _diagonal(r, r0, 0, r0, r1)[:] = 1.0  # placeholder, overwritten below
+        r.put(at, 1.0)  # placeholders, overwritten below
         _envelope(r, d[r0:r1, None], d[None, :], kernel.params, out=G, scratch=scratch)
-        for off, avg in band:
-            up = min(r1, avg.size)  # rows whose pair (i, i + off) lies in the grid
-            _diagonal(G, r0, off, r0, up)[:] = avg[r0:up]
-            down = max(r0, off)     # rows whose pair (i, i - off) lies in the grid
-            if down < r1:
-                _diagonal(G, r0, -off, down, r1)[:] = avg[down - off:r1 - off]
         G *= w
-        _diagonal(G, r0, 0, r0, r1)[:] = diag[r0:r1]
+        G.put(at, values[lo:hi])
         left, right = G[:, :half], G[:, half:][:, ::-1]
         np.add(left, right, out=even[r0:r1])
         np.subtract(left, right, out=odd[r0:r1])
     return GreenOperator(grid=grid, even=even, odd=odd, params=kernel.params)
-
-
-def _diagonal(block: np.ndarray, r0: int, off: int, i0: int, i1: int) -> np.ndarray:
-    """Writable view of the entries (i, i + off), i0 <= i < i1, of a row block.
-
-    The block is C-contiguous and holds the rows r0, r0 + 1, ... of an
-    n-column matrix, so entry (i, j) sits at (i - r0) n + j of its flat
-    view and the wanted entries are one slice of stride n + 1.
-    """
-    n = block.shape[1]
-    start = (i0 - r0) * n + i0 + off
-    return block.reshape(-1)[start:start + max(0, i1 - i0) * (n + 1):n + 1]
 
 
 def _own_cell_integral(half_width, a: float):
@@ -136,15 +117,20 @@ def _own_cell_integral(half_width, a: float):
 _NEAR_BAND = 8        # off-diagonal band refined by Gauss quadrature
 _GAUSS_NODES = 8
 
-def _near_diagonal_averages(kernel: GreenKernel, grid: Grid) -> list[tuple[int, np.ndarray]]:
-    """Symmetric Gauss cell averages on the band the left rows touch.
+def _corrected_entries(kernel: GreenKernel, grid: Grid):
+    """(rows, cols, values) of the entries in rows < n/2 the envelope misses.
 
-    Within a few cells of the singularity the kernel's curvature makes the
-    midpoint rule only first-order accurate, which dominates the global
-    assembly error; an 8-point Gauss rule on those cells removes it.  The
-    two one-sided cell averages are combined symmetrically so the kernel
-    values stay exactly symmetric.  Returns (off, avg) pairs with avg[a]
-    the value at the node pair (a, a + off), for every a < n/2.
+    Sorted by row, each value already times its weight w_j.  The diagonal
+    cell integral is the closed form int |x_i - y|^{2s-1} dy over the cell
+    with min-factors 1, exact because every cell's half-width is at most
+    delta(x_i).  Within _NEAR_BAND cells of the singularity the kernel's
+    curvature makes the midpoint rule only first-order accurate, which
+    dominates the global assembly error; an 8-point Gauss rule on those
+    cells removes it.  The two one-sided cell averages are combined at the
+    kernel level, Ghat_ij = (I_ij/w_j + I_ji/w_i)/2, so the kernel values
+    stay exactly symmetric and every row a consistent quadrature
+    (entrywise averaging (A+A^T)/2 would inject an O(h) bulk bias on
+    graded meshes where w_i != w_j).
     """
     gx, gw = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     x = grid.nodes
@@ -162,12 +148,20 @@ def _near_diagonal_averages(kernel: GreenKernel, grid: Grid) -> list[tuple[int, 
         vals = kernel(np.broadcast_to(x[i0][:, None], y.shape), y)
         return half * (vals @ gw) / w[j0]
 
-    band = []
-    for off in range(1, min(_NEAR_BAND, n - 1) + 1):
-        i0 = np.arange(min(n // 2, n - off))
+    k = _NEAR_BAND
+    i = np.arange(n // 2)
+    cols = i[:, None] + np.arange(-k, k + 1)  # row i holds the columns i - k .. i + k
+    values = np.empty(cols.shape)
+    values[:, k] = _own_cell_integral(0.5 * w, 2.0 * kernel.params.s)[i]
+    for off in range(1, min(k, n - 1) + 1):
+        i0 = i[:n - off]  # rows whose pair (i, i + off) lies in the grid
         j0 = i0 + off
-        band.append((off, 0.5 * (cell_average(i0, j0) + cell_average(j0, i0))))
-    return band
+        avg = 0.5 * (cell_average(i0, j0) + cell_average(j0, i0))
+        values[i0, k + off] = avg * w[j0]
+        left = j0 < n // 2  # pairs whose mirror entry (j0, i0) is in a left row too
+        values[j0[left], k - off] = (avg * w[i0])[left]
+    rows, band = np.nonzero((cols >= 0) & (cols < n))  # row by row, so sorted by row
+    return rows, cols[rows, band], values[rows, band]
 
 
 @dataclass(frozen=True)

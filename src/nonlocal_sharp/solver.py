@@ -41,8 +41,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError("solver handles 0 < p < 1; p = 1 is the eigenvalue problem")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tol < np.inf:  # NaN fails both comparisons
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)

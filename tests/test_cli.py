@@ -241,13 +241,24 @@ class TestEigen:
         assert code == 3
         assert f"{error.__name__}: no room" in err
 
-    @pytest.mark.parametrize("flags", [["--n-eigs", "50"], ["--tol", "0"]],
-                             ids=["n-eigs", "tol"])
+    @pytest.mark.parametrize("flags", [["--n-eigs", "50"], ["--tol", "0"], ["--tol", "nan"],
+                                       ["--tol", "inf"]],
+                             ids=["n-eigs", "tol", "tol-nan", "tol-inf"])
     def test_bad_request_exits_2_before_building(self, capsys, tmp_path, monkeypatch, flags):
         calls = []
         monkeypatch.setattr(cli, "assemble", lambda kernel, grid: calls.append(grid))
         code, _, err = run(capsys, "eigen", "--backend", "synthetic", "--s", "0.2",
                            "--n", "4000", *flags, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert calls == []
+
+    def test_unusable_out_dir_exits_2_before_building(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "assemble", lambda kernel, grid: calls.append(grid))
+        (tmp_path / "file").write_text("")
+        code, _, err = run(capsys, "eigen", "--backend", "synthetic", "--s", "0.2",
+                           "--n", "400", "--out-dir", str(tmp_path / "file" / "sub"))
         assert code == 2
         assert err.startswith("error:")
         assert calls == []
@@ -332,6 +343,17 @@ class TestStudy:
         assert err.startswith("error:")
         assert calls == []
         assert not (tmp_path / "study.csv").exists()
+
+    def test_unusable_out_dir_exits_2_before_running(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_run", calls.append)
+        cfg = write_config(tmp_path, [SMALL_CASE])
+        (tmp_path / "file").write_text("")
+        code, _, err = run(capsys, "study", "--config", cfg,
+                           "--out-dir", str(tmp_path / "file" / "sub"))
+        assert code == 2
+        assert err.startswith("error:")
+        assert calls == []
 
     def test_out_dir_flag_overrides_config(self, capsys, tmp_path):
         cfg = write_config(tmp_path, [SMALL_CASE])  # its out_dir is tmp_path

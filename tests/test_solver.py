@@ -125,8 +125,9 @@ class TestPicardSolve:
         for p in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError, match="0 < p < 1"):
                 SolverConfig(p=p)
-        with pytest.raises(ValueError):
-            SolverConfig(p=0.5, tol=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SolverConfig(p=0.5, tol=tol)
 
     def test_solution_positive_interior(self, small_op):
         sol = picard_solve(small_op, SolverConfig(p=0.5, tol=1e-10))
