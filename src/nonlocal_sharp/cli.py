@@ -293,7 +293,8 @@ def cmd_study(args) -> int:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a fork pool starts all its workers at once: no more than there are cases
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(parsed))) as pool:
             outcomes = list(pool.map(_case_outcome, parsed))  # preserves input order
     rows = [row for row, _ in outcomes if row is not None]
     errors = [{"case": i, "error": err} for i, (_, err) in enumerate(outcomes)

@@ -8,14 +8,17 @@ integrated in closed form through the |x - y|^{2s-1} envelope, whose
 min-factors are 1 on every cell because the exactly mirrored grid has
 half-width <= delta, and a Gauss-refined band around it.  The grid
 and the synthetic kernel are symmetric under x -> 1 - x, so the synthetic
-operator is stored folded, as two (n/2, n/2) blocks acting on the
-mirror-even and mirror-odd parts of a vector: half the bytes and half the
-matvec work of the n x n matrix, and exactly mirror-symmetric.  A
-mirror-even input, such as every Picard iterate, has an odd part of exact
-zeros, so its apply reads the even block alone.  The spectral backend is
-the matrix transfer of the second-difference Dirichlet Laplacian: its
-eigenvectors on the uniform midpoint grid are the DST-II sine modes, so
-the operator stores only its n eigenvalues (the symbol).  Extended oddly
+operator is folded into two (n/2, n/2) blocks acting on the mirror-even
+and mirror-odd parts of a vector: half the matvec work of the n x n
+matrix, and exactly mirror-symmetric.  A mirror-even input, such as every
+Picard iterate, has an odd part of exact zeros, so its apply reads the
+even block alone; only that block is built up front, and a solve holds a
+quarter of the n x n bytes.  The odd block is built by the same fold the
+first time a mirror-odd input needs it (eigenpairs, sampled kernel
+bounds).  The spectral backend is the matrix transfer of the
+second-difference Dirichlet Laplacian: its eigenvectors on the uniform
+midpoint grid are the DST-II sine modes, so the operator stores only its
+n eigenvalues (the symbol).  Extended oddly
 to 2n points, a grid function sees the midpoint Dirichlet Laplacian as
 the 2n-point periodic one, a circulant whose Fourier modes are those sine
 modes; `apply` is that circulant, numpy's real FFT of the odd extension
@@ -28,7 +31,9 @@ is the one entry point for both backends, and both run on numpy alone.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -46,24 +51,32 @@ class GreenOperator:
     product <u, v>_w = sum_i w_i u_i v_i (the discrete L^2 pairing).  The
     grid and the kernel are symmetric under x -> 1 - x, so A commutes with
     the flip and is fixed by its left rows [A_LL, A_LR].  With J the flip of
-    n/2 entries it is stored as two (n/2, n/2) blocks,
+    n/2 entries it acts through two (n/2, n/2) blocks,
 
         even = A_LL + A_LR J,    odd = A_LL - A_LR J,
 
-    which act on the mirror-even and mirror-odd parts of a vector.  `apply`
+    on the mirror-even and mirror-odd parts of a vector.  `apply`
     recombines them, so a mirror-symmetric input gives an exactly
-    mirror-symmetric result.
+    mirror-symmetric result.  Only `even` is stored up front: `odd` is
+    made by the zero-argument `build_odd` the first time it is read, and
+    kept, so an operator that sees only mirror-even inputs never holds it.
     """
 
     grid: Grid
     even: np.ndarray
-    odd: np.ndarray
+    build_odd: Callable[[], np.ndarray]
     params: ProblemParams
 
     def __post_init__(self):
-        half = (self.grid.n // 2,) * 2
-        if self.even.shape != half or self.odd.shape != half:
+        if self.even.shape != (self.grid.n // 2,) * 2:
             raise ValueError("block shapes do not match grid")
+
+    @cached_property
+    def odd(self) -> np.ndarray:
+        odd = self.build_odd()
+        if odd.shape != self.even.shape:
+            raise ValueError("block shapes do not match grid")
+        return odd
 
 
 _BLOCK_ENTRIES = 2 ** 16  # matrix entries per row block of the assembly
@@ -72,14 +85,25 @@ _BLOCK_ENTRIES = 2 ** 16  # matrix entries per row block of the assembly
 def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
     """Assemble the folded operator of the synthetic kernel.
 
+    Builds `even` now and leaves `odd` to the same fold with np.subtract,
+    run the first time a mirror-odd input reads it.
+    """
+    return GreenOperator(grid=grid, even=_fold(kernel, grid, np.add),
+                         build_odd=partial(_fold, kernel, grid, np.subtract),
+                         params=kernel.params)
+
+
+def _fold(kernel: GreenKernel, grid: Grid, combine) -> np.ndarray:
+    """The (n/2, n/2) block combine(A_LL, A_LR J) of the synthetic kernel.
+
     Every entry is first w_j G(x_i, x_j), the envelope at the nodes; then
     the entries it misses, the singular diagonal cell and the Gauss band
     around it, are written from one row-sorted table of corrected entries
     (`_corrected_entries`).  Off the table r_ij = |x_i - x_j| > 0; on it r
     is set to 1, so r = 0 never reaches the envelope.  Only the left n/2
     rows are computed, in row blocks of about _BLOCK_ENTRIES entries, each
-    folded into `even` and `odd` at once, so no n x n temporary exists.
-    The row-block buffers are allocated once per call and reused by every
+    folded into the block at once, so no n x n temporary exists.  The
+    row-block buffers are allocated once per call and reused by every
     block, with every step written in place.
     """
     x = grid.nodes
@@ -88,8 +112,7 @@ def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
     n = grid.n
     half = n // 2
     rows_at, cols_at, values = _corrected_entries(kernel, grid)
-    even = np.empty((half, half))
-    odd = np.empty((half, half))
+    out = np.empty((half, half))
     rows = max(1, _BLOCK_ENTRIES // n)
     buffers = np.empty((3, rows, n))
     for r0 in range(0, half, rows):
@@ -103,10 +126,8 @@ def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
         _envelope(r, d[r0:r1, None], d[None, :], kernel.params, out=G, scratch=scratch)
         G *= w
         G.put(at, values[lo:hi])
-        left, right = G[:, :half], G[:, half:][:, ::-1]
-        np.add(left, right, out=even[r0:r1])
-        np.subtract(left, right, out=odd[r0:r1])
-    return GreenOperator(grid=grid, even=even, odd=odd, params=kernel.params)
+        combine(G[:, :half], G[:, half:][:, ::-1], out=out[r0:r1])
+    return out
 
 
 def _own_cell_integral(half_width, a: float):
@@ -161,7 +182,8 @@ def _corrected_entries(kernel: GreenKernel, grid: Grid):
         left = j0 < n // 2  # pairs whose mirror entry (j0, i0) is in a left row too
         values[j0[left], k - off] = (avg * w[i0])[left]
     rows, band = np.nonzero((cols >= 0) & (cols < n))  # row by row, so sorted by row
-    return rows, cols[rows, band], values[rows, band]
+    # int32 indices: a block's flat index (row - r0) * n + col stays below _BLOCK_ENTRIES + n
+    return rows.astype(np.int32), cols[rows, band].astype(np.int32), values[rows, band]
 
 
 @dataclass(frozen=True)
@@ -192,11 +214,12 @@ def apply(op: Operator, v: np.ndarray) -> np.ndarray:
     columns of an (n, m) array.  For the folded operator, an input whose
     mirror-odd part is exactly zero skips the odd block: the result is
     [E e ; J E e], the value the two-block formula gives, for half the
-    bytes read.  For the spectral operator, each column is extended oddly
-    to [v, -v reversed] and transformed by a long-double rfft of length
-    2n; Fourier mode k (k = 1..n) is sine mode k and is scaled by
-    symbol[k - 1], the mean by 0, and the first n values of the irfft are
-    returned in float64.
+    bytes read, and the odd block is never built.  Any other input reads
+    `op.odd`, which builds that block on first use.  For the spectral
+    operator, each column is extended oddly to [v, -v reversed] and
+    transformed by a long-double rfft of length 2n; Fourier mode k
+    (k = 1..n) is sine mode k and is scaled by symbol[k - 1], the mean by
+    0, and the first n values of the irfft are returned in float64.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != op.grid.n:

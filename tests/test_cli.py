@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import re
 from pathlib import Path
@@ -382,6 +383,33 @@ class TestStudy:
         assert main(["study", "--config", cfg, "--jobs", "2"]) == 0
         capsys.readouterr()
         assert (tmp_path / "study.csv").read_text() == serial
+
+    def test_pool_never_outnumbers_the_cases(self, capsys, tmp_path, monkeypatch):
+        # a fork pool starts all of its workers at once, needed or not
+        cfg = write_config(tmp_path, [SMALL_CASE, {**SMALL_CASE, "s": 0.3}])
+        assert main(["study", "--config", cfg, "--jobs", "1"]) == 0
+        serial = (tmp_path / "study.csv").read_text()
+        sizes, pool = [], concurrent.futures.ProcessPoolExecutor
+
+        def spy(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+        assert main(["study", "--config", cfg, "--jobs", "8"]) == 0
+        capsys.readouterr()
+        assert sizes == [2]
+        assert (tmp_path / "study.csv").read_text() == serial
+
+    def test_synthetic_case_never_builds_the_odd_block(self, monkeypatch):
+        # every Picard iterate is mirror-even, so the solve reads the even block alone
+        ops, solve = [], cli.picard_solve
+
+        def spy(op, config):
+            ops.append(op)
+            return solve(op, config)
+        monkeypatch.setattr(cli, "picard_solve", spy)
+        assert cli.run_case(SMALL_CASE)["iterations"] > 0
+        assert "odd" not in vars(ops[0])
 
     def test_invalid_jobs_exits_2(self, capsys, tmp_path):
         cfg = write_config(tmp_path, [SMALL_CASE])

@@ -24,6 +24,7 @@ from nonlocal_sharp import (
     graded_mesh,
     green_q_norm,
     green_q_norm_profile,
+    leading_eigenpairs,
     spectral_mt_operator,
     synthetic_k5,
 )
@@ -31,6 +32,25 @@ from nonlocal_sharp import (
 
 def two_cell_grid():
     return Grid([0.0, 0.5])
+
+
+def traced_assembly(n):
+    """(stored bytes, tracemalloc peak) of a fresh synthetic assembly on n nodes.
+
+    The stored bytes are read before anything touches the odd block, which
+    reading would build.  numpy.polynomial, which the Gauss rule imports on
+    first use, is loaded before tracing starts: tracemalloc would count it.
+    """
+    kernel = synthetic_k5(ProblemParams(s=0.2, gamma=1.0))
+    grid = graded_mesh(n, 3.0)
+    np.polynomial.legendre.leggauss(operators._GAUSS_NODES)
+    tracemalloc.start()
+    try:
+        op = assemble(kernel, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return op.even.nbytes, peak
 
 
 class TestAssemble:
@@ -60,7 +80,7 @@ class TestAssemble:
         grid = graded_mesh(2 * n_half, beta)
         with mock.patch.object(operators, "_BLOCK_ENTRIES", block_rows * grid.n):
             op = assemble(kernel, grid)
-        M = apply(op, np.eye(grid.n))
+            M = apply(op, np.eye(grid.n))  # not mirror-even: builds the odd block here
         ref = dense_synthetic_assembly(kernel, grid)
         top, bottom = M[:n_half], M[n_half:]
         assert np.max(np.abs(top - ref[:n_half])) <= 1e-14 * np.max(np.abs(ref))
@@ -73,41 +93,50 @@ class TestAssemble:
         grid = graded_mesh(n, 2.0)
         with mock.patch.object(operators, "_BLOCK_ENTRIES", 3 * n):
             op = assemble(kernel, grid)
-        top = apply(op, np.eye(n))[:n // 2]
+            top = apply(op, np.eye(n))[:n // 2]  # not mirror-even: builds the odd block here
         ref = dense_synthetic_assembly(kernel, grid)[:n // 2]
         assert np.max(np.abs(top - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_stores_only_its_halves(self):
         op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(64, 3.0))
-        arrays = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
-        assert [a.shape for a in arrays] == [(32, 32), (32, 32)]
+
+        def stored_shapes():
+            return [a.shape for a in vars(op).values() if isinstance(a, np.ndarray)]
+        apply(op, np.ones(64))  # mirror-even: the even block alone
+        assert stored_shapes() == [(32, 32)]
+        apply(op, np.arange(64.0))  # mirror-odd part: builds and keeps the odd block
+        assert stored_shapes() == [(32, 32), (32, 32)]
+
+    def test_odd_block_is_built_once_on_first_mirror_odd_apply(self, monkeypatch):
+        folds, fold = [], operators._fold
+
+        def spy(kernel, grid, combine):
+            folds.append(combine)
+            return fold(kernel, grid, combine)
+        monkeypatch.setattr(operators, "_fold", spy)
+        kernel = synthetic_k5(ProblemParams(s=0.3, gamma=0.7))
+        grid = graded_mesh(128, 3.0)
+        op = assemble(kernel, grid)
+        assert folds == [np.add]
+        leading_eigenpairs(op, n_eigs=3)  # many applies to mirror-odd vectors
+        assert folds == [np.add, np.subtract]
+        ref = dense_synthetic_assembly(kernel, grid)
+        top_left, top_right = ref[:64, :64], ref[:64, 64:]
+        err = np.max(np.abs(op.odd - (top_left - top_right[:, ::-1])))
+        assert err <= 1e-14 * np.max(np.abs(ref))
 
     def test_assembly_peak_memory_within_twice_stored_bytes(self):
-        kernel = synthetic_k5(ProblemParams(s=0.2, gamma=1.0))
-        grid = graded_mesh(1000, 3.0)
-        tracemalloc.start()
-        try:
-            op = assemble(kernel, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        stored = op.even.nbytes + op.odd.nbytes
-        assert stored == 1000 ** 2 // 2 * 8
+        n = 1000
+        stored, peak = traced_assembly(n)
+        assert stored == n ** 2 // 4 * 8
         assert peak <= 2 * stored, peak / stored
 
-    def test_assembly_reuses_its_row_block_buffers(self):
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_assembly_reuses_its_row_block_buffers(self, n):
         # a handful of row blocks in flight at once, not fresh ones for every step
-        kernel = synthetic_k5(ProblemParams(s=0.2, gamma=1.0))
-        n = 1000
-        grid = graded_mesh(n, 3.0)
-        tracemalloc.start()
-        try:
-            op = assemble(kernel, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        stored, peak = traced_assembly(n)
         block = operators._BLOCK_ENTRIES // n * n * 8
-        extra = (peak - op.even.nbytes - op.odd.nbytes) / block
+        extra = (peak - stored) / block
         assert extra <= 5.0, extra
 
     def test_refinement_convergence_first_order(self):
@@ -152,7 +181,8 @@ class TestApply:
     def test_mirror_even_input_skips_the_odd_block(self, op):
         half = op.grid.n // 2
         blind = GreenOperator(grid=op.grid, even=op.even,
-                              odd=np.full((half, half), np.nan), params=op.params)
+                              build_odd=lambda: np.full((half, half), np.nan),
+                              params=op.params)
         gen = np.random.default_rng(5)
         for shape in ((half,), (half, 3)):
             left = gen.uniform(0, 1, shape)

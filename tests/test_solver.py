@@ -33,7 +33,8 @@ from nonlocal_sharp import (
 def scalar_op(value=2.0):
     # two uncoupled cells: the scalar map u -> value * u^p on each node
     return GreenOperator(grid=Grid([0.0, 0.5]), even=np.array([[value]]),
-                         odd=np.array([[value]]), params=ProblemParams(s=0.25, gamma=1.0))
+                         build_odd=lambda: np.array([[value]]),
+                         params=ProblemParams(s=0.25, gamma=1.0))
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +156,7 @@ class TestPicardSolve:
         def signed_op(even):
             # a negative entry breaks monotonicity, which the certificate catches
             even = np.array(even)
-            return GreenOperator(grid=grid, even=even, odd=even, params=params)
+            return GreenOperator(grid=grid, even=even, build_odd=lambda: even, params=params)
 
         with pytest.raises(BracketError, match="min T"):
             picard_solve(signed_op([[1.0, -0.5], [0.0, 1.0]]), SolverConfig(p=0.5))
