@@ -2,9 +2,9 @@
 
 Exit codes: 0 success; 2 argument or configuration validation failure,
 found before any solve (a case is validated by building everything its run
-needs but the operator, its fit window included); 3 run-time failure of a
-valid case, one of `_RUN_ERRORS`: non-convergence or a broken solver
-certificate (RuntimeError), memory, arithmetic, or a numerical check
+needs but the operator, its fit and Harnack windows included); 3 run-time
+failure of a valid case, one of `_RUN_ERRORS`: non-convergence or a broken
+solver certificate (RuntimeError), memory, arithmetic, or a numerical check
 (ValueError raised while running).  No failure path exits 1.
 All file outputs are written atomically (temporary file + rename) with
 deterministic formatting: floats at 17 significant digits, '.' decimal
@@ -30,7 +30,8 @@ from .fitting import fit_report, fit_window
 from .grids import Grid, graded_mesh
 from .kernels import ProblemParams, check_kernel_bounds, synthetic_k5
 from .operators import assemble, green_q_norm_profile, spectral_mt_operator
-from .solver import ConvergenceError, SolverConfig, harnack_report, picard_solve
+from .solver import (ConvergenceError, SolverConfig, harnack_report, harnack_window,
+                     picard_solve)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -99,7 +100,10 @@ _CASE_FIELDS = {
     "tol": ("number", 1e-10),
     "force_critical": ("boolean", False),
 }
-_JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "boolean": bool}
+# the study config's top level, read by the same rules as a case
+_CONFIG_FIELDS = {"cases": ("array", _REQUIRED), "out_dir": ("string", ".")}
+_JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "boolean": bool,
+               "array": list}
 
 # The run-time failures of a valid case, exit 3: non-convergence and broken
 # certificates (RuntimeError), numerical checks such as the fit's positive
@@ -142,21 +146,36 @@ class _Case(NamedTuple):
     prediction: ExponentPrediction
 
 
-def _field(case: dict, name: str):
-    kind, default = _CASE_FIELDS[name]
-    if name not in case:
+def _field(obj: dict, fields: dict, name: str, what: str):
+    kind, default = fields[name]
+    if name not in obj:
         if default is _REQUIRED:
-            raise ValueError(f"case missing required field {name!r}")
+            raise ValueError(f"{what} missing required field {name!r}")
         return default
-    value = case[name]
+    value = obj[name]
     # bool is an int in Python, but a JSON boolean is no number
     if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "boolean"):
-        raise ValueError(f"case field {name!r} must be a JSON {kind}, got {value!r}")
+        raise ValueError(f"{what} field {name!r} must be a JSON {kind}, got {value!r}")
     if kind != "number":
         return value
     if not abs(value) <= sys.float_info.max:  # NaN, infinity, or an integer no double holds
-        raise ValueError(f"case field {name!r} must be a finite number, got {value!r}")
+        raise ValueError(f"{what} field {name!r} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _read_fields(obj, fields: dict, what: str) -> dict:
+    """The fields of a JSON object, by a table of name -> (JSON type, default).
+
+    Unknown fields, missing required ones and values of another JSON type
+    are rejected with ValueError.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a {what} must be a JSON object")
+    unknown = sorted(set(obj) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown {what} field {unknown[0]!r}; "
+                         f"the fields are {', '.join(fields)}")
+    return {name: _field(obj, fields, name, what) for name in fields}
 
 
 def _parse_case(case) -> _Case:
@@ -165,23 +184,19 @@ def _parse_case(case) -> _Case:
     This is the one place a case's fields are read.  Unknown fields,
     missing required ones and values of another JSON type are rejected;
     then the library's own checks run as the parameters, mesh, backend,
-    solver settings and prediction are built, and the fit window is taken
-    on the mesh, so a case whose fit could not run fails before it solves.
+    solver settings and prediction are built, and the fit and Harnack
+    windows are taken on the mesh, so a case whose fit or Harnack report
+    could not run fails before it solves.
     Raises ValueError.
     """
-    if not isinstance(case, dict):
-        raise ValueError("a case must be a JSON object")
-    unknown = sorted(set(case) - set(_CASE_FIELDS))
-    if unknown:
-        raise ValueError(f"unknown case field {unknown[0]!r}; "
-                         f"the fields are {', '.join(_CASE_FIELDS)}")
-    f = {name: _field(case, name) for name in _CASE_FIELDS}
+    f = _read_fields(case, _CASE_FIELDS, "case")
     params = ProblemParams(s=f["s"], gamma=f["gamma"])
     grid, build = _operator_plan(f["backend"], params, f["n"], f["beta_g"])
     solver = SolverConfig(p=f["p"], tol=f["tol"])
     prediction = predict_mu(params.s, params.gamma, solver.p,
                             force_critical=f["force_critical"])
     fit_window(grid, prediction.regime == "critical")
+    harnack_window(grid)
     return _Case(f["backend"], params, grid, build, solver, prediction)
 
 
@@ -266,17 +281,11 @@ def cmd_solve(args) -> int:
 
 def cmd_study(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError("study config must be a JSON object")
-    cases = config.get("cases")
-    if not isinstance(cases, list) or not cases:
+        config = _read_fields(json.load(fh), _CONFIG_FIELDS, "study config")
+    cases = config["cases"]
+    if not cases:
         raise ValueError("study config contains no cases: 'cases' must be a non-empty list")
-    out_dir = config.get("out_dir", ".")
-    if not isinstance(out_dir, str):
-        raise ValueError("study config 'out_dir' must be a string")
-    if args.out_dir is not None:
-        out_dir = args.out_dir
+    out_dir = config["out_dir"] if args.out_dir is None else args.out_dir
     parsed = []
     for i, case in enumerate(cases):
         try:

@@ -115,7 +115,12 @@ def hls_ladder(N: int, s: float) -> HlsLadder:
 
     Stops at the first exponent above N/(2s); a nonpositive denominator
     means the next exponent exceeds every bound, terminating immediately.
+    Raises ValueError unless N >= 1 and 0 < s <= 1.
     """
+    if N < 1:
+        raise ValueError("dimension N must be a positive integer")
+    if not 0.0 < s <= 1.0:
+        raise ValueError("fractional order s must lie in (0, 1]")
     target = N / (2.0 * s)
     seq = [2.0]
     k = 0
@@ -125,7 +130,9 @@ def hls_ladder(N: int, s: float) -> HlsLadder:
             break
         seq.append(N * seq[-1] / denom)
         k += 1
-        if k > 10_000:  # unreachable for 2s < N; guards degenerate input
+        # 1/p_k = 1/2 - 2sk/N, so the ladder takes about N/(4s) steps:
+        # this stops it for s below about N/40000
+        if k > 10_000:
             raise RuntimeError("ladder failed to terminate")
     return HlsLadder(sequence=tuple(seq), k_star=k if seq[-1] > target else 0)
 

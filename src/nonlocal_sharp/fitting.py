@@ -8,13 +8,15 @@ the one rule every fit and the CLI's pre-check use: `Grid.boundary_window`
 excludes the quadrature-polluted nodes nearest each endpoint and caps delta
 to stay in the asymptotic regime; both halves of the grid are pooled.
 Every fit returns one type, `FitReport`: `fit_power` fills mu_hat and r2,
-and `fit_report` of a critical prediction also the fitted log factor, or
-k = 0 with nothing divided out when it detects no correction.
+and `fit_report` of a critical prediction also the exponent k of the log
+factor (a + b |log delta|)^k, or k = 0 with nothing divided out when it
+detects no correction.  `_offset_aware_fit` finds (k, a, b) by one scan
+of the log(a/b) box, then golden section around the best scan point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +33,13 @@ class FitReport:
     """Measured exponents; compare them with an `ExponentPrediction`.
 
     mu_hat, r2 -- slope and R^2 of the log-log power fit
-    log_exp_hat, offset_params -- critical fits only: the exponent k and
-        the (a, b) of the factor (a + b |log delta|)^k divided out first
+    log_exp_hat -- critical fits only: the exponent k of the factor
+        (a + b |log delta|)^k divided out first
     """
 
     mu_hat: float
     r2: float
     log_exp_hat: float | None = None
-    offset_params: tuple[float, float] | None = None
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray):
@@ -77,19 +78,14 @@ def fit_window(grid: Grid, critical: bool) -> np.ndarray:
     return mask
 
 
-def _power_fit(u: np.ndarray, grid: Grid, mask: np.ndarray) -> FitReport:
-    uw = _positive_values(u, mask)
-    slope, r2 = _least_squares(np.log(grid.delta[mask]), np.log(uw))
+def fit_power(u: np.ndarray, grid: Grid) -> FitReport:
+    """Least-squares slope of log u against log delta over the adaptive window."""
+    mask = fit_window(grid, critical=False)
+    slope, r2 = _least_squares(np.log(grid.delta[mask]), np.log(_positive_values(u, mask)))
     return FitReport(mu_hat=slope, r2=r2)
 
 
-def fit_power(u: np.ndarray, grid: Grid) -> FitReport:
-    """Least-squares slope of log u against log delta over the adaptive window."""
-    return _power_fit(u, grid, fit_window(grid, critical=False))
-
-
 _LOG_C_BOX = (-60.0, 60.0)  # log(a/b) for log a, log b in [-30, 30]
-_LOG_C_FIRST = 10.0         # the scan covers |log c| <= 10 first
 _LOG_C_STEP = 0.5           # spacing of the scan over log c
 _GOLDEN_STEPS = 70          # shrink the scan bracket by 0.618^70 ~ 2e-15
 _K_MAX = 10.0               # the slope box is [0, _K_MAX]
@@ -104,10 +100,8 @@ def _offset_aware_fit(t: np.ndarray, y: np.ndarray):
     y = k z_c + k log a for z_c = log(1 + t/c), a 1-D linear regression for
     each fixed c, whose slope is clipped to [0, _K_MAX]: the sum of squares
     is convex in k, so that is the bounded optimum.  The profiled sum of
-    squares is scanned over |log c| <= _LOG_C_FIRST, and over all of
-    _LOG_C_BOX only when the best point is on an edge of that range (the
-    two scans share their grid points), then refined by golden section
-    around the best scan point.  When a or b is no finite positive
+    squares is scanned once over all of _LOG_C_BOX, then refined by golden
+    section around the best scan point.  When a or b is no finite positive
     double, (0, exp(mean y), 0) is returned, no detectable correction: at
     k = 0 (y does not grow with t, constant y included) log a is undefined,
     and a tiny k needs a huge a to carry the level of y.
@@ -128,12 +122,9 @@ def _offset_aware_fit(t: np.ndarray, y: np.ndarray):
         r = yc - k * zc  # residuals directly: ss_tot - k (zc . yc) cancels
         return float(r @ r), k, z_mean
 
-    for lo, hi in ((-_LOG_C_FIRST, _LOG_C_FIRST), _LOG_C_BOX):
-        scan = np.arange(lo, hi + 0.5 * _LOG_C_STEP, _LOG_C_STEP)
-        ss = [profile(x)[0] for x in scan]
-        best = int(np.argmin(ss))
-        if 0 < best < scan.size - 1:
-            break
+    scan = np.arange(_LOG_C_BOX[0], _LOG_C_BOX[1] + 0.5 * _LOG_C_STEP, _LOG_C_STEP)
+    ss = [profile(x)[0] for x in scan]
+    best = int(np.argmin(ss))
     lo, hi = scan[max(best - 1, 0)], scan[min(best + 1, scan.size - 1)]
     x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
     f1, f2 = profile(x1)[0], profile(x2)[0]
@@ -168,13 +159,11 @@ def fit_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction) -> Fit
     would not reach k.  A fit with no detectable correction reports k = 0
     and divides out nothing.
     """
-    critical = prediction.regime == "critical"
-    mask = fit_window(grid, critical)
-    if not critical:
-        return _power_fit(u, grid, mask)
-    d = grid.delta[mask]
-    t, y = np.abs(np.log(d)), np.log(_positive_values(u, mask) / d ** prediction.mu)
-    k, a, b = _offset_aware_fit(t, y)
-    correction = (a + b * np.abs(np.log(grid.delta))) ** k
-    res = _power_fit(np.asarray(u, dtype=float) / correction, grid, mask)
-    return replace(res, log_exp_hat=k, offset_params=(a, b))
+    if prediction.regime != "critical":
+        return fit_power(u, grid)
+    mask = fit_window(grid, critical=True)
+    d, uw = grid.delta[mask], _positive_values(u, mask)
+    t = np.abs(np.log(d))
+    k, a, b = _offset_aware_fit(t, np.log(uw / d ** prediction.mu))
+    slope, r2 = _least_squares(np.log(d), np.log(uw / (a + b * t) ** k))
+    return FitReport(mu_hat=slope, r2=r2, log_exp_hat=k)

@@ -119,23 +119,32 @@ class HarnackReport:
     local_ratio: float      # sup u / inf u over the interior ball
 
 
-def harnack_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction) -> HarnackReport:
-    """Two-sided comparability of u with the predicted boundary profile.
+def harnack_window(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks (boundary window, interior ball) the Harnack report reads.
 
-    global: sup and inf of u / w over the boundary window delta <= 0.1, with
-    w the profile delta^mu (or its logarithmic refinement in the critical
-    regime); local: sup/inf of u over the interior ball B_0.1(1/2).
-    Raises InsufficientWindowError when the window or the ball holds no node.
+    The window is delta <= 0.1 without the nodes nearest each endpoint; the
+    ball is B_0.1(1/2).  Raises InsufficientWindowError when either holds
+    no node, so a caller can reject a mesh before it solves on it.
     """
-    u = np.asarray(u, dtype=float)
     mask = grid.boundary_window(_HARNACK_EXCLUDE, _HARNACK_DELTA_MAX)
-    profile = prediction.profile(grid.delta[mask])
-    ratios = u[mask] / profile
-
     ball = np.abs(grid.nodes - _BALL_CENTRE) <= _BALL_RADIUS
     if not ball.any():
         raise InsufficientWindowError(
             f"no node in the interior ball |x - {_BALL_CENTRE}| <= {_BALL_RADIUS}")
+    return mask, ball
+
+
+def harnack_report(u: np.ndarray, grid: Grid, prediction: ExponentPrediction) -> HarnackReport:
+    """Two-sided comparability of u with the predicted boundary profile.
+
+    global: sup and inf of u / w over the boundary window of
+    `harnack_window`, with w the profile delta^mu (or its logarithmic
+    refinement in the critical regime); local: sup/inf of u over its
+    interior ball.  Raises InsufficientWindowError as `harnack_window` does.
+    """
+    u = np.asarray(u, dtype=float)
+    mask, ball = harnack_window(grid)
+    ratios = u[mask] / prediction.profile(grid.delta[mask])
     local = float(np.max(u[ball]) / np.min(u[ball]))
     return HarnackReport(global_ratio=float(np.max(ratios)) / float(np.min(ratios)),
                          local_ratio=local)

@@ -34,6 +34,9 @@ UNFILLABLE_FIT_WINDOWS = [
      "force_critical": True},
 ]
 UNFILLABLE_IDS = ["n8", "critical-n64", "critical-n2000"]
+# fills its fit window, but no node lies in the Harnack ball |x - 1/2| <= 0.1
+EMPTY_HARNACK_BALL = {"backend": "synthetic", "s": 0.2, "gamma": 1.0, "p": 0.5, "n": 40,
+                      "beta_g": 11.0}
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -120,6 +123,12 @@ class TestVerifyKernel:
         assert code == 2
         assert "gamma = 1" in err
 
+    def test_spectral_report(self, capsys):
+        code, out, _ = run(capsys, "verify-kernel", "--backend", "spectral", "--s", "0.2",
+                           "--n", "64", "--n-samples", "200")
+        assert code == 0
+        assert {"violations", "c0_hat", "c1_hat"} <= set(json.loads(out))
+
 
 class TestGreenNorm:
     def test_power_regime_slope(self, capsys):
@@ -203,6 +212,15 @@ class TestSolve:
         code, _, err = run(capsys, "solve", *solve_flags(case), "--out-dir", str(tmp_path))
         assert code == 2
         assert err.startswith("error:")
+        assert calls == []
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_empty_harnack_ball_exits_2_before_solving(self, capsys, tmp_path, monkeypatch):
+        calls = record_solves(monkeypatch)
+        code, _, err = run(capsys, "solve", *solve_flags(EMPTY_HARNACK_BALL),
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "interior ball" in err
         assert calls == []
         assert not (tmp_path / "fit.json").exists()
 
@@ -310,7 +328,9 @@ class TestStudy:
                     {**SMALL_CASE, "n": 64.9},
                     {**SMALL_CASE, "gamma": True},
                     {**SMALL_CASE, "p": 1.5},
-                    {**SMALL_CASE, "tol": float("nan")}):  # written as NaN, which json reads
+                    {**SMALL_CASE, "tol": float("nan")},  # written as NaN, which json reads
+                    {**SMALL_CASE, "backend": "fem"},
+                    1):  # no JSON object
             cfg = write_config(tmp_path, [SMALL_CASE, bad])
             code, _, err = run(capsys, "study", "--config", cfg)
             assert code == 2
@@ -328,11 +348,21 @@ class TestStudy:
         assert calls == []
         assert not (tmp_path / "study.csv").exists()
 
+    def test_empty_harnack_ball_exits_2_before_solving(self, capsys, tmp_path, monkeypatch):
+        calls = record_solves(monkeypatch)
+        cfg = write_config(tmp_path, [SMALL_CASE, EMPTY_HARNACK_BALL])
+        code, _, err = run(capsys, "study", "--config", cfg)
+        assert code == 2
+        assert "case 1" in err and "interior ball" in err
+        assert calls == []
+        assert not (tmp_path / "study.csv").exists()
+
     @pytest.mark.parametrize("config", [
         [1, 2],
         {"cases": 5},
         {"cases": [SMALL_CASE], "out_dir": 5},
-    ], ids=["array", "cases-not-a-list", "out-dir-not-a-string"])
+        {"cases": [SMALL_CASE], "outdir": "elsewhere", "jobs": 4},
+    ], ids=["array", "cases-not-a-list", "out-dir-not-a-string", "unknown-key"])
     def test_malformed_config_exits_2_before_running(self, capsys, tmp_path, monkeypatch,
                                                      config):
         calls = []

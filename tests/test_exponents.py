@@ -123,10 +123,24 @@ class TestHlsLadder:
         assert lad.sequence == (2.0, 6.0)
         assert lad.k_star == 1
 
-    def test_nonpositive_denominator_terminates(self):
-        lad = hls_ladder(1, 0.4)
+    def test_start_above_the_target_takes_no_step(self):
+        lad = hls_ladder(1, 0.4)  # p_0 = 2 > N/(2s) = 1.25
         assert lad.k_star == 0
         assert lad.sequence == (2.0,)
+
+    def test_nonpositive_denominator_terminates(self):
+        lad = hls_ladder(1, 0.25)  # p_0 = N/(2s): the next denominator N - 2s p_0 is 0
+        assert lad.k_star == 0
+        assert lad.sequence == (2.0,)
+
+    def test_tiny_order_exhausts_the_step_guard(self):
+        with pytest.raises(RuntimeError, match="failed to terminate"):
+            hls_ladder(1, 1e-5)  # about N/(4s) = 25000 steps
+
+    @pytest.mark.parametrize("N,s", [(0, 0.2), (1, -0.3), (1, 0.0), (1, 1.5)])
+    def test_invalid_input_rejected(self, N, s):
+        with pytest.raises(ValueError):
+            hls_ladder(N, s)
 
     @pytest.mark.parametrize("N,s", [(1, 0.05), (1, 0.3), (2, 0.4), (3, 0.45)])
     def test_termination_bound(self, N, s):
