@@ -8,7 +8,6 @@ correction at the critical parameter threshold.
 
 from .grids import Grid, InsufficientWindowError, boundary_distance, graded_mesh
 from .kernels import (
-    BoundReport,
     DiagonalSingularityError,
     GreenKernel,
     ProblemParams,
@@ -42,14 +41,11 @@ from .solver import (
 )
 from .exponents import (
     BqClassification,
-    CaseLabel,
     EigenvalueProblemSignal,
     ExponentPrediction,
-    HlsLadder,
     classify_bq,
     hls_ladder,
     nu_case_machine,
-    nu_sequence,
     predict_mu,
 )
 from .fitting import FitReport, fit_power, fit_report
@@ -58,7 +54,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Grid", "InsufficientWindowError", "boundary_distance", "graded_mesh",
-    "BoundReport", "DiagonalSingularityError", "GreenKernel", "ProblemParams",
+    "DiagonalSingularityError", "GreenKernel", "ProblemParams",
     "check_kernel_bounds", "synthetic_k5",
     "GreenOperator", "apply", "assemble", "green_q_norm",
     "green_q_norm_profile", "spectral_mt_operator",
@@ -66,8 +62,8 @@ __all__ = [
     "eigenfunction_boundary_report", "leading_eigenpairs",
     "BracketError", "ConvergenceError", "HarnackReport", "SemilinearSolution",
     "SolverConfig", "enclosure", "harnack_report", "picard_map", "picard_solve",
-    "BqClassification", "CaseLabel", "EigenvalueProblemSignal",
-    "ExponentPrediction", "HlsLadder", "classify_bq", "hls_ladder",
-    "nu_case_machine", "nu_sequence", "predict_mu",
+    "BqClassification", "EigenvalueProblemSignal",
+    "ExponentPrediction", "classify_bq", "hls_ladder",
+    "nu_case_machine", "predict_mu",
     "FitReport", "fit_power", "fit_report",
 ]

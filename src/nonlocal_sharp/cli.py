@@ -19,14 +19,16 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .eigen import check_eigen_request, eigenfunction_boundary_report, leading_eigenpairs
+from .eigen import (check_eigen_request, eigenfunction_boundary_report, leading_eigenpairs,
+                    ratio_window)
 from .exponents import ExponentPrediction, classify_bq, nu_case_machine, predict_mu
-from .fitting import fit_report, fit_window
+from .fitting import _least_squares, fit_report, fit_window
 from .grids import Grid, graded_mesh
 from .kernels import ProblemParams, check_kernel_bounds, synthetic_k5
 from .operators import assemble, green_q_norm_profile, spectral_mt_operator
@@ -72,18 +74,8 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _prediction_json(s: float, gamma: float, p: float, force_critical: bool) -> dict:
-    pred = predict_mu(s, gamma, p, force_critical=force_critical)
-    case = nu_case_machine(s, gamma, 1.0 / p, force_critical=force_critical)
-    out = {"mu": pred.mu, "sigma": pred.sigma, "regime": pred.regime,
-           "case_label": case.label}
-    if pred.log_exponent is not None:
-        out["log_exponent"] = pred.log_exponent
-    if case.nu_1 is not None:
-        out["nu_1"] = case.nu_1
-    if case.nu_infinity is not None:
-        out["nu_infinity"] = case.nu_infinity
-    return out
+def _without_none(out: dict) -> dict:
+    return {k: v for k, v in out.items() if v is not None}
 
 
 # ---------------------------------------------------------------- case running
@@ -252,8 +244,12 @@ def _row_json(row: dict) -> dict:
 # ----------------------------------------------------------------- subcommands
 
 def cmd_predict(args) -> int:
-    out = _prediction_json(args.s, args.gamma, args.p, args.force_critical)
-    sys.stdout.write(_json_text(out))
+    pred = predict_mu(args.s, args.gamma, args.p, force_critical=args.force_critical)
+    case = nu_case_machine(args.s, args.gamma, 1.0 / args.p,
+                           force_critical=args.force_critical)
+    out = {**asdict(pred), "case_label": case.label,
+           "nu_1": case.nu_1, "nu_infinity": case.nu_infinity}
+    sys.stdout.write(_json_text(_without_none(out)))
     return EXIT_OK
 
 
@@ -335,6 +331,7 @@ def cmd_eigen(args) -> int:
     grid, build = _operator_plan(args.backend, ProblemParams(s=args.s, gamma=args.gamma),
                                  args.n, args.beta_g)
     check_eigen_request(grid.n, args.n_eigs, args.tol)
+    ratio_window(grid)
     os.makedirs(args.out_dir, exist_ok=True)
     pairs = leading_eigenpairs(build(), n_eigs=args.n_eigs, tol=args.tol)
     ratios = eigenfunction_boundary_report(pairs, grid, args.gamma)
@@ -343,20 +340,15 @@ def cmd_eigen(args) -> int:
         lines.append(f"{pair.index},{_fmt(pair.mu)},{_fmt(1.0 / pair.mu)},"
                      f"{_fmt(pair.residual)}")
     _atomic_write(os.path.join(args.out_dir, "eigenpairs.csv"), "\n".join(lines) + "\n")
-    report = [{"index": r.index, "sup_ratio": r.sup_ratio, "inf_ratio": r.inf_ratio}
-              for r in ratios]
-    _atomic_write(os.path.join(args.out_dir, "boundary_ratios.json"), _json_text(report))
+    _atomic_write(os.path.join(args.out_dir, "boundary_ratios.json"),
+                  _json_text([asdict(r) for r in ratios]))
     sys.stdout.write(_json_text({"mu_1": pairs[0].mu, "n_pairs": len(pairs)}))
     return EXIT_OK
 
 
 def cmd_bq(args) -> int:
     cls = classify_bq(args.N, args.s, args.gamma, args.q)
-    out = {"regime": cls.regime, "phi_exponent": cls.phi_exponent,
-           "q_low": cls.q_low, "q_high": cls.q_high}
-    if cls.log_exponent is not None:
-        out["log_exponent"] = cls.log_exponent
-    sys.stdout.write(_json_text(out))
+    sys.stdout.write(_json_text(_without_none(asdict(cls))))
     return EXIT_OK
 
 
@@ -369,8 +361,8 @@ def cmd_green_norm(args) -> int:
     if cls.log_exponent is not None:
         # at the threshold, divide out the factor (1 + |log delta|^{1/q}) first
         norms = norms / (1.0 + np.abs(np.log(deltas)) ** cls.log_exponent)
-    slope, intercept = np.polyfit(np.log(deltas), np.log(norms), 1)
-    out = {"slope": float(slope), "intercept": float(intercept),
+    slope, r2 = _least_squares(np.log(deltas), np.log(norms))
+    out = {"slope": slope, "r2": r2,
            "n_points": int(deltas.size), "regime": cls.regime,
            "predicted_slope": args.gamma * cls.phi_exponent}
     sys.stdout.write(_json_text(out))
@@ -385,9 +377,7 @@ def cmd_verify_kernel(args) -> int:
         _, build = _operator_plan("spectral", params, args.n, beta_g=1.0)
         target = build()
     report = check_kernel_bounds(target, n_samples=args.n_samples, seed=args.seed)
-    out = {"c0_hat": report.c0_hat, "c1_hat": report.c1_hat,
-           "violations": report.violations, "n_samples": report.n_samples}
-    sys.stdout.write(_json_text(out))
+    sys.stdout.write(_json_text(asdict(report)))
     return EXIT_OK
 
 

@@ -98,14 +98,21 @@ class BoundaryRatio:
     inf_ratio: float | None     # inf phi / delta^gamma, first pair only
 
 
-def eigenfunction_boundary_report(pairs: list[EigenPair], grid: Grid,
-                                  gamma: float) -> list[BoundaryRatio]:
-    """sup |phi_n|/delta^gamma (and inf phi_1/delta^gamma) near the boundary.
+def ratio_window(grid: Grid) -> np.ndarray:
+    """Boolean mask of the nodes the boundary ratios are measured on.
 
     The window is delta in (0, 0.2], excluding the nodes closest to each
-    endpoint where the diagonal quadrature pollutes node values.
+    endpoint where the diagonal quadrature pollutes node values.  Raises
+    InsufficientWindowError when it holds no node, so a caller can reject
+    a mesh before it builds the operator.
     """
-    mask = grid.boundary_window(_EXCLUDE, _DELTA_MAX)
+    return grid.boundary_window(_EXCLUDE, _DELTA_MAX)
+
+
+def eigenfunction_boundary_report(pairs: list[EigenPair], grid: Grid,
+                                  gamma: float) -> list[BoundaryRatio]:
+    """sup |phi_n|/delta^gamma (and inf phi_1/delta^gamma) over `ratio_window`."""
+    mask = ratio_window(grid)
     prof = grid.delta[mask] ** gamma
     out = []
     for pair in pairs:

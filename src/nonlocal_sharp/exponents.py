@@ -113,8 +113,8 @@ class HlsLadder:
 def hls_ladder(N: int, s: float) -> HlsLadder:
     """Smoothing bootstrap p_{k+1} = N p_k / (N - 2 s p_k), from p_0 = 2.
 
-    Stops at the first exponent above N/(2s); a nonpositive denominator
-    means the next exponent exceeds every bound, terminating immediately.
+    Stops at the first exponent above N/(2s); at p_k = N/(2s) the
+    denominator is 0 and the next exponent is +inf, which counts as a step.
     Raises ValueError unless N >= 1 and 0 < s <= 1.
     """
     if N < 1:
@@ -123,18 +123,14 @@ def hls_ladder(N: int, s: float) -> HlsLadder:
         raise ValueError("fractional order s must lie in (0, 1]")
     target = N / (2.0 * s)
     seq = [2.0]
-    k = 0
     while seq[-1] <= target:
         denom = N - 2.0 * s * seq[-1]
-        if denom <= 0.0:
-            break
-        seq.append(N * seq[-1] / denom)
-        k += 1
+        seq.append(N * seq[-1] / denom if denom > 0.0 else math.inf)
         # 1/p_k = 1/2 - 2sk/N, so the ladder takes about N/(4s) steps:
         # this stops it for s below about N/40000
-        if k > 10_000:
+        if len(seq) > 10_001:
             raise RuntimeError("ladder failed to terminate")
-    return HlsLadder(sequence=tuple(seq), k_star=k if seq[-1] > target else 0)
+    return HlsLadder(sequence=tuple(seq), k_star=len(seq) - 1)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ class FitReport:
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray):
+    """(slope, R^2) of the least-squares line y ~ x: every reported slope comes from here."""
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept
     ss_res = float(np.sum((y - fitted) ** 2))

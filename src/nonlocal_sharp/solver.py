@@ -6,7 +6,11 @@ a supersolution for a = (min r)^{1/(1-p)} and b = (max r)^{1/(1-p)}, and
 the unique positive fixed point lies in [a u, b u].  One Picard sequence
 from the torsion function G[1] contracts in Hilbert's projective metric
 (Birkhoff-Bushell), so b/a - 1 shrinks geometrically; it is the reported
-certificate.
+certificate.  Since min r = a^{1-p} and max r = b^{1-p}, the next
+enclosure [a' T(u), b' T(u)] lies inside [a u, b u] exactly when
+a' >= a^p and b' <= b^p, so the two numbers (a, b) carry the whole
+certificate; a step may miss either bound by the relative roundoff
+_NEST_RTOL.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ class BracketError(RuntimeError):
 
 
 _MAX_ITER = 1000  # Picard iterations before ConvergenceError
+_NEST_RTOL = 1e-12  # relative roundoff a nested enclosure step may show
 
 
 @dataclass(frozen=True)
@@ -80,22 +85,20 @@ def picard_solve(op: Operator, config: SolverConfig) -> SemilinearSolution:
 
     Stops at the first u_k with b/a - 1 <= tol and
     sup |T(u_k) - u_k| / sup u_k <= tol, and returns that u_k.  Successive
-    enclosures [a_k u_k, b_k u_k] are nested in exact arithmetic; a step
-    that widens one by more than roundoff raises BracketError.
+    enclosures [a_k u_k, b_k u_k] are nested in exact arithmetic, that is
+    a_{k+1} >= a_k^p and b_{k+1} <= b_k^p; a step that misses either by
+    more than the relative roundoff _NEST_RTOL raises BracketError.
     """
     p, tol = config.p, config.tol
     u = apply(op, np.ones(op.grid.n))
-    lo = hi = None
+    a, b = 0.0, np.inf  # no enclosure yet: the first step is nested in anything
     residual = np.inf
     for iterations in range(1, _MAX_ITER + 1):
         tu = picard_map(op, p, u)
-        a, b = enclosure(u, tu, p)
-        new_lo, new_hi = a * u, b * u
-        if hi is not None:
-            slack = 1e-12 * float(np.max(hi))
-            if np.any(new_lo < lo - slack) or np.any(new_hi > hi + slack):
-                raise BracketError("enclosures not nested: operator assembly is inconsistent")
-        lo, hi = new_lo, new_hi
+        a_next, b_next = enclosure(u, tu, p)
+        if a_next < a ** p * (1.0 - _NEST_RTOL) or b_next > b ** p * (1.0 + _NEST_RTOL):
+            raise BracketError("enclosures not nested: operator assembly is inconsistent")
+        a, b = a_next, b_next
         gap = b / a - 1.0
         residual = float(np.max(np.abs(tu - u))) / float(np.max(u))
         if gap <= tol and residual <= tol:

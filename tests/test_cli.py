@@ -3,9 +3,11 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nonlocal_sharp import BracketError, ConvergenceError, cli, predict_mu
+from nonlocal_sharp import (BracketError, ConvergenceError, ProblemParams, cli,
+                            graded_mesh, green_q_norm_profile, predict_mu, synthetic_k5)
 from nonlocal_sharp.cli import STUDY_COLUMNS, main
 
 
@@ -68,6 +70,13 @@ class TestPredict:
         assert data["regime"] == "scaling-dominated"
         assert data["case_label"] == "II.A.1"
 
+    def test_keys_are_the_library_fields_without_none(self, capsys):
+        # ExponentPrediction's log_exponent is None off the critical regime
+        code, out, _ = run(capsys, "predict", "--s", "0.2", "--gamma", "1", "--p", "0.5")
+        assert code == 0
+        assert set(json.loads(out)) == {"mu", "sigma", "regime", "case_label", "nu_1",
+                                        "nu_infinity"}
+
     def test_critical_includes_log_exponent(self, capsys):
         code, out, _ = run(capsys, "predict", "--s", "0.25", "--gamma", "1", "--p", "0.5")
         assert code == 0
@@ -97,6 +106,13 @@ class TestBq:
         data = json.loads(out)
         assert data["regime"] == "log"
         assert data["log_exponent"] == pytest.approx(1.6, rel=1e-12)
+
+    def test_linear_regime_omits_log_exponent(self, capsys):
+        code, out, _ = run(capsys, "bq", "--s", "0.2", "--gamma", "1", "--q", "0.5")
+        assert code == 0
+        data = json.loads(out)
+        assert data["regime"] == "linear"
+        assert "log_exponent" not in data
 
     def test_out_of_range_q_exits_2(self, capsys):
         code, _, _ = run(capsys, "bq", "--s", "0.2", "--gamma", "1", "--q", "3")
@@ -139,6 +155,17 @@ class TestGreenNorm:
         assert data["regime"] == "power"
         assert data["predicted_slope"] == pytest.approx(0.4, rel=1e-12)
         assert data["slope"] == pytest.approx(0.4, abs=0.1)
+
+    def test_reports_r2_of_the_library_regression(self, capsys):
+        code, out, _ = run(capsys, "green-norm", "--s", "0.2", "--gamma", "1",
+                           "--q", "1", "--n", "500")
+        assert code == 0
+        data = json.loads(out)
+        assert "intercept" not in data
+        assert 0.99 <= data["r2"] <= 1.0
+        deltas, norms = green_q_norm_profile(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)),
+                                             graded_mesh(500, 3.0), 1.0)
+        assert data["slope"] == float(np.polyfit(np.log(deltas), np.log(norms), 1)[0])
 
     def test_log_threshold_slope(self, capsys):
         # q = N/(N - 2s + gamma): the factor (1 + |log delta|^{1/q}) is divided out
@@ -249,6 +276,9 @@ class TestEigen:
         assert len(lines) == 3
         ratios = json.loads((tmp_path / "boundary_ratios.json").read_text())
         assert len(ratios) == 2
+        # BoundaryRatio's fields; the inf ratio is kept, as null, past the first pair
+        assert ratios[1] == {"index": 2, "sup_ratio": ratios[1]["sup_ratio"],
+                             "inf_ratio": None}
 
     @pytest.mark.parametrize("error", [MemoryError, FloatingPointError])
     def test_run_time_error_exits_3(self, capsys, tmp_path, monkeypatch, error):
@@ -270,6 +300,15 @@ class TestEigen:
                            "--n", "4000", *flags, "--out-dir", str(tmp_path))
         assert code == 2
         assert err.startswith("error:")
+        assert calls == []
+
+    def test_empty_ratio_window_exits_2_before_building(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "assemble", lambda kernel, grid: calls.append(grid))
+        code, _, err = run(capsys, "eigen", "--backend", "synthetic", "--s", "0.2",
+                           "--n", "8", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "in window" in err
         assert calls == []
 
     def test_unusable_out_dir_exits_2_before_building(self, capsys, tmp_path, monkeypatch):

@@ -10,9 +10,9 @@ from nonlocal_sharp import (
     classify_bq,
     hls_ladder,
     nu_case_machine,
-    nu_sequence,
     predict_mu,
 )
+from nonlocal_sharp.exponents import nu_sequence
 
 
 class TestPredictMu:
@@ -130,8 +130,8 @@ class TestHlsLadder:
 
     def test_nonpositive_denominator_terminates(self):
         lad = hls_ladder(1, 0.25)  # p_0 = N/(2s): the next denominator N - 2s p_0 is 0
-        assert lad.k_star == 0
-        assert lad.sequence == (2.0,)
+        assert lad.k_star == 1
+        assert lad.sequence == (2.0, math.inf)
 
     def test_tiny_order_exhausts_the_step_guard(self):
         with pytest.raises(RuntimeError, match="failed to terminate"):

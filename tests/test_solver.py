@@ -162,6 +162,10 @@ class TestPicardSolve:
             picard_solve(signed_op([[1.0, -0.5], [0.0, 1.0]]), SolverConfig(p=0.5))
         with pytest.raises(BracketError, match="not nested"):
             picard_solve(signed_op([[2.0, -1.0], [0.5, 1.0]]), SolverConfig(p=0.5))
+        # non-monotone only where u ~ 1e-6 max u: the second step misses
+        # a' >= a^p by 1.8e-5 relative, which is 1.8e-13 of max u
+        with pytest.raises(BracketError, match="not nested"):
+            picard_solve(signed_op([[1.0, 0.0], [-1e-12, 1e-4]]), SolverConfig(p=0.5))
 
     def test_spectral_certificate_holds_at_long_double_precision(self):
         # With float64 sine transforms, rounding noise in T(u)/u at the two
