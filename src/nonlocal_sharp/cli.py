@@ -39,10 +39,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
+# a case's identity: the fields that name it in every output
+_CASE_KEYS = ("s", "gamma", "p", "backend", "n")
 # the study.csv columns, each read from the run row of the same name
-STUDY_COLUMNS = ("s", "gamma", "p", "backend", "n", "mu_pred", "mu_hat", "r2", "regime",
-                 "log_exp_pred", "log_exp_hat", "ghp_ratio", "iterations", "residual",
-                 "wall_ms")
+STUDY_COLUMNS = (*_CASE_KEYS, "mu_pred", "mu_hat", "r2", "regime", "log_exp_pred",
+                 "log_exp_hat", "ghp_ratio", "iterations", "residual", "wall_ms")
 
 
 def _fmt(x) -> str:
@@ -68,6 +69,11 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_csv(path: str, header, rows) -> None:
+    lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _json_text(obj) -> str:
@@ -217,24 +223,20 @@ def run_case(case: dict) -> dict:
     return _run(_parse_case(case))
 
 
-def _case_outcome(case: _Case) -> tuple[dict | None, str | None]:
-    """(row, None) from a validated case's run, or (None, error) if it failed.
+def _case_outcome(case: _Case) -> tuple[dict | None, dict | None]:
+    """(row, None) from a validated case's run, or (None, failure) if it failed.
 
-    Catching here keeps one failing case from discarding the rows of the
-    others, in the serial loop and in pool workers alike.  The error comes
-    back as a string: a ConvergenceError does not survive unpickling.
+    The one place a run's errors are caught, for `solve`, the serial study
+    loop and pool workers alike, so one failing case keeps the rows of the
+    others.  The failure is {"error": text, "residual": r}, r the last
+    residual of a ConvergenceError, else None: plain values, because a
+    ConvergenceError does not survive unpickling.
     """
     try:
         return _run(case), None
     except _RUN_ERRORS as exc:
-        return None, _error_text(exc)
-
-
-def _row_csv(row: dict) -> str:
-    # The CSV contract is byte-identical output for identical configs, so the
-    # wall_ms column carries a deterministic 0; measured timings go to JSON.
-    fields = {**row, "wall_ms": "0"}
-    return ",".join(_fmt(fields[name]) for name in STUDY_COLUMNS)
+        residual = exc.residual if isinstance(exc, ConvergenceError) else None
+        return None, {"error": _error_text(exc), "residual": residual}
 
 
 def _row_json(row: dict) -> dict:
@@ -254,23 +256,17 @@ def cmd_predict(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    case = _parse_case({name: getattr(args, name) for name in _CASE_FIELDS})
+    fields = {name: getattr(args, name) for name in _CASE_FIELDS}
+    case = _parse_case(fields)
     os.makedirs(args.out_dir, exist_ok=True)
     fit_path = os.path.join(args.out_dir, "fit.json")
-    try:
-        row = _run(case)
-    except _RUN_ERRORS as exc:
-        residual = exc.residual if isinstance(exc, ConvergenceError) else None
-        diag = {"error": _error_text(exc), "residual": residual,
-                "s": args.s, "gamma": args.gamma, "p": args.p,
-                "backend": args.backend, "n": args.n}
-        _atomic_write(fit_path, _json_text(diag))
-        print(f"error: {_error_text(exc)}", file=sys.stderr)
+    row, failure = _case_outcome(case)
+    if failure is not None:
+        _atomic_write(fit_path, _json_text({**failure, **{k: fields[k] for k in _CASE_KEYS}}))
+        print(f"error: {failure['error']}", file=sys.stderr)
         return EXIT_NUMERICAL
-    lines = ["x,delta,u"]
-    for x, d, u in zip(case.grid.nodes, case.grid.delta, row["_solution"].u):
-        lines.append(f"{_fmt(x)},{_fmt(d)},{_fmt(u)}")
-    _atomic_write(os.path.join(args.out_dir, "solution.csv"), "\n".join(lines) + "\n")
+    _write_csv(os.path.join(args.out_dir, "solution.csv"), ("x", "delta", "u"),
+               zip(case.grid.nodes, case.grid.delta, row["_solution"].u))
     _atomic_write(fit_path, _json_text(_row_json(row)))
     return EXIT_OK
 
@@ -302,11 +298,13 @@ def cmd_study(args) -> int:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(parsed))) as pool:
             outcomes = list(pool.map(_case_outcome, parsed))  # preserves input order
     rows = [row for row, _ in outcomes if row is not None]
-    errors = [{"case": i, "error": err} for i, (_, err) in enumerate(outcomes)
-              if err is not None]
+    errors = [{"case": i, "error": failure["error"]}
+              for i, (_, failure) in enumerate(outcomes) if failure is not None]
 
-    lines = [",".join(STUDY_COLUMNS)] + [_row_csv(r) for r in rows]
-    _atomic_write(os.path.join(out_dir, "study.csv"), "\n".join(lines) + "\n")
+    # The CSV contract is byte-identical output for identical configs, so the
+    # wall_ms column carries a deterministic 0; measured timings go to JSON.
+    _write_csv(os.path.join(out_dir, "study.csv"), STUDY_COLUMNS,
+               ([{**r, "wall_ms": 0}[name] for name in STUDY_COLUMNS] for r in rows))
 
     summary = {"n_cases": len(cases)}
     if rows:
@@ -316,8 +314,7 @@ def cmd_study(args) -> int:
         worst = int(np.argmax(errs))
         summary["max_abs_err"] = float(max(errs))
         summary["worst_case"] = {k: pool_rows[worst][k]
-                                 for k in ("s", "gamma", "p", "backend", "n",
-                                           "mu_pred", "mu_hat")}
+                                 for k in (*_CASE_KEYS, "mu_pred", "mu_hat")}
     if errors:
         summary["errors"] = errors
     _atomic_write(os.path.join(out_dir, "summary.json"), _json_text(summary))
@@ -335,11 +332,9 @@ def cmd_eigen(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     pairs = leading_eigenpairs(build(), n_eigs=args.n_eigs, tol=args.tol)
     ratios = eigenfunction_boundary_report(pairs, grid, args.gamma)
-    lines = ["index,mu,lambda,residual"]
-    for pair in pairs:
-        lines.append(f"{pair.index},{_fmt(pair.mu)},{_fmt(1.0 / pair.mu)},"
-                     f"{_fmt(pair.residual)}")
-    _atomic_write(os.path.join(args.out_dir, "eigenpairs.csv"), "\n".join(lines) + "\n")
+    _write_csv(os.path.join(args.out_dir, "eigenpairs.csv"),
+               ("index", "mu", "lambda", "residual"),
+               ((pair.index, pair.mu, 1.0 / pair.mu, pair.residual) for pair in pairs))
     _atomic_write(os.path.join(args.out_dir, "boundary_ratios.json"),
                   _json_text([asdict(r) for r in ratios]))
     sys.stdout.write(_json_text({"mu_1": pairs[0].mu, "n_pairs": len(pairs)}))

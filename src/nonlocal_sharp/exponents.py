@@ -10,9 +10,6 @@ checked against:
   (1 + |log delta|^{1/(1-p)}).
 * The three-regime envelope B_q (linear / log / power) governs L^q norms of
   the Green function centred near the boundary.
-* The nu-recursion nu_k = nu_{k-1}/m + 2s/(m gamma) is the bootstrap that
-  produces sigma; running it case by case gives an independent oracle for
-  the (mu, sigma) formulas.
 * The HLS ladder p_{k+1} = N p_k / (N - 2 s p_k) is the smoothing bootstrap
   used to bound eigenfunctions.
 """
@@ -177,19 +174,3 @@ def nu_case_machine(s: float, gamma: float, m: float,
                          nu_1=nu_1, nu_infinity=nu_inf)
     return CaseLabel("II.A.1", sigma_out=two_s * m / (gamma * (m - 1.0)),
                      log_flag=False, nu_1=nu_1, nu_infinity=nu_inf)
-
-
-def nu_sequence(s: float, gamma: float, m: float, k_max: int):
-    """First k_max terms of nu_k = nu_{k-1}/m + 2s/(m gamma).
-
-    Monotone increasing with limit 2s/(gamma (m-1)).
-    """
-    if m <= 1.0:
-        raise ValueError("requires m > 1")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    step = 2.0 * s / (m * gamma)
-    seq = [step]
-    for _ in range(k_max - 1):
-        seq.append(seq[-1] / m + step)
-    return seq

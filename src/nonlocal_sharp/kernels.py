@@ -122,15 +122,16 @@ def check_kernel_bounds(kernel_or_op, n_samples: int = 10_000, seed: int = 0) ->
     Accepts either a pointwise GreenKernel (pairs drawn uniformly in the
     square) or an assembled operator, whose entries divided by the
     quadrature weights estimate kernel values at node pairs.  Operator
-    entries come from one batched apply on the sampled unit columns, so
-    no backend needs to store its matrix.
+    entries come from batched applies on the sampled unit columns, about
+    as many entries per batch as a row block of the assembly, so no
+    backend needs to store its matrix and no batch grows with n squared.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 sample pairs")
     rng = np.random.default_rng(seed)
 
     if not isinstance(kernel_or_op, GreenKernel):  # assembled operator
-        from .operators import apply
+        from .operators import _BLOCK_ENTRIES, apply
 
         op = kernel_or_op
         params = op.params
@@ -142,10 +143,16 @@ def check_kernel_bounds(kernel_or_op, n_samples: int = 10_000, seed: int = 0) ->
         x, y = op.grid.nodes[i], op.grid.nodes[j]
         dx, dy = op.grid.delta[i], op.grid.delta[j]
         cols, col_of = np.unique(j, return_inverse=True)
-        unit = np.zeros((n, cols.size))
-        unit[cols, np.arange(cols.size)] = 1.0
+        g = np.empty(i.size)
+        batch = max(1, _BLOCK_ENTRIES // n)
+        for c0 in range(0, cols.size, batch):
+            c = cols[c0:c0 + batch]
+            unit = np.zeros((n, c.size))
+            unit[c, np.arange(c.size)] = 1.0
+            hit = np.flatnonzero((col_of >= c0) & (col_of < c0 + batch))
+            g[hit] = apply(op, unit)[i[hit], col_of[hit] - c0]
         # entries are w_j times a symmetric kernel-value matrix
-        g = apply(op, unit)[i, col_of] / op.grid.weights[j]
+        g /= op.grid.weights[j]
     else:
         kernel = kernel_or_op
         params = kernel.params

@@ -232,6 +232,20 @@ class TestSolve:
         diag = json.loads((tmp_path / "fit.json").read_text())
         assert "not nested" in diag["error"] and diag["residual"] is None
 
+    def test_convergence_error_record_carries_its_residual(self, capsys, tmp_path,
+                                                           monkeypatch):
+        def stalled(op, config):
+            raise ConvergenceError("did not converge", 0.5)
+        monkeypatch.setattr(cli, "picard_solve", stalled)
+        code, _, err = run(capsys, "solve", "--s", "0.2", "--gamma", "1", "--p", "0.5",
+                           "--n", "64", "--out-dir", str(tmp_path))
+        assert code == 3
+        assert err == "error: ConvergenceError: did not converge\n"
+        record = {"error": "ConvergenceError: did not converge", "residual": 0.5,
+                  "s": 0.2, "gamma": 1.0, "p": 0.5, "backend": "synthetic", "n": 64}
+        text = (tmp_path / "fit.json").read_text()
+        assert text == json.dumps(record, sort_keys=True, indent=2) + "\n"
+
     @pytest.mark.parametrize("case", UNFILLABLE_FIT_WINDOWS, ids=UNFILLABLE_IDS)
     def test_unfillable_fit_window_exits_2_before_solving(self, capsys, tmp_path,
                                                           monkeypatch, case):
@@ -506,6 +520,16 @@ class TestStudy:
         assert summary["errors"] == [{"case": 1, "error": "ConvergenceError: did not converge"}]
         assert summary["n_cases"] == 3
         assert (tmp_path / "study.csv").read_text().splitlines() == [full[0], full[1], full[3]]
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_the_target_and_no_temporary(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            cli._atomic_write(str(target), "a lone surrogate \ud800 has no UTF-8")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestCaseFields:

@@ -12,7 +12,6 @@ from nonlocal_sharp import (
     nu_case_machine,
     predict_mu,
 )
-from nonlocal_sharp.exponents import nu_sequence
 
 
 class TestPredictMu:
@@ -203,39 +202,3 @@ class TestNuCaseMachine:
         lab = nu_case_machine(s, gamma, 1.0 / p)
         assert abs(lab.sigma_out - pred.sigma) <= 1e-12
         assert lab.log_flag == (pred.regime == "critical")
-
-
-class TestNuSequence:
-    def test_golden_example(self):
-        seq = nu_sequence(0.2, 1.0, 2.0, 6)
-        np.testing.assert_allclose(
-            seq[:4], [0.2, 0.3, 0.35, 0.375], rtol=1e-14)
-        assert abs(seq[-1] - 0.4) < 0.4 * 2.0 ** -5
-
-    def test_geometric_contraction(self):
-        s, gamma, m = 0.22, 0.9, 3.0
-        nu_inf = 2 * s / (gamma * (m - 1))
-        seq = nu_sequence(s, gamma, m, 12)
-        for a, b in zip(seq, seq[1:]):
-            assert (b - nu_inf) == pytest.approx((a - nu_inf) / m, rel=1e-10)
-
-    def test_closed_form(self):
-        s, gamma, m = 0.17, 0.8, 2.5
-        step = 2 * s / (m * gamma)
-        seq = nu_sequence(s, gamma, m, 10)
-        for k, nu in enumerate(seq, start=1):
-            closed = step * sum(m ** -j for j in range(k))
-            assert nu == pytest.approx(closed, rel=1e-14)
-
-    def test_single_term(self):
-        assert nu_sequence(0.3, 0.9, 2.0, 1) == [2 * 0.3 / (2.0 * 0.9)]
-
-    def test_monotone_increasing(self):
-        seq = nu_sequence(0.2, 1.0, 1.5, 20)
-        assert all(b > a for a, b in zip(seq, seq[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            nu_sequence(0.2, 1.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            nu_sequence(0.2, 1.0, 2.0, 0)

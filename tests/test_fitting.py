@@ -20,6 +20,13 @@ from nonlocal_sharp.fitting import (
 )
 
 
+class TestLeastSquares:
+    def test_constant_data_fits_exactly(self):
+        slope, r2 = _least_squares(np.linspace(-5.0, -1.0, 9), np.full(9, 2.5))
+        assert r2 == 1.0
+        assert slope == pytest.approx(0.0, abs=1e-12)
+
+
 class TestFitPower:
     def test_exact_power_recovered(self):
         grid = graded_mesh(1000, 3.0)
@@ -128,6 +135,11 @@ class TestOffsetAwareFit:
         t = window_log_distances()
         y = profile(t)
         assert _offset_aware_fit(t, y) == (0.0, float(np.exp(np.mean(y))), 0.0)
+
+    def test_constant_t_falls_back(self):
+        # every z_c is constant, so no c lets k grow from 0
+        y = np.random.default_rng(3).normal(size=12)
+        assert _offset_aware_fit(np.full(12, 3.0), y) == (0.0, float(np.exp(np.mean(y))), 0.0)
 
     def test_steep_profile_fits_on_the_box_edge(self):
         t = window_log_distances()

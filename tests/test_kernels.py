@@ -1,10 +1,16 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import dense_matrix_transfer
 
+from nonlocal_sharp import operators
 from nonlocal_sharp import (
     DiagonalSingularityError,
+    GreenOperator,
     ProblemParams,
     check_kernel_bounds,
     graded_mesh,
@@ -69,6 +75,37 @@ class TestBoundChecks:
         rep = check_kernel_bounds(op, n_samples=5000)
         assert rep.violations == 0
         assert np.isfinite(rep.c1_hat)
+
+    def test_spectral_report_matches_the_dense_matrix(self):
+        op = spectral_mt_operator(0.3, graded_mesh(1000, 1.0))
+        dense = dense_matrix_transfer(0.3, op.grid)
+        left, right = dense[:500, :500], dense[:500, 500:][:, ::-1]
+        folded = GreenOperator(grid=op.grid, even=left + right,
+                               build_odd=lambda: left - right, params=op.params)
+        rep, ref = check_kernel_bounds(op), check_kernel_bounds(folded)
+        assert (rep.violations, rep.n_samples) == (ref.violations, ref.n_samples)
+        # the float64 reference rounds at about 1e-16 of its largest entry, which
+        # is about 1e-9 of the smallest sampled ones, where c0_hat and c1_hat sit
+        assert rep.c0_hat == pytest.approx(ref.c0_hat, rel=1e-8)
+        assert rep.c1_hat == pytest.approx(ref.c1_hat, rel=1e-8)
+
+    def test_batched_report_equals_one_batch(self):
+        op = spectral_mt_operator(0.3, graded_mesh(1000, 1.0))
+        with mock.patch.object(operators, "_BLOCK_ENTRIES", op.grid.n ** 2):
+            whole = check_kernel_bounds(op)
+        assert check_kernel_bounds(op) == whole
+
+    def test_operator_columns_are_applied_in_batches(self):
+        # one batch of every sampled unit column would hold about n^2 doubles
+        # and their long-double transforms: about 77 MB at n = 1000
+        op = spectral_mt_operator(0.3, graded_mesh(1000, 1.0))
+        tracemalloc.start()
+        try:
+            check_kernel_bounds(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak / 1e6
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):

@@ -97,6 +97,17 @@ class TestAssemble:
         ref = dense_synthetic_assembly(kernel, grid)[:n // 2]
         assert np.max(np.abs(top - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    def test_block_shapes_must_match_the_grid(self):
+        grid = graded_mesh(8, 1.0)
+        params = ProblemParams(s=0.2, gamma=1.0)
+        with pytest.raises(ValueError, match="block shapes"):
+            GreenOperator(grid=grid, even=np.eye(3), build_odd=lambda: np.eye(4),
+                          params=params)
+        op = GreenOperator(grid=grid, even=np.eye(4), build_odd=lambda: np.eye(3),
+                           params=params)
+        with pytest.raises(ValueError, match="block shapes"):
+            op.odd
+
     def test_stores_only_its_halves(self):
         op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(64, 3.0))
 
@@ -245,6 +256,11 @@ class TestSpectralMT:
         for _ in range(20):
             v = gen.normal(size=op.grid.n)
             assert v @ apply(op, v) >= -1e-12 * (v @ v)
+
+    def test_symbol_length_must_match_the_grid(self):
+        with pytest.raises(ValueError, match="symbol length"):
+            operators.SpectralOperator(grid=graded_mesh(8, 1.0), symbol=np.ones(7),
+                                       params=ProblemParams(s=0.3, gamma=1.0))
 
     def test_stores_only_its_symbol(self):
         op = spectral_mt_operator(0.3, graded_mesh(64, 1.0))
