@@ -7,20 +7,17 @@ correction at the critical parameter threshold.
 """
 
 from .grids import Grid, InsufficientWindowError, boundary_distance, graded_mesh
-from .kernels import (
+from .operators import (
     DiagonalSingularityError,
     GreenKernel,
-    ProblemParams,
-    check_kernel_bounds,
-    synthetic_k5,
-)
-from .operators import (
     GreenOperator,
     apply,
     assemble,
+    check_kernel_bounds,
     green_q_norm,
     green_q_norm_profile,
     spectral_mt_operator,
+    synthetic_k5,
 )
 from .eigen import (
     BoundaryRatio,
@@ -43,6 +40,7 @@ from .exponents import (
     BqClassification,
     EigenvalueProblemSignal,
     ExponentPrediction,
+    ProblemParams,
     classify_bq,
     hls_ladder,
     nu_case_machine,

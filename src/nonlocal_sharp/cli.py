@@ -27,11 +27,11 @@ import numpy as np
 
 from .eigen import (check_eigen_request, eigenfunction_boundary_report, leading_eigenpairs,
                     ratio_window)
-from .exponents import ExponentPrediction, classify_bq, nu_case_machine, predict_mu
+from .exponents import ExponentPrediction, ProblemParams, classify_bq, nu_case_machine, predict_mu
 from .fitting import _least_squares, fit_report, fit_window
 from .grids import Grid, graded_mesh
-from .kernels import ProblemParams, check_kernel_bounds, synthetic_k5
-from .operators import assemble, green_q_norm_profile, spectral_mt_operator
+from .operators import (assemble, check_kernel_bounds, green_q_norm_profile,
+                        spectral_mt_operator, synthetic_k5)
 from .solver import (ConvergenceError, SolverConfig, harnack_report, harnack_window,
                      picard_solve)
 

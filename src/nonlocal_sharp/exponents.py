@@ -1,8 +1,8 @@
 """Closed-form boundary-decay exponents and regime classification.
 
 Everything here is arithmetic on the parameter tuple (N, s, gamma, p) with
-m = 1/p.  These formulas are the ground truth the numerical fits are
-checked against:
+m = 1/p; `ProblemParams` validates its operator part (s, gamma).  These
+formulas are the ground truth the numerical fits are checked against:
 
 * mu = min(gamma, 2s/(1-p)) is the decay exponent of the semilinear
   solution, sigma = mu/gamma the same exponent measured against the first
@@ -19,7 +19,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .kernels import ProblemParams
+
+@dataclass(frozen=True)
+class ProblemParams:
+    """The operator's parameters (s, gamma), validated once for every caller.
+
+    The nonlinearity power p is no operator parameter: `predict_mu` and
+    `SolverConfig`, which read it, check it themselves.
+    """
+
+    s: float
+    gamma: float
+
+    def __post_init__(self):
+        if not 0.0 < self.s <= 1.0:
+            raise ValueError("fractional order s must lie in (0, 1]")
+        if not 0.0 < self.gamma <= 1.0:
+            raise ValueError("boundary exponent gamma must lie in (0, 1]")
 
 
 class EigenvalueProblemSignal(ValueError):
@@ -59,7 +75,8 @@ def predict_mu(s: float, gamma: float, p: float,
     """
     ProblemParams(s=s, gamma=gamma)
     if p == 1.0:
-        raise EigenvalueProblemSignal("p = 1 is the eigenvalue problem; use the spectral module")
+        raise EigenvalueProblemSignal(
+            "p = 1 is the eigenvalue problem; use the eigen command (leading_eigenpairs)")
     if not 0.0 < p < 1.0:
         raise ValueError("nonlinearity power p must lie in (0, 1)")
     scaling = 2.0 * s / (1.0 - p)

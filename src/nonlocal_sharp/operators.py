@@ -1,4 +1,15 @@
-"""Discretized Green operators: folded assembly, matrix-free transfer, q-norms.
+"""Green operators: synthetic kernel, folded assembly, matrix transfer, bound checks.
+
+The synthetic backend takes the matching two-sided envelope
+
+    G(x, y) = |x-y|^{2s-N} (delta(x)^gamma / |x-y|^gamma ^ 1)
+                            (delta(y)^gamma / |x-y|^gamma ^ 1)
+
+as the kernel itself, with constants 1 and the eigenfunction profile
+replaced by delta^gamma.  All boundary-behaviour theory consumes only the
+envelope bounds, so this one backend probes every (s, gamma) regime:
+gamma = s (restricted), gamma = s - 1/2 (censored-like), gamma = 1
+(spectral).
 
 The integral operator u -> int G(., y) u(y) dy is collocated at grid nodes
 with cell quadrature: A_ij ~ int_{cell_j} G(x_i, y) dy.  The envelope at
@@ -14,19 +25,21 @@ matrix, and exactly mirror-symmetric.  A mirror-even input, such as every
 Picard iterate, has an odd part of exact zeros, so its apply reads the
 even block alone; only that block is built up front, and a solve holds a
 quarter of the n x n bytes.  The odd block is built by the same fold the
-first time a mirror-odd input needs it (eigenpairs, sampled kernel
+first time it is read (a mirror-odd apply, eigenpairs, sampled kernel
 bounds).  The spectral backend is the matrix transfer of the
 second-difference Dirichlet Laplacian: its eigenvectors on the uniform
 midpoint grid are the DST-II sine modes, so the operator stores only its
-n eigenvalues (the symbol).  Extended oddly
-to 2n points, a grid function sees the midpoint Dirichlet Laplacian as
-the 2n-point periodic one, a circulant whose Fourier modes are those sine
-modes; `apply` is that circulant, numpy's real FFT of the odd extension
-times the symbol, in O(n log n), spectrally exact on its grid.  The FFTs
-run in long double (80-bit extended on x86-64 Linux): FFT rounding is
-absolute, and in float64 it is large enough relative to the small
-boundary values of u to break the solver's nesting certificate.  `apply`
-is the one entry point for both backends, and both run on numpy alone.
+n eigenvalues (the symbol).  Extended oddly to 2n points, a grid function
+sees the midpoint Dirichlet Laplacian as the 2n-point periodic one, a
+circulant whose Fourier modes are those sine modes; `apply` is that
+circulant, numpy's real FFT of the odd extension times the symbol, in
+O(n log n), spectrally exact on its grid.  The FFTs run in long double
+(80-bit extended on x86-64 Linux): FFT rounding is absolute, and in
+float64 it is large enough relative to the small boundary values of u to
+break the solver's nesting certificate.  `apply` is the one entry point
+for both backends, and both run on numpy alone; `entries` reads single
+matrix entries from either backend's storage, which is how
+`check_kernel_bounds` samples an operator against the envelope.
 """
 
 from __future__ import annotations
@@ -37,8 +50,68 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .grids import Grid
-from .kernels import GreenKernel, ProblemParams, _envelope
+from .exponents import ProblemParams
+from .grids import Grid, boundary_distance
+
+
+class DiagonalSingularityError(ValueError):
+    """Pointwise evaluation requested on the diagonal x = y."""
+
+
+@dataclass(frozen=True)
+class GreenKernel:
+    """Evaluatable symmetric synthetic kernel."""
+
+    params: ProblemParams
+
+    def __call__(self, x, y):
+        """|x-y|^{2s-1} min(delta(x)^g/|x-y|^g, 1) min(delta(y)^g/|x-y|^g, 1).
+
+        Vectorized over x, y; the diagonal x = y is singular and must be
+        handled by cell-integrated quadrature instead.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        r = np.abs(x - y)
+        if np.any(r == 0.0):
+            raise DiagonalSingularityError("kernel is singular on the diagonal x = y")
+        val = _envelope(r, boundary_distance(x), boundary_distance(y), self.params)
+        return float(val) if val.ndim == 0 else val
+
+
+def synthetic_k5(params: ProblemParams) -> GreenKernel:
+    """Envelope-exact kernel backend on the unit interval; requires s < 1/2."""
+    if not params.s < 0.5:
+        raise ValueError("synthetic backend requires s < 1/2 (integrable 1-D singularity)")
+    return GreenKernel(params)
+
+
+def _envelope(r, dx, dy, params: ProblemParams, out=None, scratch=None):
+    """r^{2s-1} min(dx^gamma/r^gamma, 1) min(dy^gamma/r^gamma, 1).
+
+    The one place the two-sided envelope is written out: the synthetic
+    kernel, the folded assembly, the q-norms and the bound checks all
+    evaluate it here.  r has the shape of the result.  Called with r alone,
+    it returns a new array and leaves r as it was.  The assembly also passes
+    `out` and `scratch`, float arrays of r's shape, and a float r that may
+    be overwritten (it ends up holding r^{2s-1}), so no array of that shape
+    is allocated.  Both ways run the same operations in the same order and
+    give the same bits.
+    """
+    if out is None:
+        r = np.array(r, dtype=float)
+        out, scratch = np.empty_like(r), np.empty_like(r)
+    g = params.gamma
+    rg = scratch
+    np.copyto(rg, r)
+    rg **= g  # the in-place operator keeps numpy's fast paths of `**` (sqrt for 1/2)
+    r **= 2.0 * params.s - 1.0
+    np.divide(dx ** g, rg, out=out)
+    np.minimum(out, 1.0, out=out)
+    np.multiply(r, out, out=out)
+    np.divide(dy ** g, rg, out=rg)
+    np.minimum(rg, 1.0, out=rg)
+    return np.multiply(out, rg, out=out)
 
 
 @dataclass(frozen=True)
@@ -240,6 +313,29 @@ def apply(op: Operator, v: np.ndarray) -> np.ndarray:
     return np.concatenate([ee + oo, (ee - oo)[::-1]])
 
 
+def entries(op: Operator, i, j) -> np.ndarray:
+    """The matrix entries A[i, j] at index arrays i, j, read from storage, no column applied.
+
+    A folded operator commutes with the flip, so a right-half row i is read
+    as the entry (n-1-i, n-1-j); a left row is A_LL = (even + odd)/2 on the
+    left columns and A_LR J = (even - odd)/2 on the flipped right ones, the
+    bits `apply` gives on a unit column.  The spectral operator is `apply`'s
+    2n-point circulant restricted to the first n points, Toeplitz minus
+    Hankel: A[i, j] = c[|i - j|] - c[i + j + 1], with c the circulant's
+    first column, the long-double irfft of [0, symbol].
+    """
+    n = op.grid.n
+    if isinstance(op, SpectralOperator):
+        c = np.fft.irfft(np.concatenate([[0.0], op.symbol], dtype=np.longdouble), 2 * n)
+        return (c[np.abs(i - j)] - c[i + j + 1]).astype(float)
+    flip = i >= n // 2
+    i, j = np.where(flip, n - 1 - i, i), np.where(flip, n - 1 - j, j)
+    right = j >= n // 2
+    j = np.where(right, n - 1 - j, j)
+    even, odd = op.even[i, j], op.odd[i, j]
+    return np.where(right, even - odd, even + odd) / 2.0
+
+
 def spectral_mt_operator(s: float, grid: Grid) -> SpectralOperator:
     """Matrix-transfer realization of the inverse spectral fractional operator.
 
@@ -264,19 +360,22 @@ def green_q_norm(kernel: GreenKernel, grid: Grid, x0_index: int, q: float) -> fl
     """(int_Omega G^q(x, x0) dx)^{1/q} for a grid node x0.
 
     Valid for 0 < q < N/(N-2s); the diagonal cell is integrated through the
-    envelope |x0 - y|^{q(2s-1)} in closed form, as in `assemble`.
+    envelope |x0 - y|^{q(2s-1)} in closed form, as in `assemble`.  A right-half
+    x0 is read at its left-half mirror node, and delta from the grid: the
+    rounding of 1 - x_left is large relative to delta near x = 1.
     """
     s = kernel.params.s
     q_high = 1.0 / (1.0 - 2.0 * s)
     if not 0.0 < q < q_high:
         raise ValueError(f"q must lie in (0, {q_high}); the integral diverges otherwise")
-    x = grid.nodes
-    x0 = x[x0_index]
-    mask = np.arange(grid.n) != x0_index
-    vals = kernel(x[mask], np.full(mask.sum(), x0)) ** q
+    i = range(grid.n)[x0_index]  # a negative index counts from the end, as in numpy
+    i = min(i, grid.n - 1 - i)  # the left-half mirror node of a right-half centre
+    x, d = grid.nodes, grid.delta
+    mask = np.arange(grid.n) != i
+    vals = _envelope(np.abs(x[mask] - x[i]), d[mask], d[i], kernel.params) ** q
     total = float(np.sum(vals * grid.weights[mask]))
     a = 1.0 - q * (1.0 - 2.0 * s)  # > 0 inside the admissible q range
-    total += _own_cell_integral(0.5 * grid.weights[x0_index], a)
+    total += _own_cell_integral(0.5 * grid.weights[i], a)
     return total ** (1.0 / q)
 
 
@@ -296,3 +395,62 @@ def green_q_norm_profile(kernel: GreenKernel, grid: Grid, q: float):
     idx = np.flatnonzero(mask[: grid.n // 2])
     norms = np.array([green_q_norm(kernel, grid, i, q) for i in idx])
     return grid.delta[idx], norms
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """Empirical envelope constants from sampled kernel values.
+
+    c1_hat -- max of G |x-y|^{N-2s} / (min-factor product), the upper form
+    c0_hat -- min of G / (phi(x) phi(y)), the lower form
+    violations -- samples where the lower bound with constant 1 fails
+    n_samples -- number of (x, y) pairs inspected
+    """
+
+    c0_hat: float
+    c1_hat: float
+    violations: int
+    n_samples: int
+
+
+def check_kernel_bounds(kernel_or_op, n_samples: int = 10_000, seed: int = 0) -> BoundReport:
+    """Sample kernel values and report envelope constants.
+
+    Accepts either a pointwise GreenKernel (pairs drawn uniformly in the
+    square) or an operator, whose entries divided by the quadrature
+    weights estimate kernel values at node pairs.  The sampled entries are
+    read from the operator's storage by `entries`, in O(n_samples) memory
+    and without applying the operator.
+    """
+    if n_samples < 100:
+        raise ValueError("need at least 100 sample pairs")
+    rng = np.random.default_rng(seed)
+    params = kernel_or_op.params
+
+    if isinstance(kernel_or_op, GreenKernel):
+        x = rng.uniform(0.0, 1.0, size=n_samples)
+        y = rng.uniform(0.0, 1.0, size=n_samples)
+        coincide = x == y
+        y[coincide] = np.nextafter(y[coincide], 1.0)
+        dx, dy = boundary_distance(x), boundary_distance(y)
+        g = np.asarray(kernel_or_op(x, y))
+    else:
+        op = kernel_or_op
+        n = op.grid.n
+        i = rng.integers(0, n, size=2 * n_samples)
+        j = rng.integers(0, n, size=2 * n_samples)
+        keep = i != j
+        i, j = i[keep][:n_samples], j[keep][:n_samples]
+        x, y = op.grid.nodes[i], op.grid.nodes[j]
+        dx, dy = op.grid.delta[i], op.grid.delta[j]
+        # entries are w_j times a symmetric kernel-value matrix
+        g = entries(op, i, j) / op.grid.weights[j]
+
+    envelope = _envelope(np.abs(x - y), dx, dy, params)
+    phi_prod = dx ** params.gamma * dy ** params.gamma
+
+    c1_hat = float(np.max(g / envelope))
+    c0_hat = float(np.min(g / phi_prod))
+    violations = int(np.count_nonzero(g < phi_prod * (1.0 - 1e-12)))
+    return BoundReport(c0_hat=c0_hat, c1_hat=c1_hat,
+                       violations=violations, n_samples=int(x.size))

@@ -21,8 +21,7 @@ independent references the library is tested against.
 
 import numpy as np
 
-from nonlocal_sharp.kernels import _envelope
-from nonlocal_sharp.operators import _own_cell_integral
+from nonlocal_sharp.operators import _envelope, _own_cell_integral
 
 
 def dense_matrix_transfer(s, grid):

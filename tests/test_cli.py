@@ -97,6 +97,11 @@ class TestPredict:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_p_equal_one_names_the_eigen_command(self, capsys):
+        code, _, err = run(capsys, "predict", "--s", "0.2", "--gamma", "1", "--p", "1")
+        assert code == 2
+        assert "use the eigen command (leading_eigenpairs)" in err
+
 
 class TestBq:
     def test_log_threshold(self, capsys):

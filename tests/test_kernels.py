@@ -12,6 +12,7 @@ from nonlocal_sharp import (
     DiagonalSingularityError,
     GreenOperator,
     ProblemParams,
+    assemble,
     check_kernel_bounds,
     graded_mesh,
     spectral_mt_operator,
@@ -89,15 +90,19 @@ class TestBoundChecks:
         assert rep.c0_hat == pytest.approx(ref.c0_hat, rel=1e-8)
         assert rep.c1_hat == pytest.approx(ref.c1_hat, rel=1e-8)
 
-    def test_batched_report_equals_one_batch(self):
-        op = spectral_mt_operator(0.3, graded_mesh(1000, 1.0))
-        with mock.patch.object(operators, "_BLOCK_ENTRIES", op.grid.n ** 2):
-            whole = check_kernel_bounds(op)
-        assert check_kernel_bounds(op) == whole
+    @pytest.mark.parametrize("build", [
+        lambda: spectral_mt_operator(0.3, graded_mesh(1000, 1.0)),
+        lambda: assemble(synthetic_k5(ProblemParams(0.2, 0.7)), graded_mesh(200, 3.0)),
+    ], ids=["spectral", "folded"])
+    def test_operator_entries_are_read_without_applies(self, build):
+        op = build()
+        with mock.patch.object(operators, "apply", wraps=operators.apply) as spy:
+            check_kernel_bounds(op)
+        assert spy.call_count == 0
 
-    def test_operator_columns_are_applied_in_batches(self):
-        # one batch of every sampled unit column would hold about n^2 doubles
-        # and their long-double transforms: about 77 MB at n = 1000
+    def test_operator_entries_take_no_n_squared_memory(self):
+        # sampling through unit-column applies held about n^2 doubles and their
+        # long-double transforms: about 77 MB at n = 1000
         op = spectral_mt_operator(0.3, graded_mesh(1000, 1.0))
         tracemalloc.start()
         try:

@@ -295,6 +295,25 @@ class TestSpectralMT:
             assert ulps <= 4, ulps
 
 
+class TestEntries:
+    @pytest.mark.parametrize("n", [16, 200])
+    def test_folded_entries_are_the_unit_column_applies(self, n):
+        # every (i, j) covers the four mirror quadrants of the n x n matrix
+        op = assemble(synthetic_k5(ProblemParams(0.2, 0.7)), graded_mesh(n, 3.0))
+        i, j = np.indices((n, n))
+        assert np.array_equal(operators.entries(op, i, j), apply(op, np.eye(n)))
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_spectral_entries_match_the_unit_column_applies(self, n):
+        op = spectral_mt_operator(0.3, graded_mesh(n, 1.0))
+        i, j = np.indices((n, n))
+        dense = apply(op, np.eye(n))
+        # both round the long-double transform absolutely, at about 1e-19 of the
+        # largest entry; the corner entries are 2e-8 of it at n = 1000
+        np.testing.assert_allclose(operators.entries(op, i, j), dense, rtol=1e-14,
+                                   atol=1e-18 * dense.max())
+
+
 @pytest.fixture(scope="module")
 def setup():
     kernel = synthetic_k5(ProblemParams(s=0.2, gamma=1.0))
@@ -319,6 +338,16 @@ class TestGreenQNorm:
         bound = 2.0 / a
         for idx in range(3, grid.n, 29):
             assert green_q_norm(kernel, grid, idx, q) ** q <= bound * (1 + 1e-12)
+
+    @pytest.mark.parametrize("beta", [3.0, 5.0])
+    def test_mirrored_centres_agree_exactly(self, beta):
+        # 1 - x_left rounds by about 1e-16, which near x = 1 is large relative to delta
+        kernel = synthetic_k5(ProblemParams(s=0.2, gamma=1.0))
+        grid = graded_mesh(2000, beta)
+        for i in (0, 1, 7, 500, 999):
+            norm = green_q_norm(kernel, grid, i, 1.0)
+            assert green_q_norm(kernel, grid, grid.n - 1 - i, 1.0) == norm
+            assert green_q_norm(kernel, grid, -1 - i, 1.0) == norm  # the same mirror node
 
     def test_profile_monotone_window(self, setup):
         kernel, grid = setup
