@@ -20,6 +20,12 @@ import math
 from dataclasses import dataclass
 
 
+def _check_order(s: float) -> None:
+    """The one range of the fractional order s: (0, 1]; NaN is rejected."""
+    if not 0.0 < s <= 1.0:
+        raise ValueError("fractional order s must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """The operator's parameters (s, gamma), validated once for every caller.
@@ -32,8 +38,7 @@ class ProblemParams:
     gamma: float
 
     def __post_init__(self):
-        if not 0.0 < self.s <= 1.0:
-            raise ValueError("fractional order s must lie in (0, 1]")
+        _check_order(self.s)
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("boundary exponent gamma must lie in (0, 1]")
 
@@ -133,8 +138,7 @@ def hls_ladder(N: int, s: float) -> HlsLadder:
     """
     if N < 1:
         raise ValueError("dimension N must be a positive integer")
-    if not 0.0 < s <= 1.0:
-        raise ValueError("fractional order s must lie in (0, 1]")
+    _check_order(s)
     target = N / (2.0 * s)
     seq = [2.0]
     while seq[-1] <= target:

@@ -6,11 +6,16 @@ a supersolution for a = (min r)^{1/(1-p)} and b = (max r)^{1/(1-p)}, and
 the unique positive fixed point lies in [a u, b u].  One Picard sequence
 from the torsion function G[1] contracts in Hilbert's projective metric
 (Birkhoff-Bushell), so b/a - 1 shrinks geometrically; it is the reported
-certificate.  Since min r = a^{1-p} and max r = b^{1-p}, the next
-enclosure [a' T(u), b' T(u)] lies inside [a u, b u] exactly when
-a' >= a^p and b' <= b^p, so the two numbers (a, b) carry the whole
-certificate; a step may miss either bound by the relative roundoff
-_NEST_RTOL.
+certificate.  Each iterate is centred in its own enclosure: with
+m = sqrt(a b), the sequence carries m u, enclosed by (a/m, b/m), and
+steps to T(m u) = m^p T(u).  Scaling leaves the gap b/a as it is, but an
+uncentred sequence corrects the log of its scale only by the factor p per
+step, and the residual sees that error; a centred m u lies within
+sqrt(b/a) of the fixed point in every entry.  Since min r = a^{1-p} and
+max r = b^{1-p}, the next enclosure [a' T(u), b' T(u)] lies inside
+[a u, b u] exactly when a' >= a^p and b' <= b^p, so the two numbers
+(a, b) carry the whole certificate; a step may miss either bound by the
+relative roundoff _NEST_RTOL.
 """
 
 from __future__ import annotations
@@ -81,13 +86,17 @@ def enclosure(u: np.ndarray, tu: np.ndarray, p: float) -> tuple[float, float]:
 
 
 def picard_solve(op: Operator, config: SolverConfig) -> SemilinearSolution:
-    """Picard iteration u_{k+1} = T(u_k) from the torsion u_0 = G[1].
+    """Picard iteration from the torsion u_0 = G[1], each iterate centred.
 
-    Stops at the first u_k with b/a - 1 <= tol and
-    sup |T(u_k) - u_k| / sup u_k <= tol, and returns that u_k.  Successive
-    enclosures [a_k u_k, b_k u_k] are nested in exact arithmetic, that is
-    a_{k+1} >= a_k^p and b_{k+1} <= b_k^p; a step that misses either by
-    more than the relative roundoff _NEST_RTOL raises BracketError.
+    At u_k it forms the enclosure (a_k', b_k') of `enclosure`, sets
+    m = sqrt(a_k' b_k') and carries (a_k, b_k) = (a_k'/m, b_k'/m), the
+    enclosure of m u_k; the next iterate is u_{k+1} = m^p T(u_k), which is
+    T(m u_k) by p-homogeneity.  Stops at the first u_k with
+    b_k'/a_k' - 1 <= tol and sup |T(u_k) - u_k| / sup u_k <= tol, and
+    returns that u_k.  Successive enclosures are nested in exact
+    arithmetic, that is a_{k+1}' >= a_k^p and b_{k+1}' <= b_k^p; a step
+    that misses either by more than the relative roundoff _NEST_RTOL raises
+    BracketError.
     """
     p, tol = config.p, config.tol
     u = apply(op, np.ones(op.grid.n))
@@ -98,12 +107,14 @@ def picard_solve(op: Operator, config: SolverConfig) -> SemilinearSolution:
         a_next, b_next = enclosure(u, tu, p)
         if a_next < a ** p * (1.0 - _NEST_RTOL) or b_next > b ** p * (1.0 + _NEST_RTOL):
             raise BracketError("enclosures not nested: operator assembly is inconsistent")
-        a, b = a_next, b_next
-        gap = b / a - 1.0
+        gap = b_next / a_next - 1.0
         residual = float(np.max(np.abs(tu - u))) / float(np.max(u))
         if gap <= tol and residual <= tol:
             return SemilinearSolution(u=u, residual=residual,
                                       iterations=iterations, bracket_gap=gap)
+        m = np.sqrt(a_next * b_next)
+        a, b = a_next / m, b_next / m
+        tu *= m ** p  # in place: T(u) is a new array, and m^p T(u) = T(m u)
         u = tu
     raise ConvergenceError(
         f"Picard iteration did not reach tol={tol} in {_MAX_ITER} iterations",

@@ -8,10 +8,11 @@ process that applies it, which is why the library applies the same
 S^T diag(symbol) S as a circulant, by numpy's long-double FFT of the odd
 extension of a vector; the unfolded synthetic assembly builds all n x n
 entries through several n x n temporaries, which is why the library
-computes only the left rows in row blocks and folds them; the critical
-log fit by scipy's bounded
-curve_fit imports scipy.optimize, which is why the library fits it by
-variable projection with numpy alone.  The fits, the Harnack report, the
+computes only the left rows in row blocks and folds them; the envelope
+as defined, a quotient, costs two divides per entry, which is why the
+library evaluates it as the equal product; the critical log fit by
+scipy's bounded curve_fit imports scipy.optimize, which is why the
+library fits it by variable projection with numpy alone.  The fits, the Harnack report, the
 eigenfunction ratios and the q-norm profile each used to select their
 boundary nodes with their own rule; the rules are kept as they were
 written, for the values in use, so that the one `Grid.boundary_window`
@@ -21,7 +22,17 @@ independent references the library is tested against.
 
 import numpy as np
 
-from nonlocal_sharp.operators import _envelope, _own_cell_integral
+from nonlocal_sharp.grids import boundary_distance
+from nonlocal_sharp.operators import _own_cell_integral
+
+
+def quotient_envelope(r, dx, dy, params):
+    """r^{2s-1} min(dx^gamma/r^gamma, 1) min(dy^gamma/r^gamma, 1), as defined."""
+    r = np.asarray(r, dtype=float)
+    g = params.gamma
+    rg = r ** g
+    return (r ** (2.0 * params.s - 1.0) * np.minimum(dx ** g / rg, 1.0)
+            * np.minimum(dy ** g / rg, 1.0))
 
 
 def dense_matrix_transfer(s, grid):
@@ -48,13 +59,13 @@ def dst_matrix_transfer(symbol, v):
 def dense_synthetic_assembly(kernel, grid, near_band=8, gauss_nodes=8):
     """The full n x n collocation matrix of the synthetic kernel.
 
-    Envelope values times the weights w_j, symmetric Gauss cell averages
-    on the near_band off-diagonals, the closed-form diagonal.
+    Quotient-form envelope values times the weights w_j, symmetric Gauss
+    cell averages on the near_band off-diagonals, the closed-form diagonal.
     """
     x, w, d, n = grid.nodes, grid.weights, grid.delta, grid.n
     r = np.abs(x[:, None] - x[None, :])
     np.fill_diagonal(r, 1.0)  # placeholder, overwritten below
-    G = _envelope(r, d[:, None], d[None, :], kernel.params)
+    G = quotient_envelope(r, d[:, None], d[None, :], kernel.params)
     gx, gw = np.polynomial.legendre.leggauss(gauss_nodes)
     lo_all, hi_all = grid.boundaries[:-1], grid.boundaries[1:]
 
@@ -62,7 +73,9 @@ def dense_synthetic_assembly(kernel, grid, near_band=8, gauss_nodes=8):
         lo, hi = lo_all[j0], hi_all[j0]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         y = mid[:, None] + half[:, None] * gx[None, :]
-        vals = kernel(np.broadcast_to(x[i0][:, None], y.shape), y)
+        xs = x[i0][:, None]
+        vals = quotient_envelope(np.abs(xs - y), boundary_distance(xs),
+                                 boundary_distance(y), kernel.params)
         return half * (vals @ gw) / w[j0]
 
     for off in range(1, min(near_band, n - 1) + 1):

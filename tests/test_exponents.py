@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nonlocal_sharp import (
     EigenvalueProblemSignal,
+    ProblemParams,
     classify_bq,
     hls_ladder,
     nu_case_machine,
@@ -140,6 +141,14 @@ class TestHlsLadder:
     def test_invalid_input_rejected(self, N, s):
         with pytest.raises(ValueError):
             hls_ladder(N, s)
+
+    @pytest.mark.parametrize("s", [0.0, -0.3, 1.5, float("nan")])
+    def test_order_range_is_the_operators(self, s):
+        with pytest.raises(ValueError) as ladder:
+            hls_ladder(1, s)
+        with pytest.raises(ValueError) as params:
+            ProblemParams(s=s, gamma=1.0)
+        assert str(ladder.value) == str(params.value) == "fractional order s must lie in (0, 1]"
 
     @pytest.mark.parametrize("N,s", [(1, 0.05), (1, 0.3), (2, 0.4), (3, 0.45)])
     def test_termination_bound(self, N, s):

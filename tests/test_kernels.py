@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import dense_matrix_transfer
+from reference import dense_matrix_transfer, quotient_envelope
 
 from nonlocal_sharp import operators
 from nonlocal_sharp import (
@@ -61,6 +61,34 @@ class TestSyntheticKernel:
         assert v <= r ** (2 * s - 1) * (1 + 1e-12)        # upper envelope
         dx, dy = min(x, 1 - x), min(y, 1 - y)
         assert v >= dx ** g * dy ** g * (1 - 1e-12)       # lower envelope
+
+
+class TestEnvelope:
+    # the smallest node distance on graded_mesh(4000, 3), the finest mesh a study ships
+    R_MIN = 2.5e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+           g=st.floats(0.0, 1.0, exclude_min=True),
+           log_r=st.floats(np.log(R_MIN), 0.0),
+           log_dx=st.floats(np.log(3e-11), np.log(0.5)),
+           log_dy=st.floats(np.log(3e-11), np.log(0.5)))
+    def test_product_form_matches_the_definition(self, s, g, log_r, log_dx, log_dy):
+        params = ProblemParams(s=s, gamma=g)
+        r, dx, dy = np.exp([log_r, log_dx, log_dy])
+        ref = quotient_envelope(r, dx, dy, params)
+        val = operators._envelope(r, dx, dy, params)
+        assert abs(val - ref) <= 1e-14 * ref
+
+    def test_most_negative_exponent_stays_finite_at_the_smallest_distance(self):
+        # r^{2s-1-2gamma} = r^{-2.98} here: an overflow would raise under error::RuntimeWarning
+        grid = graded_mesh(4000, 3.0)
+        r = np.diff(grid.nodes)
+        i = int(np.argmin(r))
+        assert r[i] == pytest.approx(self.R_MIN, rel=1e-6)
+        val = operators._envelope(r[i:i + 1], grid.delta[i], grid.delta[i + 1],
+                                  ProblemParams(s=0.01, gamma=1.0))
+        assert np.all(np.isfinite(val)) and np.all(val > 0.0)
 
 
 class TestBoundChecks:

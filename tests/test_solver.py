@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -210,6 +211,45 @@ class TestCertificateProperty:
         a, b = enclosure(u, picard_map(op, p, u), p)
         assert np.all(a * u <= ref.u * (1 + 1e-11))
         assert np.all(ref.u <= b * u * (1 + 1e-11))
+
+
+class TestCentredIterates:
+    @settings(max_examples=30, deadline=None)
+    @given(spectral=st.booleans(), n_half=st.integers(32, 128),
+           s=st.floats(0.05, 0.45), gamma=st.floats(0.05, 1.0), p=st.floats(0.05, 0.95),
+           tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+    def test_every_enclosure_the_solver_forms_contains_the_fixed_point(
+            self, spectral, n_half, s, gamma, p, tol):
+        n = 2 * n_half
+        if spectral:
+            op = spectral_mt_operator(2.0 * s, graded_mesh(n, 1.0))
+        else:
+            op = assemble(synthetic_k5(ProblemParams(s=s, gamma=gamma)),
+                          graded_mesh(n, 3.0))
+        ref = picard_solve(op, SolverConfig(p=p, tol=1e-13))
+        formed = []
+
+        def spy(u, tu, p):
+            a, b = enclosure(u, tu, p)
+            formed.append((u.copy(), a, b))
+            return a, b
+
+        with mock.patch.object(solver, "enclosure", spy):
+            sol = picard_solve(op, SolverConfig(p=p, tol=tol))
+        assert len(formed) == sol.iterations
+        for u, a, b in formed:
+            assert np.all(a * u <= ref.u * (1 + 1e-11))
+            assert np.all(ref.u <= b * u * (1 + 1e-11))
+
+    def test_spectral_iteration_count(self):
+        # an uncentred Picard sequence takes 33 iterations here
+        op = spectral_mt_operator(0.3, graded_mesh(4096, 1.0))
+        assert picard_solve(op, SolverConfig(p=0.5)).iterations <= 24
+
+    def test_synthetic_iteration_count(self):
+        # an uncentred Picard sequence takes 30 iterations here
+        op = assemble(synthetic_k5(ProblemParams(s=0.4, gamma=1.0)), graded_mesh(1000, 3.0))
+        assert picard_solve(op, SolverConfig(p=0.5)).iterations <= 20
 
 
 @pytest.fixture(scope="module")
