@@ -21,12 +21,15 @@ half-width <= delta, and a Gauss-refined band around it.  The grid
 and the synthetic kernel are symmetric under x -> 1 - x, so the synthetic
 operator is folded into two (n/2, n/2) blocks acting on the mirror-even
 and mirror-odd parts of a vector: half the matvec work of the n x n
-matrix, and exactly mirror-symmetric.  A mirror-even input, such as every
-Picard iterate, has an odd part of exact zeros, so its apply reads the
-even block alone; only that block is built up front, and a solve holds a
-quarter of the n x n bytes.  The odd block is built by the same fold the
-first time it is read (a mirror-odd apply, eigenpairs, sampled kernel
-bounds).  The spectral backend is the matrix transfer of the
+matrix, and exactly mirror-symmetric.  Each block is a symmetric matrix
+of kernel values with its columns scaled by the weights, so it is built
+from its upper trapezoid and its lower triangle is copied: the envelope
+is evaluated on about a quarter of the n x n entries, half of the left
+rows.  A mirror-even input, such as every Picard iterate, has an odd part
+of exact zeros, so its apply reads the even block alone; only that block
+is built up front, and a solve holds a quarter of the n x n bytes.  The
+odd block is built by the same fold the first time it is read (a
+mirror-odd apply, eigenpairs, sampled kernel bounds).  The spectral backend is the matrix transfer of the
 second-difference Dirichlet Laplacian: its eigenvectors on the uniform
 midpoint grid are the DST-II sine modes, so the operator stores only its
 n eigenvalues (the symbol).  Extended oddly to 2n points, a grid function
@@ -173,37 +176,54 @@ def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
 def _fold(kernel: GreenKernel, grid: Grid, combine) -> np.ndarray:
     """The (n/2, n/2) block combine(A_LL, A_LR J) of the synthetic kernel.
 
-    Every entry is first w_j G(x_i, x_j), the envelope at the nodes; then
-    the entries it misses, the singular diagonal cell and the Gauss band
-    around it, are written from one row-sorted table of corrected entries
-    (`_corrected_entries`).  Off the table r_ij = |x_i - x_j| > 0; on it r
-    is set to 1, so r = 0 never reaches the envelope.  Only the left n/2
-    rows are computed, in row blocks of about _BLOCK_ENTRIES entries, each
-    folded into the block at once, so no n x n temporary exists.  The
-    row-block buffers are allocated once per call and reused by every
-    block, with every step written in place.
+    The right-half weights are exact copies of the left ones, so the block
+    is S diag(w_L), where S = combine(K_LL, K_LR J) holds kernel values and
+    is symmetric, as K is.  S is built from its upper trapezoid in row
+    blocks of about _BLOCK_ENTRIES entries.  Row block [r0, r1) evaluates
+    the envelope at the nodes on the columns r0 .. n-1-r0, plus a margin of
+    _NEAR_BAND columns on each side that holds every entry of its rows in
+    the row-sorted table of kernel values the envelope misses
+    (`_corrected_entries`: the singular diagonal cell and the Gauss band);
+    the table entries are written, and the columns r0 .. n-1-r0 are folded
+    into S[r0:r1, r0:], the block's own square and everything to its right.
+    Off the table r_ij = |x_i - x_j| > 0; on it r is set to 1, so r = 0
+    never reaches the envelope.  The lower triangle below the block is
+    copied from its transpose.  The row blocks that hold the last
+    _NEAR_BAND rows are evaluated on all n columns and copy nothing: stored
+    right-half nodes are fl(1 - x), so near x_i + x_k = 1 the stored-node
+    kernel is itself asymmetric in its last bits, and a copy there would
+    carry the other triangle's rounding.  Last, the columns are scaled once
+    by w_L.  The row-block buffers are allocated once per call and reused
+    by every block, and every step is written in place; no copy's source
+    overlaps its target, so the copies allocate nothing either.
     """
     x = grid.nodes
-    w = grid.weights
     d = grid.delta
     n = grid.n
     half = n // 2
     rows_at, cols_at, values = _corrected_entries(kernel, grid)
     out = np.empty((half, half))
     rows = max(1, _BLOCK_ENTRIES // n)
-    buffers = np.empty((3, rows, n))
+    centre = max(0, (half - _NEAR_BAND) // rows * rows)  # the first row evaluated in full
+    buffers = np.empty((3, rows * n))
     for r0 in range(0, half, rows):
         r1 = min(r0 + rows, half)
-        r, G, scratch = buffers[:, :r1 - r0]
+        c = r0 if r0 < centre else 0  # the block folds the columns c .. n-1-c
+        e = max(0, c - _NEAR_BAND)  # and evaluates e .. n-1-e, which hold its table entries
+        m = n - 2 * e
+        r, G, scratch = (b[:(r1 - r0) * m].reshape(r1 - r0, m) for b in buffers)
         lo, hi = np.searchsorted(rows_at, (r0, r1))
-        at = (rows_at[lo:hi] - r0) * n + cols_at[lo:hi]  # flat indices in the block
-        np.subtract(x[r0:r1, None], x[None, :], out=r)
+        at = (rows_at[lo:hi] - r0) * m + cols_at[lo:hi] - e  # flat indices in the block
+        np.subtract(x[r0:r1, None], x[None, e:n - e], out=r)
         np.abs(r, out=r)
         r.put(at, 1.0)  # placeholders, overwritten below
-        _envelope(r, d[r0:r1, None], d[None, :], kernel.params, out=G, scratch=scratch)
-        G *= w
+        _envelope(r, d[r0:r1, None], d[None, e:n - e], kernel.params, out=G, scratch=scratch)
         G.put(at, values[lo:hi])
-        combine(G[:, :half], G[:, half:][:, ::-1], out=out[r0:r1])
+        # G's column j is the grid's column e + j; the margin is left out of the fold
+        combine(G[:, c - e:half - e], G[:, half - e:n - c - e][:, ::-1], out=out[r0:r1, c:])
+        if r0 < centre:
+            out[r1:centre, r0:r1] = out[r0:r1, r1:centre].T
+    out *= grid.weights[:half]
     return out
 
 
@@ -218,9 +238,10 @@ _GAUSS_NODES = 8
 def _corrected_entries(kernel: GreenKernel, grid: Grid):
     """(rows, cols, values) of the entries in rows < n/2 the envelope misses.
 
-    Sorted by row, each value already times its weight w_j.  The diagonal
-    cell integral is the closed form int |x_i - y|^{2s-1} dy over the cell
-    with min-factors 1, exact because every cell's half-width is at most
+    Sorted by row, each value a kernel value: the entry divided by its
+    weight w_j, which `_fold` multiplies back in.  The diagonal cell
+    integral is the closed form int |x_i - y|^{2s-1} dy over the cell with
+    min-factors 1, exact because every cell's half-width is at most
     delta(x_i).  Within _NEAR_BAND cells of the singularity the kernel's
     curvature makes the midpoint rule only first-order accurate, which
     dominates the global assembly error; an 8-point Gauss rule on those
@@ -250,16 +271,16 @@ def _corrected_entries(kernel: GreenKernel, grid: Grid):
     i = np.arange(n // 2)
     cols = i[:, None] + np.arange(-k, k + 1)  # row i holds the columns i - k .. i + k
     values = np.empty(cols.shape)
-    values[:, k] = _own_cell_integral(0.5 * w, 2.0 * kernel.params.s)[i]
+    values[:, k] = _own_cell_integral(0.5 * w, 2.0 * kernel.params.s)[i] / w[i]
     for off in range(1, min(k, n - 1) + 1):
         i0 = i[:n - off]  # rows whose pair (i, i + off) lies in the grid
         j0 = i0 + off
         avg = 0.5 * (cell_average(i0, j0) + cell_average(j0, i0))
-        values[i0, k + off] = avg * w[j0]
+        values[i0, k + off] = avg
         left = j0 < n // 2  # pairs whose mirror entry (j0, i0) is in a left row too
-        values[j0[left], k - off] = (avg * w[i0])[left]
+        values[j0[left], k - off] = avg[left]
     rows, band = np.nonzero((cols >= 0) & (cols < n))  # row by row, so sorted by row
-    # int32 indices: a block's flat index (row - r0) * n + col stays below _BLOCK_ENTRIES + n
+    # int32 indices: a block's flat index (row - r0) * m + col - e stays below _BLOCK_ENTRIES + n
     return rows.astype(np.int32), cols[rows, band].astype(np.int32), values[rows, band]
 
 
@@ -323,10 +344,15 @@ def entries(op: Operator, i, j) -> np.ndarray:
     A folded operator commutes with the flip, so a right-half row i is read
     as the entry (n-1-i, n-1-j); a left row is A_LL = (even + odd)/2 on the
     left columns and A_LR J = (even - odd)/2 on the flipped right ones, the
-    bits `apply` gives on a unit column.  The spectral operator is `apply`'s
-    2n-point circulant restricted to the first n points, Toeplitz minus
-    Hankel: A[i, j] = c[|i - j|] - c[i + j + 1], with c the circulant's
-    first column, the long-double irfft of [0, symbol].
+    bits `apply` gives on a unit column.  So a left-row entry is read to an
+    absolute precision, not a relative one: within about
+    2e-15 (|A[i, j]| + |A[i, n-1-j]|), the rounding of the blocks that hold
+    both.  A cross-half entry far below its mirror partner reads 0.0: at
+    s = 0.2, gamma = 1 on graded_mesh(1000, 3), A[995, 1], read as
+    A[4, 998] beside the far larger A[4, 1], does.  The spectral operator
+    is `apply`'s 2n-point circulant restricted to the first n points,
+    Toeplitz minus Hankel: A[i, j] = c[|i - j|] - c[i + j + 1], with c the
+    circulant's first column, the long-double irfft of [0, symbol].
     """
     n = op.grid.n
     if isinstance(op, SpectralOperator):
