@@ -22,14 +22,15 @@ and the synthetic kernel are symmetric under x -> 1 - x, so the synthetic
 operator is folded into two (n/2, n/2) blocks acting on the mirror-even
 and mirror-odd parts of a vector: half the matvec work of the n x n
 matrix, and exactly mirror-symmetric.  Each block is a symmetric matrix
-of kernel values with its columns scaled by the weights, so it is built
-from its upper trapezoid and its lower triangle is copied: the envelope
-is evaluated on about a quarter of the n x n entries, half of the left
-rows.  A mirror-even input, such as every Picard iterate, has an odd part
-of exact zeros, so its apply reads the even block alone; only that block
-is built up front, and a solve holds a quarter of the n x n bytes.  The
-odd block is built by the same fold the first time it is read (a
-mirror-odd apply, eigenpairs, sampled kernel bounds).  The spectral backend is the matrix transfer of the
+of kernel values with its columns scaled by the weights, so only its
+kernel values are stored, once, as upper slabs (`GreenOperator`), from
+the envelope on just over a quarter of the n x n entries.  A mirror-even
+input, such as every Picard iterate, has an odd part of exact zeros, so
+its apply reads the even block alone; only that block is built up front,
+and a solve holds about an eighth of the n x n bytes (16.2 MiB at
+n = 4000).  The odd block is built by the same fold the first time it is
+read (a mirror-odd apply, eigenpairs, sampled kernel bounds).  The
+spectral backend is the matrix transfer of the
 second-difference Dirichlet Laplacian: its eigenvectors on the uniform
 midpoint grid are the DST-II sine modes, so the operator stores only its
 n eigenvalues (the symbol).  Extended oddly to 2n points, a grid function
@@ -133,12 +134,16 @@ class GreenOperator:
     the flip and is fixed by its left rows [A_LL, A_LR].  With J the flip of
     n/2 entries it acts through two (n/2, n/2) blocks,
 
-        even = A_LL + A_LR J,    odd = A_LL - A_LR J,
+        A_LL + A_LR J = S_even diag(w_L),    A_LL - A_LR J = S_odd diag(w_L),
 
-    on the mirror-even and mirror-odd parts of a vector.  `apply`
-    recombines them, so a mirror-symmetric input gives an exactly
-    mirror-symmetric result.  Only `even` is stored up front: `odd` is
-    made by the zero-argument `build_odd` the first time it is read, and
+    on the mirror-even and mirror-odd parts of a vector; the right-half
+    weights are exact copies of the left ones, w_L.  `even` and `odd` hold
+    the kernel-value matrices S_even and S_odd, each packed once as its
+    upper slabs (`_slabs`: slab [r0, r1) holds S[r0:r1, r0:], its diagonal
+    square in full), in one flat float64 array of about n^2/8 + 32 n
+    entries.  `apply` recombines them, so a mirror-symmetric input gives an
+    exactly mirror-symmetric result.  Only `even` is stored up front: `odd`
+    is made by the zero-argument `build_odd` the first time it is read, and
     kept, so an operator that sees only mirror-even inputs never holds it.
     """
 
@@ -148,18 +153,39 @@ class GreenOperator:
     params: ProblemParams
 
     def __post_init__(self):
-        if self.even.shape != (self.grid.n // 2,) * 2:
+        self._check(self.even)
+
+    def _check(self, packed: np.ndarray):
+        if packed.shape != (_slabs(self.grid.n // 2)[-1][3],):
             raise ValueError("block shapes do not match grid")
 
     @cached_property
     def odd(self) -> np.ndarray:
         odd = self.build_odd()
-        if odd.shape != self.even.shape:
-            raise ValueError("block shapes do not match grid")
+        self._check(odd)
         return odd
 
 
 _BLOCK_ENTRIES = 2 ** 16  # matrix entries per row block of the assembly
+_SLAB_ROWS = 128  # rows per stored slab of a folded block
+
+
+def _slabs(half: int):
+    """(r0, r1, start, stop) of each stored slab of a folded block with `half` rows.
+
+    Slab [r0, r1) holds S[r0:r1, r0:half], C-order, as packed[start:stop].
+    The slabs are _SLAB_ROWS rows tall, except the last, which takes the
+    remainder and always holds the last _NEAR_BAND rows (up to
+    _SLAB_ROWS + _NEAR_BAND - 1 rows), so their pairs sit in one stored
+    square.  A block of at most _SLAB_ROWS rows is one slab: the whole square.
+    """
+    firsts = range(0, max(1, half - _NEAR_BAND + 1), _SLAB_ROWS)
+    slabs, start = [], 0
+    for r0, r1 in zip(firsts, [*firsts[1:], half]):
+        stop = start + (r1 - r0) * (half - r0)
+        slabs.append((r0, r1, start, stop))
+        start = stop
+    return slabs
 
 
 def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
@@ -174,56 +200,71 @@ def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
 
 
 def _fold(kernel: GreenKernel, grid: Grid, combine) -> np.ndarray:
-    """The (n/2, n/2) block combine(A_LL, A_LR J) of the synthetic kernel.
+    """The packed slabs of S = combine(K_LL, K_LR J), the kernel values of a block.
 
     The right-half weights are exact copies of the left ones, so the block
-    is S diag(w_L), where S = combine(K_LL, K_LR J) holds kernel values and
-    is symmetric, as K is.  S is built from its upper trapezoid in row
-    blocks of about _BLOCK_ENTRIES entries.  Row block [r0, r1) evaluates
-    the envelope at the nodes on the columns r0 .. n-1-r0, plus a margin of
-    _NEAR_BAND columns on each side that holds every entry of its rows in
-    the row-sorted table of kernel values the envelope misses
+    combine(A_LL, A_LR J) is S diag(w_L), and S is symmetric, as K is; it
+    is stored as its upper slabs (`_slabs`), which `_slab_apply` reads.
+    Each slab [r0, r1) is written directly, in row blocks of about
+    _BLOCK_ENTRIES entries.  Row block [b0, b1) evaluates the envelope at
+    the nodes on the columns r0 .. n-1-r0, plus a margin of _NEAR_BAND
+    columns on each side that holds every entry of its rows in the
+    row-sorted table of kernel values the envelope misses
     (`_corrected_entries`: the singular diagonal cell and the Gauss band);
     the table entries are written, and the columns r0 .. n-1-r0 are folded
-    into S[r0:r1, r0:], the block's own square and everything to its right.
-    Off the table r_ij = |x_i - x_j| > 0; on it r is set to 1, so r = 0
-    never reaches the envelope.  The lower triangle below the block is
-    copied from its transpose.  The row blocks that hold the last
-    _NEAR_BAND rows are evaluated on all n columns and copy nothing: stored
-    right-half nodes are fl(1 - x), so near x_i + x_k = 1 the stored-node
-    kernel is itself asymmetric in its last bits, and a copy there would
-    carry the other triangle's rounding.  Last, the columns are scaled once
-    by w_L.  The row-block buffers are allocated once per call and reused
-    by every block, and every step is written in place; no copy's source
-    overlaps its target, so the copies allocate nothing either.
+    into S[b0:b1, r0:], its rows of the slab.  Off the table
+    r_ij = |x_i - x_j| > 0; on it r is set to 1, so r = 0 never reaches the
+    envelope.  So every slab's diagonal square is evaluated in full, never
+    copied from its transpose: the last slab holds the last _NEAR_BAND rows,
+    and stored right-half nodes are fl(1 - x), so near x_i + x_k = 1, for
+    pairs of those rows, the stored-node kernel is itself asymmetric in its
+    last bits.  The row-block buffers are allocated once per call and
+    reused by every block, and every step is written in place.
     """
     x = grid.nodes
     d = grid.delta
     n = grid.n
     half = n // 2
     rows_at, cols_at, values = _corrected_entries(kernel, grid)
-    out = np.empty((half, half))
+    slabs = _slabs(half)
+    packed = np.empty(slabs[-1][3])
     rows = max(1, _BLOCK_ENTRIES // n)
-    centre = max(0, (half - _NEAR_BAND) // rows * rows)  # the first row evaluated in full
     buffers = np.empty((3, rows * n))
-    for r0 in range(0, half, rows):
-        r1 = min(r0 + rows, half)
-        c = r0 if r0 < centre else 0  # the block folds the columns c .. n-1-c
-        e = max(0, c - _NEAR_BAND)  # and evaluates e .. n-1-e, which hold its table entries
+    for r0, r1, start, stop in slabs:
+        slab = packed[start:stop].reshape(r1 - r0, half - r0)
+        e = max(0, r0 - _NEAR_BAND)  # it folds the columns r0 .. n-1-r0, evaluates e .. n-1-e
         m = n - 2 * e
-        r, G, scratch = (b[:(r1 - r0) * m].reshape(r1 - r0, m) for b in buffers)
-        lo, hi = np.searchsorted(rows_at, (r0, r1))
-        at = (rows_at[lo:hi] - r0) * m + cols_at[lo:hi] - e  # flat indices in the block
-        np.subtract(x[r0:r1, None], x[None, e:n - e], out=r)
-        np.abs(r, out=r)
-        r.put(at, 1.0)  # placeholders, overwritten below
-        _envelope(r, d[r0:r1, None], d[None, e:n - e], kernel.params, out=G, scratch=scratch)
-        G.put(at, values[lo:hi])
-        # G's column j is the grid's column e + j; the margin is left out of the fold
-        combine(G[:, c - e:half - e], G[:, half - e:n - c - e][:, ::-1], out=out[r0:r1, c:])
-        if r0 < centre:
-            out[r1:centre, r0:r1] = out[r0:r1, r1:centre].T
-    out *= grid.weights[:half]
+        for b0 in range(r0, r1, rows):
+            b1 = min(b0 + rows, r1)
+            r, G, scratch = (b[:(b1 - b0) * m].reshape(b1 - b0, m) for b in buffers)
+            lo, hi = np.searchsorted(rows_at, (b0, b1))
+            at = (rows_at[lo:hi] - b0) * m + cols_at[lo:hi] - e  # flat indices in the block
+            np.subtract(x[b0:b1, None], x[None, e:n - e], out=r)
+            np.abs(r, out=r)
+            r.put(at, 1.0)  # placeholders, overwritten below
+            _envelope(r, d[b0:b1, None], d[None, e:n - e], kernel.params, out=G, scratch=scratch)
+            G.put(at, values[lo:hi])
+            # G's column j is the grid's column e + j; the margin is left out of the fold
+            combine(G[:, r0 - e:half - e], G[:, half - e:n - r0 - e][:, ::-1],
+                    out=slab[b0 - r0:b1 - r0])
+    return packed
+
+
+def _slab_apply(packed: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """S diag(w) v for the S stored as `packed` slabs; v is (half,) or (half, m).
+
+    v is scaled by w once.  Slab [r0, r1) adds its rows, P v[r0:], to
+    out[r0:r1] and its mirror below the square, P[:, r1-r0:]^T v[r0:r1], to
+    out[r1:].  Its diagonal square is applied as stored, never mirrored,
+    so a block smaller than one slab acts exactly as given.
+    """
+    half = w.size
+    v = (w if v.ndim == 1 else w[:, None]) * v
+    out = np.zeros_like(v)
+    for r0, r1, start, stop in _slabs(half):
+        slab = packed[start:stop].reshape(r1 - r0, half - r0)
+        out[r0:r1] += slab @ v[r0:]
+        out[r1:] += slab[:, r1 - r0:].T @ v[r0:r1]
     return out
 
 
@@ -329,12 +370,13 @@ def apply(op: Operator, v: np.ndarray) -> np.ndarray:
         coef[1:] *= op.symbol if v.ndim == 1 else op.symbol[:, None]
         return np.fft.irfft(coef, 2 * n, axis=0)[:n].astype(float)
     half = op.grid.n // 2
+    w = op.grid.weights[:half]
     left, right = v[:half], v[half:][::-1]
-    ee = op.even @ (0.5 * (left + right))
+    ee = _slab_apply(op.even, w, 0.5 * (left + right))
     odd_part = 0.5 * (left - right)
-    if not np.any(odd_part):  # mirror-even input: odd @ 0 would add exact zeros
+    if not np.any(odd_part):  # mirror-even input: the odd block would add exact zeros
         return np.concatenate([ee, ee[::-1]])
-    oo = op.odd @ odd_part
+    oo = _slab_apply(op.odd, w, odd_part)
     return np.concatenate([ee + oo, (ee - oo)[::-1]])
 
 
@@ -342,9 +384,12 @@ def entries(op: Operator, i, j) -> np.ndarray:
     """The matrix entries A[i, j] at index arrays i, j, read from storage, no column applied.
 
     A folded operator commutes with the flip, so a right-half row i is read
-    as the entry (n-1-i, n-1-j); a left row is A_LL = (even + odd)/2 on the
-    left columns and A_LR J = (even - odd)/2 on the flipped right ones, the
-    bits `apply` gives on a unit column.  So a left-row entry is read to an
+    as the entry (n-1-i, n-1-j).  A left row is A_LL = (E_even + E_odd)/2 on
+    the left columns and A_LR J = (E_even - E_odd)/2 on the flipped right
+    ones, with E = S diag(w_L).  S[i, j] is read from row i's slab, or, for
+    j left of that slab, as S[j, i] from row j's slab, and scaled by w_j/2,
+    as `apply` scales a unit column's even and odd parts: the entry is the
+    bits `apply` gives on that column.  So a left-row entry is read to an
     absolute precision, not a relative one: within about
     2e-15 (|A[i, j]| + |A[i, n-1-j]|), the rounding of the blocks that hold
     both.  A cross-half entry far below its mirror partner reads 0.0: at
@@ -358,12 +403,20 @@ def entries(op: Operator, i, j) -> np.ndarray:
     if isinstance(op, SpectralOperator):
         c = np.fft.irfft(np.concatenate([[0.0], op.symbol], dtype=np.longdouble), 2 * n)
         return (c[np.abs(i - j)] - c[i + j + 1]).astype(float)
-    flip = i >= n // 2
+    half = n // 2
+    flip = i >= half
     i, j = np.where(flip, n - 1 - i, i), np.where(flip, n - 1 - j, j)
-    right = j >= n // 2
+    right = j >= half
     j = np.where(right, n - 1 - j, j)
-    even, odd = op.even[i, j], op.odd[i, j]
-    return np.where(right, even - odd, even + odd) / 2.0
+    # S[i, j] is in row i's slab unless j lies in an earlier slab, which holds S[j, i]
+    r0, _, start, _ = (np.array(c) for c in zip(*_slabs(half)))
+    si, sj = np.searchsorted(r0, i, "right") - 1, np.searchsorted(r0, j, "right") - 1
+    upper = si <= sj
+    a, b, k = np.where(upper, i, j), np.where(upper, j, i), np.minimum(si, sj)
+    at = start[k] + (a - r0[k]) * (half - r0[k]) + b - r0[k]
+    w = 0.5 * op.grid.weights[j]  # the unit column's even or odd part, scaled as `apply` scales it
+    even, odd = op.even[at] * w, op.odd[at] * w
+    return np.where(right, even - odd, even + odd)
 
 
 def spectral_mt_operator(s: float, grid: Grid) -> SpectralOperator:

@@ -17,13 +17,15 @@ eigenfunction ratios and the q-norm profile each used to select their
 boundary nodes with their own rule; the rules are kept as they were
 written, for the values in use, so that the one `Grid.boundary_window`
 can be shown to select the same nodes.  All are kept here only as the
-independent references the library is tested against.
+independent references the library is tested against.  `pack_block`
+stores a plain (n/2, n/2) block the way the library stores a folded one,
+so that tests can build operators by hand.
 """
 
 import numpy as np
 
 from nonlocal_sharp.grids import boundary_distance
-from nonlocal_sharp.operators import _own_cell_integral
+from nonlocal_sharp.operators import _own_cell_integral, _slabs
 
 
 def quotient_envelope(r, dx, dy, params):
@@ -86,6 +88,18 @@ def dense_synthetic_assembly(kernel, grid, near_band=8, gauss_nodes=8):
     A = G * w[None, :]
     np.fill_diagonal(A, _own_cell_integral(0.5 * w, 2.0 * kernel.params.s))
     return A
+
+
+def pack_block(block, grid):
+    """The storage of a folded (n/2, n/2) block: its kernel values block / w_L, packed.
+
+    Row by row, the upper slabs S[r0:r1, r0:] of S = block diag(w_L)^{-1},
+    as the library stores them; a block of at most one slab is stored
+    whole, never mirrored, so a non-symmetric one keeps its lower triangle.
+    """
+    half = grid.n // 2
+    S = np.asarray(block, dtype=float) / grid.weights[:half]
+    return np.concatenate([S[r0:r1, r0:].ravel() for r0, r1, _, _ in _slabs(half)])
 
 
 def curve_fit_offset(t, y, k0):

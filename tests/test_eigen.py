@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import pack_block
 
 from nonlocal_sharp import (
     ConvergenceError,
@@ -102,8 +103,8 @@ class TestSyntheticEigenpairs:
         # 200 evenly spaced eigenvalues: one restart cannot isolate the top one
         grid = graded_mesh(200, 1.0)
         mus = np.linspace(1.0, 2.0, grid.n)  # every other one to each block
-        op = GreenOperator(grid=grid, even=np.diag(mus[1::2]),
-                           build_odd=lambda: np.diag(mus[::2]),
+        op = GreenOperator(grid=grid, even=pack_block(np.diag(mus[1::2]), grid),
+                           build_odd=lambda: pack_block(np.diag(mus[::2]), grid),
                            params=ProblemParams(s=0.3, gamma=1.0))
         monkeypatch.setattr(eigen, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="ARPACK did not converge") as exc:
@@ -113,7 +114,7 @@ class TestSyntheticEigenpairs:
     def test_residual_check_raises(self):
         # not self-adjoint in <u, v>_w: ARPACK stops, the honest residual fails
         grid = graded_mesh(16, 1.0)
-        upper = np.triu(np.ones((grid.n // 2, grid.n // 2)))
+        upper = pack_block(np.triu(np.ones((grid.n // 2, grid.n // 2))), grid)
         op = GreenOperator(grid=grid, even=upper, build_odd=lambda: upper,
                            params=ProblemParams(s=0.3, gamma=1.0))
         with pytest.raises(ConvergenceError, match="eigenpair 1 residual") as exc:

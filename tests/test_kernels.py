@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import dense_matrix_transfer, quotient_envelope
+from reference import dense_matrix_transfer, pack_block, quotient_envelope
 
 from nonlocal_sharp import operators
 from nonlocal_sharp import (
@@ -109,8 +109,9 @@ class TestBoundChecks:
         op = spectral_mt_operator(0.3, graded_mesh(1000, 1.0))
         dense = dense_matrix_transfer(0.3, op.grid)
         left, right = dense[:500, :500], dense[:500, 500:][:, ::-1]
-        folded = GreenOperator(grid=op.grid, even=left + right,
-                               build_odd=lambda: left - right, params=op.params)
+        folded = GreenOperator(grid=op.grid, even=pack_block(left + right, op.grid),
+                               build_odd=lambda: pack_block(left - right, op.grid),
+                               params=op.params)
         rep, ref = check_kernel_bounds(op), check_kernel_bounds(folded)
         assert (rep.violations, rep.n_samples) == (ref.violations, ref.n_samples)
         # the float64 reference rounds at about 1e-16 of its largest entry, which

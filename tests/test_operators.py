@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import dense_matrix_transfer, dense_synthetic_assembly, dst_matrix_transfer
+from reference import (
+    dense_matrix_transfer,
+    dense_synthetic_assembly,
+    dst_matrix_transfer,
+    pack_block,
+)
 
 import nonlocal_sharp
 from nonlocal_sharp import operators
@@ -18,6 +23,7 @@ from nonlocal_sharp import (
     GreenOperator,
     Grid,
     ProblemParams,
+    SolverConfig,
     apply,
     assemble,
     check_kernel_bounds,
@@ -25,6 +31,7 @@ from nonlocal_sharp import (
     green_q_norm,
     green_q_norm_profile,
     leading_eigenpairs,
+    picard_solve,
     spectral_mt_operator,
     synthetic_k5,
 )
@@ -89,6 +96,17 @@ class TestAssemble:
         assert np.max(np.abs(top - ref[:n_half])) <= 1e-14 * np.max(np.abs(ref))
         np.testing.assert_array_equal(bottom, top[::-1, ::-1])
 
+    @pytest.mark.parametrize("n_half", [131, 134])
+    def test_last_slab_holds_the_rows_nearest_the_centre(self, n_half):
+        # with slabs of 128 rows and no more, the last one would hold 3 or 6 rows, and
+        # pairs of the centre rows would be read across a slab from the other triangle
+        kernel = synthetic_k5(ProblemParams(s=0.484375, gamma=1.0))
+        grid = graded_mesh(2 * n_half, 1.0)
+        op = assemble(kernel, grid)
+        top = apply(op, np.eye(grid.n))[:n_half]  # not mirror-even: builds the odd block here
+        ref = dense_synthetic_assembly(kernel, grid)
+        assert np.max(np.abs(top - ref[:n_half])) <= 1e-14 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("n", [8, 10, 14])
     def test_grid_narrower_than_the_gauss_band(self, n):
         # the 8-wide Gauss band is wider than n/2: an offset past n/2 pairs only some left rows
@@ -106,20 +124,22 @@ class TestAssemble:
         with pytest.raises(ValueError, match="block shapes"):
             GreenOperator(grid=grid, even=np.eye(3), build_odd=lambda: np.eye(4),
                           params=params)
-        op = GreenOperator(grid=grid, even=np.eye(4), build_odd=lambda: np.eye(3),
-                           params=params)
+        op = GreenOperator(grid=grid, even=pack_block(np.eye(4), grid),
+                           build_odd=lambda: np.eye(4), params=params)  # square, not packed
         with pytest.raises(ValueError, match="block shapes"):
             op.odd
 
     def test_stores_only_its_halves(self):
-        op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(64, 3.0))
+        op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(600, 3.0))
 
         def stored_shapes():
             return [a.shape for a in vars(op).values() if isinstance(a, np.ndarray)]
-        apply(op, np.ones(64))  # mirror-even: the even block alone
-        assert stored_shapes() == [(32, 32)]
-        apply(op, np.arange(64.0))  # mirror-odd part: builds and keeps the odd block
-        assert stored_shapes() == [(32, 32), (32, 32)]
+        # the upper slabs of each (300, 300) block: rows 0-127, 128-255 and 256-299
+        packed = (128 * 300 + 128 * 172 + 44 * 44,)
+        apply(op, np.ones(600))  # mirror-even: the even block alone
+        assert stored_shapes() == [packed]
+        apply(op, np.arange(600.0))  # mirror-odd part: builds and keeps the odd block
+        assert stored_shapes() == [packed, packed]
 
     def test_odd_block_is_built_once_on_first_mirror_odd_apply(self, monkeypatch):
         folds, fold = [], operators._fold
@@ -136,8 +156,9 @@ class TestAssemble:
         assert folds == [np.add, np.subtract]
         ref = dense_synthetic_assembly(kernel, grid)
         top_left, top_right = ref[:64, :64], ref[:64, 64:]
-        err = np.max(np.abs(op.odd - (top_left - top_right[:, ::-1])))
-        assert err <= 1e-14 * np.max(np.abs(ref))
+        ref_odd = pack_block(top_left - top_right[:, ::-1], grid)
+        ref_even = pack_block(top_left + top_right[:, ::-1], grid)
+        assert np.max(np.abs(op.odd - ref_odd)) <= 1e-14 * np.max(ref_even)
 
     def test_each_block_evaluates_the_envelope_on_its_upper_trapezoid(self, monkeypatch):
         # the full left rows are n^2 / 2 entries; the trapezoid is about half of them
@@ -155,10 +176,25 @@ class TestAssemble:
         assert sum(sizes) <= 0.6 * n ** 2 / 2
 
     def test_assembly_peak_memory_within_twice_stored_bytes(self):
-        n = 1000
+        # at n = 1000 the row-block buffers, about 1.6 MB for any n, outweigh the 1.25 MB
+        # packed block; at n = 4000 the block dominates, as in every acceptance case
+        n = 4000
         stored, peak = traced_assembly(n)
-        assert stored == n ** 2 // 4 * 8
+        # the upper slabs of the (2000, 2000) block: 15 slabs of 128 rows, then one of 80
+        assert stored == (sum(128 * (2000 - r0) for r0 in range(0, 1920, 128)) + 80 * 80) * 8
         assert peak <= 2 * stored, peak / stored
+        assert peak < (n // 2) ** 2 * 8  # never the square block, not even for a moment
+
+    def test_picard_solve_allocates_no_square_block(self):
+        n = 4000
+        op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(n, 3.0))
+        tracemalloc.start()
+        try:
+            picard_solve(op, SolverConfig(p=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n // 2) ** 2 * 8 / 16, peak  # a few vectors and slab products
 
     @pytest.mark.parametrize("n", [1000, 4000])
     def test_assembly_reuses_its_row_block_buffers(self, n):
@@ -210,16 +246,17 @@ class TestApply:
     def test_mirror_even_input_skips_the_odd_block(self, op):
         half = op.grid.n // 2
         blind = GreenOperator(grid=op.grid, even=op.even,
-                              build_odd=lambda: np.full((half, half), np.nan),
+                              build_odd=lambda: np.full(op.even.shape, np.nan),
                               params=op.params)
+        w = op.grid.weights[:half]
         gen = np.random.default_rng(5)
         for shape in ((half,), (half, 3)):
             left = gen.uniform(0, 1, shape)
             v = np.concatenate([left, left[::-1]])
             got = apply(blind, v)
             assert np.all(np.isfinite(got))
-            ee = op.even @ (0.5 * (left + left))
-            oo = op.odd @ (0.5 * (left - left))
+            ee = operators._slab_apply(op.even, w, 0.5 * (left + left))
+            oo = operators._slab_apply(op.odd, w, 0.5 * (left - left))
             np.testing.assert_array_equal(got, np.concatenate([ee + oo, (ee - oo)[::-1]]))
             v[half - 1] += 1.0  # no longer mirror-symmetric: the odd block is used again
             assert np.all(np.isnan(apply(blind, v)))
@@ -314,7 +351,7 @@ class TestSpectralMT:
 
 
 class TestEntries:
-    @pytest.mark.parametrize("n", [16, 200])
+    @pytest.mark.parametrize("n", [16, 200, 600])  # one slab, one slab, three slabs
     def test_folded_entries_are_the_unit_column_applies(self, n):
         # every (i, j) covers the four mirror quadrants of the n x n matrix
         op = assemble(synthetic_k5(ProblemParams(0.2, 0.7)), graded_mesh(n, 3.0))
@@ -332,6 +369,25 @@ class TestEntries:
         ref = dense_synthetic_assembly(kernel, grid)[:n // 2]
         err = np.abs(operators.entries(op, i, j) - ref)
         assert np.all(err <= 1e-14 * (np.abs(ref) + np.abs(ref[:, ::-1])))
+
+    def test_folded_entries_read_every_slab(self):
+        # three slabs per block, rows 0-127, 128-255 and 256-299: a lower-triangle entry
+        # across slabs is read from the transposed slab, the centre square as stored
+        kernel = synthetic_k5(ProblemParams(s=0.2, gamma=1.0))
+        grid = graded_mesh(600, 3.0)
+        n, half = grid.n, grid.n // 2
+        op = assemble(kernel, grid)
+        ref = dense_synthetic_assembly(kernel, grid)[:half]
+        left, right = ref[:, :half], ref[:, half:][:, ::-1]
+        even, odd = pack_block(left + right, grid), pack_block(left - right, grid)
+        # the odd block cancels, so it is as precise as the even one, absolutely
+        assert np.all(np.abs(op.even - even) <= 1e-14 * even)
+        assert np.all(np.abs(op.odd - odd) <= 1e-14 * even)
+        # right-half rows of the reference are inexact near x = 1: mirror the left rows
+        full = np.concatenate([ref, ref[::-1, ::-1]])
+        i, j = np.indices((n, n))
+        err = np.abs(operators.entries(op, i, j) - full)
+        assert np.all(err <= 1e-14 * (np.abs(full) + np.abs(full[:, ::-1])))
 
     @pytest.mark.parametrize("n", [200, 1000])
     def test_spectral_entries_match_the_unit_column_applies(self, n):

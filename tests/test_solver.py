@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import pack_block
 
 from nonlocal_sharp import (
     BracketError,
@@ -33,8 +34,9 @@ from nonlocal_sharp import (
 
 def scalar_op(value=2.0):
     # two uncoupled cells: the scalar map u -> value * u^p on each node
-    return GreenOperator(grid=Grid([0.0, 0.5]), even=np.array([[value]]),
-                         build_odd=lambda: np.array([[value]]),
+    grid = Grid([0.0, 0.5])
+    block = pack_block([[value]], grid)
+    return GreenOperator(grid=grid, even=block, build_odd=lambda: block,
                          params=ProblemParams(s=0.25, gamma=1.0))
 
 
@@ -156,7 +158,7 @@ class TestPicardSolve:
 
         def signed_op(even):
             # a negative entry breaks monotonicity, which the certificate catches
-            even = np.array(even)
+            even = pack_block(even, grid)
             return GreenOperator(grid=grid, even=even, build_odd=lambda: even, params=params)
 
         with pytest.raises(BracketError, match="min T"):
