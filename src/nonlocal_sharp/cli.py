@@ -213,7 +213,7 @@ def _run(case: _Case) -> dict:
         "log_exp_pred": pred.log_exponent, "log_exp_hat": rep.log_exp_hat,
         "ghp_ratio": ghp.global_ratio,
         "iterations": sol.iterations, "residual": sol.residual,
-        "wall_ms": wall_ms,
+        "bracket_gap": sol.bracket_gap, "wall_ms": wall_ms,
         "_solution": sol,
     }
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .grids import Grid
 from .operators import Operator, apply
-from .solver import ConvergenceError
+from .solver import ConvergenceError, _check_tol
 
 _MAX_ITER = 10_000  # ARPACK restarts before ConvergenceError
 
@@ -38,8 +38,7 @@ def check_eigen_request(n: int, n_eigs: int, tol: float) -> None:
     """
     if not 1 <= n_eigs <= 20:
         raise ValueError("n_eigs must lie in 1..20")
-    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
-        raise ValueError("tolerance must be positive and finite")
+    _check_tol(tol)
     if n_eigs >= n:
         raise ValueError("n_eigs must be smaller than the number of nodes")
 

@@ -102,6 +102,14 @@ class BqClassification:
     q_high: float
 
 
+def _check_q(N: int, s: float, q: float) -> float:
+    """Check the one q range of G's q-norms, 0 < q < q_high; return q_high = N/(N-2s) or inf."""
+    q_high = N / (N - 2.0 * s) if N > 2.0 * s else math.inf
+    if not 0.0 < q < q_high:
+        raise ValueError(f"q must lie in (0, {q_high}); the q-norm diverges otherwise")
+    return q_high
+
+
 def classify_bq(N: int, s: float, gamma: float, q: float) -> BqClassification:
     """Regime of the envelope B_q as a function of q.
 
@@ -112,10 +120,8 @@ def classify_bq(N: int, s: float, gamma: float, q: float) -> BqClassification:
     if N < 1:
         raise ValueError("dimension N must be a positive integer")
     ProblemParams(s=s, gamma=gamma)
-    q_high = N / (N - 2.0 * s) if N > 2.0 * s else math.inf
+    q_high = _check_q(N, s, q)
     q_low = N / (N - 2.0 * s + gamma)
-    if not (0.0 < q < q_high):
-        raise ValueError(f"q must lie in (0, {q_high}); the q-norm diverges otherwise")
     if _close(q, q_low):
         return BqClassification("log", 1.0, 1.0 / q, q_low, q_high)
     if q < q_low:

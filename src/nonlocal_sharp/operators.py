@@ -12,37 +12,28 @@ gamma = s (restricted), gamma = s - 1/2 (censored-like), gamma = 1
 (spectral).
 
 The integral operator u -> int G(., y) u(y) dy is collocated at grid nodes
-with cell quadrature: A_ij ~ int_{cell_j} G(x_i, y) dy.  The envelope at
-the nodes (the midpoint rule) gives every entry; the entries it misses are
-then written from one row-sorted table: the singular diagonal cell,
-integrated in closed form through the |x - y|^{2s-1} envelope, whose
-min-factors are 1 on every cell because the exactly mirrored grid has
-half-width <= delta, and a Gauss-refined band around it.  The grid
-and the synthetic kernel are symmetric under x -> 1 - x, so the synthetic
-operator is folded into two (n/2, n/2) blocks acting on the mirror-even
-and mirror-odd parts of a vector: half the matvec work of the n x n
-matrix, and exactly mirror-symmetric.  Each block is a symmetric matrix
-of kernel values with its columns scaled by the weights, so only its
-kernel values are stored, once, as upper slabs (`GreenOperator`), from
-the envelope on just over a quarter of the n x n entries.  A mirror-even
-input, such as every Picard iterate, has an odd part of exact zeros, so
-its apply reads the even block alone; only that block is built up front,
-and a solve holds about an eighth of the n x n bytes (16.2 MiB at
-n = 4000).  The odd block is built by the same fold the first time it is
-read (a mirror-odd apply, eigenpairs, sampled kernel bounds).  The
-spectral backend is the matrix transfer of the
-second-difference Dirichlet Laplacian: its eigenvectors on the uniform
-midpoint grid are the DST-II sine modes, so the operator stores only its
-n eigenvalues (the symbol).  Extended oddly to 2n points, a grid function
-sees the midpoint Dirichlet Laplacian as the 2n-point periodic one, a
-circulant whose Fourier modes are those sine modes; `apply` is that
-circulant, numpy's real FFT of the odd extension times the symbol, in
-O(n log n), spectrally exact on its grid.  The FFTs run in long double
-(80-bit extended on x86-64 Linux): FFT rounding is absolute, and in
-float64 it is large enough relative to the small boundary values of u to
-break the solver's nesting certificate.  `apply` is the one entry point
-for both backends, and both run on numpy alone; `entries` reads single
-matrix entries from either backend's storage, which is how
+with cell quadrature: A_ij ~ int_{cell_j} G(x_i, y) dy.  The envelope at the
+nodes (the midpoint rule) gives every entry; the entries it misses are then
+written from one row-sorted table: the singular diagonal cell, integrated in
+closed form through the |x - y|^{2s-1} envelope, whose min-factors are 1 on
+every cell because the exactly mirrored grid has half-width <= delta, and a
+Gauss-refined band around it.  The grid and the synthetic kernel are
+symmetric under x -> 1 - x, so the operator is folded into two (n/2, n/2)
+blocks acting on the mirror-even and mirror-odd parts of a vector, each
+stored once as the upper slabs of a symmetric matrix of kernel values
+(`GreenOperator`); a mirror-even input, such as every Picard iterate, reads
+the even block alone, and the odd one is built the first time it is read.
+The spectral backend is the matrix transfer of the second-difference
+Dirichlet Laplacian, whose eigenvectors on the uniform midpoint grid are the
+DST-II sine modes, so it stores only its n eigenvalues (the symbol).
+Extended oddly to 2n points, a grid function sees that Laplacian as the
+2n-point periodic one, a circulant whose Fourier modes are the sine modes,
+so `apply` runs it by numpy's real FFT in O(n log n), in long double (80-bit
+extended on x86-64 Linux): FFT rounding is absolute, and in float64 it is
+large enough relative to the small boundary values of u to break the
+solver's nesting certificate.  `apply` is the one entry point for both
+backends, one vector at a time, and both run on numpy alone; `entries` reads
+single matrix entries from either backend's storage, which is how
 `check_kernel_bounds` samples an operator against the envelope.
 """
 
@@ -54,7 +45,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .exponents import ProblemParams
+from .exponents import ProblemParams, _check_q
 from .grids import Grid, boundary_distance
 
 
@@ -251,7 +242,7 @@ def _fold(kernel: GreenKernel, grid: Grid, combine) -> np.ndarray:
 
 
 def _slab_apply(packed: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """S diag(w) v for the S stored as `packed` slabs; v is (half,) or (half, m).
+    """S diag(w) v for the S stored as `packed` slabs and a vector v of shape (half,).
 
     v is scaled by w once.  Slab [r0, r1) adds its rows, P v[r0:], to
     out[r0:r1] and its mirror below the square, P[:, r1-r0:]^T v[r0:r1], to
@@ -259,7 +250,7 @@ def _slab_apply(packed: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     so a block smaller than one slab acts exactly as given.
     """
     half = w.size
-    v = (w if v.ndim == 1 else w[:, None]) * v
+    v = w * v
     out = np.zeros_like(v)
     for r0, r1, start, stop in _slabs(half):
         slab = packed[start:stop].reshape(r1 - r0, half - r0)
@@ -349,26 +340,26 @@ Operator = GreenOperator | SpectralOperator
 def apply(op: Operator, v: np.ndarray) -> np.ndarray:
     """Apply the discretized integral operator to node values.
 
-    v holds one vector of node values, shape (n,), or m of them as the
-    columns of an (n, m) array.  For the folded operator, an input whose
-    mirror-odd part is exactly zero skips the odd block: the result is
-    [E e ; J E e], the value the two-block formula gives, for half the
-    bytes read, and the odd block is never built.  Any other input reads
-    `op.odd`, which builds that block on first use.  For the spectral
-    operator, each column is extended oddly to [v, -v reversed] and
-    transformed by a long-double rfft of length 2n; Fourier mode k
-    (k = 1..n) is sine mode k and is scaled by symbol[k - 1], the mean by
-    0, and the first n values of the irfft are returned in float64.
+    v is one vector of node values, shape (n,); any other shape raises
+    ValueError.  For the folded operator, an input whose mirror-odd part is
+    exactly zero skips the odd block: the result is [E e ; J E e], the
+    value the two-block formula gives, for half the bytes read, and the odd
+    block is never built.  Any other input reads `op.odd`, which builds
+    that block on first use.  For the spectral operator, v is extended
+    oddly to [v, -v reversed] and transformed by a long-double rfft of
+    length 2n; Fourier mode k (k = 1..n) is sine mode k and is scaled by
+    symbol[k - 1], the mean by 0, and the first n values of the irfft are
+    returned in float64.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[0] != op.grid.n:
-        raise ValueError("vector length does not match grid")
+    if v.shape != (op.grid.n,):
+        raise ValueError("v must have shape (n,), one value per node")
     if isinstance(op, SpectralOperator):
         n = op.grid.n
-        coef = np.fft.rfft(np.concatenate([v, -v[::-1]], dtype=np.longdouble), axis=0)
+        coef = np.fft.rfft(np.concatenate([v, -v[::-1]], dtype=np.longdouble))
         coef[0] = 0.0  # the mean, which no sine mode has
-        coef[1:] *= op.symbol if v.ndim == 1 else op.symbol[:, None]
-        return np.fft.irfft(coef, 2 * n, axis=0)[:n].astype(float)
+        coef[1:] *= op.symbol
+        return np.fft.irfft(coef, 2 * n)[:n].astype(float)
     half = op.grid.n // 2
     w = op.grid.weights[:half]
     left, right = v[:half], v[half:][::-1]
@@ -442,15 +433,14 @@ def spectral_mt_operator(s: float, grid: Grid) -> SpectralOperator:
 def green_q_norm(kernel: GreenKernel, grid: Grid, x0_index: int, q: float) -> float:
     """(int_Omega G^q(x, x0) dx)^{1/q} for a grid node x0.
 
-    Valid for 0 < q < N/(N-2s); the diagonal cell is integrated through the
-    envelope |x0 - y|^{q(2s-1)} in closed form, as in `assemble`.  A right-half
-    x0 is read at its left-half mirror node, and delta from the grid: the
-    rounding of 1 - x_left is large relative to delta near x = 1.
+    Valid for q in the range of `exponents._check_q`; the diagonal cell is
+    integrated through the envelope |x0 - y|^{q(2s-1)} in closed form, as in
+    `assemble`.  A right-half x0 is read at its left-half mirror node, and
+    delta from the grid: the rounding of 1 - x_left is large relative to
+    delta near x = 1.
     """
     s = kernel.params.s
-    q_high = 1.0 / (1.0 - 2.0 * s)
-    if not 0.0 < q < q_high:
-        raise ValueError(f"q must lie in (0, {q_high}); the integral diverges otherwise")
+    _check_q(1, s, q)
     i = range(grid.n)[x0_index]  # a negative index counts from the end, as in numpy
     i = min(i, grid.n - 1 - i)  # the left-half mirror node of a right-half centre
     x, d = grid.nodes, grid.delta

@@ -43,6 +43,12 @@ _MAX_ITER = 1000  # Picard iterations before ConvergenceError
 _NEST_RTOL = 1e-12  # relative roundoff a nested enclosure step may show
 
 
+def _check_tol(tol: float) -> None:
+    """The one range of a tolerance, 0 < tol < inf; NaN fails both comparisons."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tolerance must be positive and finite")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     p: float
@@ -51,8 +57,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError("solver handles 0 < p < 1; p = 1 is the eigenvalue problem")
-        if not 0.0 < self.tol < np.inf:  # NaN fails both comparisons
-            raise ValueError("tolerance must be positive and finite")
+        _check_tol(self.tol)
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,14 @@ written, for the values in use, so that the one `Grid.boundary_window`
 can be shown to select the same nodes.  All are kept here only as the
 independent references the library is tested against.  `pack_block`
 stores a plain (n/2, n/2) block the way the library stores a folded one,
-so that tests can build operators by hand.
+so that tests can build operators by hand, and `apply_columns` applies an
+operator, which takes one vector at a time, to the columns of a matrix.
 """
 
 import numpy as np
 
 from nonlocal_sharp.grids import boundary_distance
-from nonlocal_sharp.operators import _own_cell_integral, _slabs
+from nonlocal_sharp.operators import _own_cell_integral, _slabs, apply
 
 
 def quotient_envelope(r, dx, dy, params):
@@ -50,12 +51,19 @@ def dense_matrix_transfer(s, grid):
 
 
 def dst_matrix_transfer(symbol, v):
-    """idst(symbol * dst(v)) with the orthonormal DST-II pair, in long double, along axis 0."""
+    """idst(symbol * dst(v)) of one vector, with the orthonormal DST-II pair, in long double."""
     from scipy.fft import dst, idst
 
-    sym = symbol if np.ndim(v) == 1 else symbol[:, None]
-    coef = dst(np.asarray(v, dtype=np.longdouble), type=2, norm="ortho", axis=0)
-    return idst(sym * coef, type=2, norm="ortho", axis=0).astype(float)
+    coef = dst(np.asarray(v, dtype=np.longdouble), type=2, norm="ortho")
+    return idst(symbol * coef, type=2, norm="ortho").astype(float)
+
+
+def apply_columns(op, V):
+    """The matrix whose column k is apply(op, V[:, k]): one single-vector apply per column.
+
+    On the columns of the identity this is the operator's dense matrix.
+    """
+    return np.stack([apply(op, v) for v in np.asarray(V, dtype=float).T], axis=1)
 
 
 def dense_synthetic_assembly(kernel, grid, near_band=8, gauss_nodes=8):

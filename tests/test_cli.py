@@ -203,6 +203,7 @@ class TestSolve:
         fit = json.loads((tmp_path / "fit.json").read_text())
         assert fit["mu_pred"] == 0.8
         assert abs(fit["mu_hat"] - 0.8) < 0.2
+        assert 0 <= fit["bracket_gap"] <= 1e-8  # the certificate, at the --tol it was run to
         assert main(args) == 0
         capsys.readouterr()
         assert (tmp_path / "solution.csv").read_text() == sol

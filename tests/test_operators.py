@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
+    apply_columns,
     dense_matrix_transfer,
     dense_synthetic_assembly,
     dst_matrix_transfer,
@@ -20,6 +21,7 @@ from reference import (
 import nonlocal_sharp
 from nonlocal_sharp import operators
 from nonlocal_sharp import (
+    GreenKernel,
     GreenOperator,
     Grid,
     ProblemParams,
@@ -64,17 +66,17 @@ class TestAssemble:
     def test_two_cell_diagonal_closed_form(self):
         # half-width 1/4 on each side: [(1/4)^{2s} + (1/4)^{2s}] / (2s) = 2 at s = 1/4
         op = assemble(synthetic_k5(ProblemParams(s=0.25, gamma=0.7)), two_cell_grid())
-        A = apply(op, np.eye(2))
+        A = apply_columns(op, np.eye(2))
         assert A[0, 0] == pytest.approx(2.0, rel=1e-14)
         assert A[1, 1] == pytest.approx(2.0, rel=1e-14)
 
     def test_entries_nonnegative(self):
         op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(64, 3.0))
-        assert np.all(apply(op, np.eye(64)) >= 0.0)
+        assert np.all(apply_columns(op, np.eye(64)) >= 0.0)
 
     def test_self_adjoint_in_quadrature_inner_product(self):
         op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=0.6)), graded_mesh(128, 3.0))
-        WA = op.grid.weights[:, None] * apply(op, np.eye(128))
+        WA = op.grid.weights[:, None] * apply_columns(op, np.eye(128))
         asym = np.max(np.abs(WA - WA.T)) / np.max(np.abs(WA))
         assert asym < 1e-14
 
@@ -90,7 +92,7 @@ class TestAssemble:
         grid = graded_mesh(2 * n_half, beta)
         with mock.patch.object(operators, "_BLOCK_ENTRIES", block_rows * grid.n):
             op = assemble(kernel, grid)
-            M = apply(op, np.eye(grid.n))  # not mirror-even: builds the odd block here
+            M = apply_columns(op, np.eye(grid.n))  # not mirror-even: builds the odd block here
         ref = dense_synthetic_assembly(kernel, grid)
         top, bottom = M[:n_half], M[n_half:]
         assert np.max(np.abs(top - ref[:n_half])) <= 1e-14 * np.max(np.abs(ref))
@@ -103,7 +105,7 @@ class TestAssemble:
         kernel = synthetic_k5(ProblemParams(s=0.484375, gamma=1.0))
         grid = graded_mesh(2 * n_half, 1.0)
         op = assemble(kernel, grid)
-        top = apply(op, np.eye(grid.n))[:n_half]  # not mirror-even: builds the odd block here
+        top = apply_columns(op, np.eye(grid.n))[:n_half]  # not mirror-even: builds the odd block
         ref = dense_synthetic_assembly(kernel, grid)
         assert np.max(np.abs(top - ref[:n_half])) <= 1e-14 * np.max(np.abs(ref))
 
@@ -114,7 +116,7 @@ class TestAssemble:
         grid = graded_mesh(n, 2.0)
         with mock.patch.object(operators, "_BLOCK_ENTRIES", 3 * n):
             op = assemble(kernel, grid)
-            top = apply(op, np.eye(n))[:n // 2]  # not mirror-even: builds the odd block here
+            top = apply_columns(op, np.eye(n))[:n // 2]  # not mirror-even: builds the odd block
         ref = dense_synthetic_assembly(kernel, grid)[:n // 2]
         assert np.max(np.abs(top - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -249,22 +251,21 @@ class TestApply:
                               build_odd=lambda: np.full(op.even.shape, np.nan),
                               params=op.params)
         w = op.grid.weights[:half]
-        gen = np.random.default_rng(5)
-        for shape in ((half,), (half, 3)):
-            left = gen.uniform(0, 1, shape)
-            v = np.concatenate([left, left[::-1]])
-            got = apply(blind, v)
-            assert np.all(np.isfinite(got))
-            ee = operators._slab_apply(op.even, w, 0.5 * (left + left))
-            oo = operators._slab_apply(op.odd, w, 0.5 * (left - left))
-            np.testing.assert_array_equal(got, np.concatenate([ee + oo, (ee - oo)[::-1]]))
-            v[half - 1] += 1.0  # no longer mirror-symmetric: the odd block is used again
-            assert np.all(np.isnan(apply(blind, v)))
+        left = np.random.default_rng(5).uniform(0, 1, half)
+        v = np.concatenate([left, left[::-1]])
+        got = apply(blind, v)
+        assert np.all(np.isfinite(got))
+        ee = operators._slab_apply(op.even, w, 0.5 * (left + left))
+        oo = operators._slab_apply(op.odd, w, 0.5 * (left - left))
+        np.testing.assert_array_equal(got, np.concatenate([ee + oo, (ee - oo)[::-1]]))
+        v[half - 1] += 1.0  # no longer mirror-symmetric: the odd block is used again
+        assert np.all(np.isnan(apply(blind, v)))
 
     def test_shape_mismatch(self, op):
         n = op.grid.n
         for target in (op, spectral_mt_operator(0.3, graded_mesh(n, 1.0))):
-            for bad in (np.ones(n + 1), np.ones((n + 1, 2)), np.ones((n, 2, 2))):
+            for bad in (np.ones(n + 1), np.ones((n, 1)), np.ones((n, 2)), np.ones((n + 1, 2)),
+                        np.ones((n, 2, 2))):
                 with pytest.raises(ValueError):
                     apply(target, bad)
 
@@ -282,7 +283,7 @@ class TestApply:
 class TestSpectralMT:
     def test_ground_eigenvalue_matches_continuum(self):
         op = spectral_mt_operator(0.3, graded_mesh(2000, 1.0))
-        M = apply(op, np.eye(op.grid.n))
+        M = apply_columns(op, np.eye(op.grid.n))
         mu = np.sort(np.linalg.eigvalsh(0.5 * (M + M.T)))[-1]
         assert mu == pytest.approx(np.pi ** -0.6, abs=1e-3)
 
@@ -295,7 +296,7 @@ class TestSpectralMT:
         main[0] = main[-1] = 3.0  # antisymmetric ghost reflection at midpoints
         L = (np.diag(main) - np.diag(np.ones(n - 1), 1)
              - np.diag(np.ones(n - 1), -1)) / h ** 2
-        np.testing.assert_allclose(apply(op, L), np.eye(n), atol=1e-8)
+        np.testing.assert_allclose(apply_columns(op, L), np.eye(n), atol=1e-8)
 
     def test_requires_uniform_grid(self):
         with pytest.raises(ValueError):
@@ -324,11 +325,10 @@ class TestSpectralMT:
 
     @settings(max_examples=40, deadline=None)
     @given(s=st.floats(0.0, 1.0, exclude_min=True), n_half=st.integers(32, 256),
-           columns=st.sampled_from([None, 3]), seed=st.integers(0, 2 ** 16))
-    def test_transform_matches_dense_reference(self, s, n_half, columns, seed):
+           seed=st.integers(0, 2 ** 16))
+    def test_transform_matches_dense_reference(self, s, n_half, seed):
         grid = graded_mesh(2 * n_half, 1.0)
-        shape = (grid.n,) if columns is None else (grid.n, columns)
-        v = np.random.default_rng(seed).standard_normal(shape)
+        v = np.random.default_rng(seed).standard_normal(grid.n)
         ref = dense_matrix_transfer(s, grid) @ v
         got = apply(spectral_mt_operator(s, grid), v)
         assert got.shape == ref.shape and got.dtype == np.float64
@@ -337,12 +337,11 @@ class TestSpectralMT:
     @pytest.mark.parametrize("s", [0.25, 0.7])
     @pytest.mark.parametrize("n", [1024, 4096])
     def test_transform_matches_sine_transform_on_picard_iterates(self, n, s):
-        # positive mirror-even inputs, the shape of a Picard iterate: the torsion and its
-        # p-th power, alone and as the columns of one (n, 3) input
+        # positive mirror-even inputs, the shape of a Picard iterate: the torsion and
+        # its p-th power
         op = spectral_mt_operator(s, graded_mesh(n, 1.0))
         torsion = apply(op, np.ones(n))
-        batch = np.stack([np.ones(n), torsion, torsion ** 0.5], axis=1)
-        for v in (torsion, torsion ** 0.5, batch):
+        for v in (torsion, torsion ** 0.5):
             ref = dst_matrix_transfer(op.symbol, v)
             got = apply(op, v)
             assert got.shape == ref.shape
@@ -356,7 +355,7 @@ class TestEntries:
         # every (i, j) covers the four mirror quadrants of the n x n matrix
         op = assemble(synthetic_k5(ProblemParams(0.2, 0.7)), graded_mesh(n, 3.0))
         i, j = np.indices((n, n))
-        assert np.array_equal(operators.entries(op, i, j), apply(op, np.eye(n)))
+        assert np.array_equal(operators.entries(op, i, j), apply_columns(op, np.eye(n)))
 
     @pytest.mark.parametrize("n", [200, 1000])
     def test_folded_entries_are_absolutely_precise_on_left_rows(self, n):
@@ -393,7 +392,7 @@ class TestEntries:
     def test_spectral_entries_match_the_unit_column_applies(self, n):
         op = spectral_mt_operator(0.3, graded_mesh(n, 1.0))
         i, j = np.indices((n, n))
-        dense = apply(op, np.eye(n))
+        dense = apply_columns(op, np.eye(n))
         # both round the long-double transform absolutely, at about 1e-19 of the
         # largest entry; the corner entries are 2e-8 of it at n = 1000
         np.testing.assert_allclose(operators.entries(op, i, j), dense, rtol=1e-14,
@@ -415,6 +414,16 @@ class TestGreenQNorm:
         with pytest.raises(ValueError):
             green_q_norm(kernel, grid, 250, 0.0)
         assert np.isfinite(green_q_norm(kernel, grid, 250, q_high - 0.05))
+
+    @pytest.mark.parametrize("s", [0.5, 0.7])
+    def test_q_range_is_unbounded_for_a_bounded_kernel(self, s):
+        # at 2s >= N = 1 the kernel has no pole, so every q > 0 is admissible, as in classify_bq
+        kernel, grid = GreenKernel(ProblemParams(s=s, gamma=1.0)), graded_mesh(64, 2.0)
+        norm = green_q_norm(kernel, grid, 10, 1.5)
+        assert np.isfinite(norm) and norm > 0.0
+        for q in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                green_q_norm(kernel, grid, 10, q)
 
     def test_uniform_upper_bound(self, setup):
         # norm^q <= N omega_N diam^{N-q(N-2s)} / (N - q(N-2s)) with constant 1
