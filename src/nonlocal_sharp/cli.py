@@ -21,6 +21,7 @@ import tempfile
 import time
 from dataclasses import asdict
 from functools import partial
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -142,6 +143,7 @@ class _Case(NamedTuple):
     build: Callable
     solver: SolverConfig
     prediction: ExponentPrediction
+    operator: tuple  # the fields that fix the operator: equal ones share it
 
 
 def _field(obj: dict, fields: dict, name: str, what: str):
@@ -195,12 +197,15 @@ def _parse_case(case) -> _Case:
                             force_critical=f["force_critical"])
     fit_window(grid, prediction.regime == "critical")
     harnack_window(grid)
-    return _Case(f["backend"], params, grid, build, solver, prediction)
+    # the spectral backend runs on the uniform mesh whatever beta_g says
+    beta_g = f["beta_g"] if f["backend"] == "synthetic" else None
+    return _Case(f["backend"], params, grid, build, solver, prediction,
+                 (f["backend"], params, f["n"], beta_g))
 
 
-def _run(case: _Case) -> dict:
-    start = time.perf_counter()
-    sol = picard_solve(case.build(), case.solver)
+def _run(case: _Case, op, start: float) -> dict:
+    """The result row of a case solved on its operator; wall_ms runs from `start`."""
+    sol = picard_solve(op, case.solver)
     pred = case.prediction
     rep = fit_report(sol.u, case.grid, pred)
     ghp = harnack_report(sol.u, case.grid, pred)
@@ -220,23 +225,39 @@ def _run(case: _Case) -> dict:
 
 def run_case(case: dict) -> dict:
     """Solve one study case and return its result row as a dict."""
-    return _run(_parse_case(case))
+    case = _parse_case(case)
+    start = time.perf_counter()
+    return _run(case, case.build(), start)
 
 
-def _case_outcome(case: _Case) -> tuple[dict | None, dict | None]:
-    """(row, None) from a validated case's run, or (None, failure) if it failed.
+def _attempt(step: Callable) -> tuple:
+    """(step(), None), or (None, failure) if it raised one of _RUN_ERRORS.
 
     The one place a run's errors are caught, for `solve`, the serial study
-    loop and pool workers alike, so one failing case keeps the rows of the
-    others.  The failure is {"error": text, "residual": r}, r the last
-    residual of a ConvergenceError, else None: plain values, because a
-    ConvergenceError does not survive unpickling.
+    loop and pool workers alike.  The failure is {"error": text,
+    "residual": r}, r the last residual of a ConvergenceError, else None:
+    plain values, because a ConvergenceError does not survive unpickling.
     """
     try:
-        return _run(case), None
+        return step(), None
     except _RUN_ERRORS as exc:
         residual = exc.residual if isinstance(exc, ConvergenceError) else None
         return None, {"error": _error_text(exc), "residual": residual}
+
+
+def _group_outcomes(group: list[_Case]) -> list[tuple]:
+    """The (row, failure) of each case of a group that shares one operator, in order.
+
+    The operator is built once and every case runs on it, each caught on
+    its own, so one failing case keeps the rows of the others; a failed
+    build fails every case with its text.  Each row's wall_ms runs from
+    the start of the build.
+    """
+    start = time.perf_counter()
+    op, failure = _attempt(group[0].build)
+    if failure is not None:
+        return [(None, failure)] * len(group)
+    return [_attempt(partial(_run, case, op, start)) for case in group]
 
 
 def _row_json(row: dict) -> dict:
@@ -260,7 +281,7 @@ def cmd_solve(args) -> int:
     case = _parse_case(fields)
     os.makedirs(args.out_dir, exist_ok=True)
     fit_path = os.path.join(args.out_dir, "fit.json")
-    row, failure = _case_outcome(case)
+    [(row, failure)] = _group_outcomes([case])
     if failure is not None:
         _atomic_write(fit_path, _json_text({**failure, **{k: fields[k] for k in _CASE_KEYS}}))
         print(f"error: {failure['error']}", file=sys.stderr)
@@ -289,14 +310,25 @@ def cmd_study(args) -> int:
         raise ValueError("--jobs must be >= 1")
     os.makedirs(out_dir, exist_ok=True)
 
-    if args.jobs == 1 or len(parsed) == 1:
-        outcomes = [_case_outcome(case) for case in parsed]
+    # One task per operator.  The largest n go out first, so none of them is
+    # left to run alone at the end, and equal n keep input order.
+    groups = {}
+    for i, case in enumerate(parsed):
+        groups.setdefault(case.operator, []).append(i)
+    order = sorted(groups.values(), key=lambda group: -parsed[group[0]].grid.n)
+    # a group's cases share its first one's mesh and build, so a task sends one mesh
+    tasks = [[parsed[i]._replace(grid=parsed[group[0]].grid, build=parsed[group[0]].build)
+              for i in group] for group in order]
+    if args.jobs == 1 or len(tasks) == 1:
+        results = map(_group_outcomes, tasks)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # a fork pool starts all its workers at once: no more than there are cases
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(parsed))) as pool:
-            outcomes = list(pool.map(_case_outcome, parsed))  # preserves input order
+        # a fork pool starts all its workers at once: no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
+            results = list(pool.map(_group_outcomes, tasks))
+    # back to input order: the case indices are unique, so no outcome is compared
+    outcomes = [outcome for _, outcome in sorted(zip(chain(*order), chain(*results)))]
     rows = [row for row, _ in outcomes if row is not None]
     errors = [{"case": i, "error": failure["error"]}
               for i, (_, failure) in enumerate(outcomes) if failure is not None]

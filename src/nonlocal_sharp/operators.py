@@ -95,22 +95,21 @@ def _envelope(r, dx, dy, params: ProblemParams, out=None, scratch=None):
     1e29, far from overflow.  r has the shape of the result.  Called with
     r alone, it returns a new array and leaves r as it was.  The assembly
     also passes `out` and `scratch`, float arrays of r's shape, and a float
-    r that may be overwritten (it ends up holding r^{2s-1-2gamma}), so no
-    array of that shape is allocated.  Both ways run the same operations in
-    the same order and give the same bits.
+    r that may be overwritten (scratch ends up holding r^{2s-1-2gamma}),
+    so no array of that shape is allocated.  Both ways run the same
+    operations in the same order and give the same bits.
     """
     if out is None:
         r = np.array(r, dtype=float)
         out, scratch = np.empty_like(r), np.empty_like(r)
     g = params.gamma
-    rg = scratch
-    np.copyto(rg, r)
-    rg **= g  # the in-place operator keeps numpy's fast paths of `**` (sqrt for 1/2)
-    r **= 2.0 * params.s - 1.0 - 2.0 * g
-    np.minimum(dx ** g, rg, out=out)
-    np.multiply(r, out, out=out)
-    np.minimum(dy ** g, rg, out=rg)
-    return np.multiply(out, rg, out=out)
+    ra = np.power(r, 2.0 * params.s - 1.0 - 2.0 * g, out=scratch)
+    if g != 1.0:  # at gamma = 1 both min-factors read r itself
+        r **= g  # the in-place operator keeps numpy's fast paths of `**` (sqrt for 1/2)
+    np.minimum(dx ** g, r, out=out)
+    np.multiply(ra, out, out=out)
+    np.minimum(dy ** g, r, out=r)
+    return np.multiply(out, r, out=out)
 
 
 @dataclass(frozen=True)
@@ -217,6 +216,7 @@ def _fold(kernel: GreenKernel, grid: Grid, combine) -> np.ndarray:
     n = grid.n
     half = n // 2
     rows_at, cols_at, values = _corrected_entries(kernel, grid)
+    row_start = np.searchsorted(rows_at, np.arange(half + 1))  # row i: [row_start[i], row_start[i+1])
     slabs = _slabs(half)
     packed = np.empty(slabs[-1][3])
     rows = max(1, _BLOCK_ENTRIES // n)
@@ -228,7 +228,7 @@ def _fold(kernel: GreenKernel, grid: Grid, combine) -> np.ndarray:
         for b0 in range(r0, r1, rows):
             b1 = min(b0 + rows, r1)
             r, G, scratch = (b[:(b1 - b0) * m].reshape(b1 - b0, m) for b in buffers)
-            lo, hi = np.searchsorted(rows_at, (b0, b1))
+            lo, hi = row_start[b0], row_start[b1]
             at = (rows_at[lo:hi] - b0) * m + cols_at[lo:hi] - e  # flat indices in the block
             np.subtract(x[b0:b1, None], x[None, e:n - e], out=r)
             np.abs(r, out=r)
@@ -296,7 +296,10 @@ def _corrected_entries(kernel: GreenKernel, grid: Grid):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         y = mid[:, None] + half[:, None] * gx[None, :]
-        vals = kernel(np.broadcast_to(x[i0][:, None], y.shape), y)
+        xi = x[i0][:, None]
+        # Gauss points lie inside their cells, so r > 0 and every point is in [0, 1]
+        vals = _envelope(np.abs(xi - y), np.minimum(xi, 1.0 - xi), np.minimum(y, 1.0 - y),
+                         kernel.params)
         return half * (vals @ gw) / w[j0]
 
     k = _NEAR_BAND

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocal_sharp import (BracketError, ConvergenceError, ProblemParams, cli,
-                            graded_mesh, green_q_norm_profile, predict_mu, synthetic_k5)
+from nonlocal_sharp import (BracketError, ConvergenceError, ProblemParams, cli, graded_mesh,
+                            green_q_norm_profile, operators, predict_mu, synthetic_k5)
 from nonlocal_sharp.cli import STUDY_COLUMNS, main
 
 
@@ -51,6 +51,20 @@ def record_solves(monkeypatch):
         return solve(op, config)
     monkeypatch.setattr(cli, "picard_solve", spy)
     return calls
+
+
+def assemble_all_but_s_03(kernel, grid):
+    """cli.assemble with no room for the s = 0.3 operator; at module level, so it pickles."""
+    if kernel.params.s == 0.3:
+        raise MemoryError("no room")
+    return operators.assemble(kernel, grid)
+
+
+def study_rows(capsys, tmp_path, cases, *flags):
+    """The data rows of study.csv for these cases."""
+    assert main(["study", "--config", write_config(tmp_path, cases), *flags]) == 0
+    capsys.readouterr()
+    return (tmp_path / "study.csv").read_text().splitlines()[1:]
 
 
 def solve_flags(case):
@@ -489,6 +503,74 @@ class TestStudy:
         assert sizes == [2]
         assert (tmp_path / "study.csv").read_text() == serial
 
+    def test_cases_sharing_an_operator_build_it_once(self, capsys, tmp_path, monkeypatch):
+        # the same operator as SMALL_CASE: p is no operator parameter
+        cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "p": 0.25}]
+        alone = [study_rows(capsys, tmp_path, [case])[0] for case in cases]
+        grids, assemble = [], cli.assemble
+
+        def spy(kernel, grid):
+            grids.append(grid)
+            return assemble(kernel, grid)
+        monkeypatch.setattr(cli, "assemble", spy)
+        assert study_rows(capsys, tmp_path, cases, "--jobs", "1") == alone
+        assert len(grids) == 2
+
+    def test_spectral_cases_share_an_operator_whatever_beta_g(self, capsys, tmp_path,
+                                                              monkeypatch):
+        spectral = {**SMALL_CASE, "backend": "spectral", "n": 1024, "beta_g": 1.0}
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", sizes.append)
+        cases = [spectral, {**spectral, "p": 0.25, "beta_g": 2.0}]
+        assert len(study_rows(capsys, tmp_path, cases, "--jobs", "8")) == 2
+        assert sizes == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_build_fails_its_whole_group(self, capsys, tmp_path, monkeypatch, jobs):
+        cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "s": 0.15},
+                 {**SMALL_CASE, "s": 0.3, "p": 0.25}]
+        full = study_rows(capsys, tmp_path, cases)
+        monkeypatch.setattr(cli, "assemble", assemble_all_but_s_03)
+        code, out, err = run(capsys, "study", "--config", write_config(tmp_path, cases),
+                             "--jobs", jobs)
+        assert code == 3
+        assert "case 1" in err and "case 3" in err
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary == json.loads(out)
+        assert summary["errors"] == [{"case": 1, "error": "MemoryError: no room"},
+                                     {"case": 3, "error": "MemoryError: no room"}]
+        assert (tmp_path / "study.csv").read_text().splitlines()[1:] == [full[0], full[2]]
+
+    def test_largest_operators_go_first(self, capsys, tmp_path, monkeypatch):
+        cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3, "n": 128},
+                 {**SMALL_CASE, "p": 0.25}, {**SMALL_CASE, "s": 0.15, "n": 256},
+                 {**SMALL_CASE, "s": 0.3}]
+        ran, run_group = [], cli._group_outcomes
+
+        def serial_spy(task):
+            ran.append([case.grid.n for case in task])
+            return run_group(task)
+        monkeypatch.setattr(cli, "_group_outcomes", serial_spy)
+        serial = study_rows(capsys, tmp_path, cases, "--jobs", "1")
+        assert ran == [[256], [128], [64, 64], [64]]
+        monkeypatch.setattr(cli, "_group_outcomes", run_group)  # the pool pickles it by name
+        sent, pool = [], concurrent.futures.ProcessPoolExecutor
+
+        class Spy(pool):
+            def map(self, fn, tasks):
+                sent.extend([[case.grid.n for case in task] for task in tasks])
+                return super().map(fn, tasks)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        assert study_rows(capsys, tmp_path, cases, "--jobs", "2") == serial
+        assert sent == [[256], [128], [64, 64], [64]]
+
+    def test_one_shared_operator_starts_no_pool(self, capsys, tmp_path, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", sizes.append)
+        cases = [SMALL_CASE, {**SMALL_CASE, "p": 0.25}, {**SMALL_CASE, "p": 0.75}]
+        assert len(study_rows(capsys, tmp_path, cases, "--jobs", "8")) == 3
+        assert sizes == []
+
     def test_synthetic_case_never_builds_the_odd_block(self, monkeypatch):
         # every Picard iterate is mirror-even, so the solve reads the even block alone
         ops, solve = [], cli.picard_solve
@@ -513,10 +595,10 @@ class TestStudy:
         full = (tmp_path / "study.csv").read_text().splitlines()
         solve = cli._run
 
-        def fail_one(case):  # pool workers are forked and inherit the patch
+        def fail_one(case, op, start):  # pool workers are forked and inherit the patch
             if case.params.s == 0.3:
                 raise ConvergenceError("did not converge", 1.0)
-            return solve(case)
+            return solve(case, op, start)
         monkeypatch.setattr(cli, "_run", fail_one)
         code, out, err = run(capsys, "study", "--config", cfg, "--jobs", jobs)
         assert code == 3

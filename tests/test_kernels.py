@@ -80,6 +80,20 @@ class TestEnvelope:
         val = operators._envelope(r, dx, dy, params)
         assert abs(val - ref) <= 1e-14 * ref
 
+    @pytest.mark.parametrize("g", [1.0, 0.5, 0.3])  # r itself, the sqrt fast path, np.power
+    def test_buffers_give_the_bits_of_the_allocating_call(self, g):
+        params = ProblemParams(s=0.2, gamma=g)
+        grid = graded_mesh(600, 3.0)
+        x, d = grid.nodes, grid.delta
+        r = np.abs(x[:40, None] - x[None, 100:])
+        kept = r.copy()
+        ref = operators._envelope(r, d[:40, None], d[None, 100:], params)
+        assert np.array_equal(r, kept)  # the allocating call leaves r as it was
+        out, scratch = np.empty_like(r), np.empty_like(r)
+        val = operators._envelope(r, d[:40, None], d[None, 100:], params, out=out,
+                                  scratch=scratch)
+        assert val is out and np.array_equal(val, ref)
+
     def test_most_negative_exponent_stays_finite_at_the_smallest_distance(self):
         # r^{2s-1-2gamma} = r^{-2.98} here: an overflow would raise under error::RuntimeWarning
         grid = graded_mesh(4000, 3.0)
