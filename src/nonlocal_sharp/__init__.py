@@ -12,6 +12,7 @@ from .operators import (
     GreenKernel,
     GreenOperator,
     apply,
+    apply_sector,
     assemble,
     check_kernel_bounds,
     green_q_norm,
@@ -54,7 +55,7 @@ __all__ = [
     "Grid", "InsufficientWindowError", "boundary_distance", "graded_mesh",
     "DiagonalSingularityError", "GreenKernel", "ProblemParams",
     "check_kernel_bounds", "synthetic_k5",
-    "GreenOperator", "apply", "assemble", "green_q_norm",
+    "GreenOperator", "apply", "apply_sector", "assemble", "green_q_norm",
     "green_q_norm_profile", "spectral_mt_operator",
     "BoundaryRatio", "EigenPair",
     "eigenfunction_boundary_report", "leading_eigenpairs",

@@ -1,13 +1,14 @@
 """Leading eigenpairs of the discretized compact inverse operator.
 
 The operator A is self-adjoint in the quadrature-weighted inner product
-<u, v>_w = sum_i w_i u_i v_i, the discrete L^2 pairing on the grid, so
-S = W^{1/2} A W^{-1/2} is symmetric.  Its largest eigenpairs come from
-ARPACK (scipy.sparse.linalg.eigsh) run on S as a matrix-free linear
-operator built on `apply`, the same for both backends, and map back to A
-by W^{-1/2}; each pair keeps the honest residual ||A phi - mu phi||_w of
-A itself.  `leading_eigenpairs` imports scipy.sparse.linalg when called,
-so importing this module loads no scipy module.
+<u, v>_w = sum_i w_i u_i v_i, the discrete L^2 pairing on the grid, and
+commutes with the flip x -> 1 - x.  On each of its mirror sectors
+(`apply_sector`, n/2 unknowns), ARPACK (scipy.sparse.linalg.eigsh) runs on
+S = W^{1/2} A W^{-1/2}, symmetric for W = 2 diag(w_L), the pairing of the
+mirrored vectors, matrix-free and the same for both backends; the sectors'
+pairs are merged by eigenvalue, each with the honest residual
+||A phi - mu phi||_w.  `leading_eigenpairs` imports scipy.sparse.linalg
+when called, so importing this module loads no scipy module.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid
-from .operators import Operator, apply
+from .operators import Operator, _mirror, apply_sector
 from .solver import ConvergenceError, _check_tol
 
 _MAX_ITER = 10_000  # ARPACK restarts before ConvergenceError
@@ -39,8 +40,8 @@ def check_eigen_request(n: int, n_eigs: int, tol: float) -> None:
     if not 1 <= n_eigs <= 20:
         raise ValueError("n_eigs must lie in 1..20")
     _check_tol(tol)
-    if n_eigs >= n:
-        raise ValueError("n_eigs must be smaller than the number of nodes")
+    if n_eigs > n - 2:
+        raise ValueError("n_eigs must be at most n - 2, the pairs two mirror sectors hold")
 
 
 def leading_eigenpairs(op: Operator, n_eigs: int = 1,
@@ -48,42 +49,40 @@ def leading_eigenpairs(op: Operator, n_eigs: int = 1,
     """Largest n_eigs eigenpairs, ordered by decreasing eigenvalue.
 
     Every pair must reach ||A phi - mu phi||_w <= tol * mu_1, whatever
-    ARPACK's own stopping test reported.  The start vector is a seeded
-    random vector: a symmetric start is orthogonal to the odd modes.
+    ARPACK's own stopping test reported.  A is positivity improving, so its
+    ground pair is simple and mirror-even (Krein-Rutman): the odd sector, and
+    a folded operator's odd block, run only for n_eigs >= 2, for at most
+    n_eigs - 1 pairs.  ARPACK finds at most n/2 - 1 pairs of a sector, so
+    n_eigs <= n - 2.  Each sector starts from a seeded random vector; each
+    phi's left half has a nonnegative sum.
     """
     n = op.grid.n
     check_eigen_request(n, n_eigs, tol)
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    w = op.grid.weights
-    sw = np.sqrt(w)
-    S = LinearOperator((n, n), matvec=lambda y: sw * apply(op, np.ravel(y) / sw),
-                       dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        mus, Y = eigsh(S, k=n_eigs, which="LA", v0=v0, tol=tol, maxiter=_MAX_ITER)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(f"ARPACK did not converge: {exc}", np.inf) from exc
-    order = np.argsort(mus)[::-1]
-    mu_1 = float(mus[order[0]])
+    half = n // 2
+    w = op.grid.weights[:half]
+    sw = np.sqrt(2.0 * w)  # ||[v, +-v reversed]||_w = ||sw v||, sqrt(2) times the half's norm
+    v0 = np.random.default_rng(0).standard_normal(half)
+    found = []
+    for odd in (False, True)[:min(n_eigs, 2)]:
+        S = LinearOperator((half, half), dtype=float,
+                           matvec=lambda y, odd=odd: sw * apply_sector(op, np.ravel(y) / sw, odd))
+        try:
+            mus, Y = eigsh(S, min(n_eigs - odd, half - 1), which="LA", v0=v0, tol=tol,
+                           maxiter=_MAX_ITER)
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(f"ARPACK did not converge: {exc}", np.inf) from exc
+        found += [(float(mu), odd, Y[:, j] / sw) for j, mu in enumerate(mus)]
+    found = sorted(found, key=lambda pair: -pair[0])[:n_eigs]
     pairs = []
-    for k, j in enumerate(order):
-        mu = float(mus[j])
-        phi = _fix_sign(Y[:, j] / sw, w)
-        r = apply(op, phi) - mu * phi
-        resid = float(np.sqrt(np.sum(w * r * r)))
-        if resid > tol * mu_1:
-            raise ConvergenceError(
-                f"eigenpair {k + 1} residual {resid:.3e} exceeds tol * mu_1", resid)
-        pairs.append(EigenPair(index=k + 1, mu=mu, phi=phi, residual=resid))
+    for k, (mu, odd, phi) in enumerate(found):
+        phi = phi if np.sum(w * phi) >= 0.0 else -phi
+        resid = float(np.linalg.norm(sw * (apply_sector(op, phi, odd) - mu * phi)))
+        if resid > tol * found[0][0]:
+            raise ConvergenceError(f"eigenpair {k + 1} residual {resid:.3e} > tol * mu_1", resid)
+        pairs.append(EigenPair(index=k + 1, mu=mu, phi=_mirror(phi, odd), residual=resid))
     return pairs
-
-
-def _fix_sign(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    mean = float(np.sum(w * v))
-    if abs(mean) > 1e-8:
-        return v if mean >= 0 else -v
-    return v if v[np.argmax(np.abs(v))] >= 0 else -v
 
 
 _EXCLUDE = 3      # nodes left out next to each endpoint

@@ -31,7 +31,7 @@ class ProblemParams:
     """The operator's parameters (s, gamma), validated once for every caller.
 
     The nonlinearity power p is no operator parameter: `predict_mu` and
-    `SolverConfig`, which read it, check it themselves.
+    `SolverConfig`, which read it, check it by `_check_p`.
     """
 
     s: float
@@ -45,6 +45,15 @@ class ProblemParams:
 
 class EigenvalueProblemSignal(ValueError):
     """Raised when p = 1 is requested: that is the eigenvalue problem."""
+
+
+def _check_p(p: float) -> None:
+    """The one range of the nonlinearity power p: (0, 1); p = 1 raises EigenvalueProblemSignal."""
+    if p == 1.0:
+        raise EigenvalueProblemSignal("p = 1 is the eigenvalue problem, outside 0 < p < 1; "
+                                      "use the eigen command (leading_eigenpairs)")
+    if not 0.0 < p < 1.0:  # NaN fails both comparisons
+        raise ValueError("nonlinearity power p must lie in 0 < p < 1")
 
 
 def _close(a: float, b: float, rel_tol: float = 1e-12) -> bool:
@@ -75,15 +84,10 @@ def predict_mu(s: float, gamma: float, p: float,
 
     The critical threshold gamma = 2s/(1-p) is detected with relative
     tolerance 1e-12; pass force_critical=True to pin it for parameters that
-    are critical by construction.  p must lie in (0, 1); p = 1, the
-    eigenvalue problem, raises EigenvalueProblemSignal.
+    are critical by construction.  p = 1 raises EigenvalueProblemSignal (`_check_p`).
     """
     ProblemParams(s=s, gamma=gamma)
-    if p == 1.0:
-        raise EigenvalueProblemSignal(
-            "p = 1 is the eigenvalue problem; use the eigen command (leading_eigenpairs)")
-    if not 0.0 < p < 1.0:
-        raise ValueError("nonlinearity power p must lie in (0, 1)")
+    _check_p(p)
     scaling = 2.0 * s / (1.0 - p)
     if force_critical or _close(gamma, scaling):
         return ExponentPrediction(mu=gamma, sigma=1.0, regime="critical",

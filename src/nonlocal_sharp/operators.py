@@ -19,10 +19,9 @@ closed form through the |x - y|^{2s-1} envelope, whose min-factors are 1 on
 every cell because the exactly mirrored grid has half-width <= delta, and a
 Gauss-refined band around it.  The grid and the synthetic kernel are
 symmetric under x -> 1 - x, so the operator is folded into two (n/2, n/2)
-blocks acting on the mirror-even and mirror-odd parts of a vector, each
-stored once as the upper slabs of a symmetric matrix of kernel values
-(`GreenOperator`); a mirror-even input, such as every Picard iterate, reads
-the even block alone, and the odd one is built the first time it is read.
+blocks, its actions on the left halves of mirror-even and mirror-odd vectors
+(the two sectors), each stored once as the upper slabs of a symmetric matrix
+of kernel values (`GreenOperator`); the odd one is built when first read.
 The spectral backend is the matrix transfer of the second-difference
 Dirichlet Laplacian, whose eigenvectors on the uniform midpoint grid are the
 DST-II sine modes, so it stores only its n eigenvalues (the symbol).
@@ -31,10 +30,10 @@ Extended oddly to 2n points, a grid function sees that Laplacian as the
 so `apply` runs it by numpy's real FFT in O(n log n), in long double (80-bit
 extended on x86-64 Linux): FFT rounding is absolute, and in float64 it is
 large enough relative to the small boundary values of u to break the
-solver's nesting certificate.  `apply` is the one entry point for both
-backends, one vector at a time, and both run on numpy alone; `entries` reads
-single matrix entries from either backend's storage, which is how
-`check_kernel_bounds` samples an operator against the envelope.
+solver's nesting certificate.  `apply_sector`, each backend's one matvec on
+a sector, is what the solvers call; `apply` takes one full vector; both run
+on numpy alone, and `entries` reads single matrix entries from either
+backend's storage, which is how `check_kernel_bounds` samples an operator.
 """
 
 from __future__ import annotations
@@ -131,10 +130,9 @@ class GreenOperator:
     the kernel-value matrices S_even and S_odd, each packed once as its
     upper slabs (`_slabs`: slab [r0, r1) holds S[r0:r1, r0:], its diagonal
     square in full), in one flat float64 array of about n^2/8 + 32 n
-    entries.  `apply` recombines them, so a mirror-symmetric input gives an
-    exactly mirror-symmetric result.  Only `even` is stored up front: `odd`
-    is made by the zero-argument `build_odd` the first time it is read, and
-    kept, so an operator that sees only mirror-even inputs never holds it.
+    entries, each applied by `apply_sector` to a left half.  Only `even` is
+    stored up front: `odd` is made by the zero-argument `build_odd` the first
+    time it is read, and kept, so the mirror-even sector never builds it.
     """
 
     grid: Grid
@@ -340,19 +338,36 @@ class SpectralOperator:
 Operator = GreenOperator | SpectralOperator
 
 
+def _mirror(v: np.ndarray, odd: bool = False) -> np.ndarray:
+    """The full vector [v, v reversed] of a left half v, or [v, -v reversed] when odd."""
+    return np.concatenate([v, -v[::-1] if odd else v[::-1]])
+
+
+def apply_sector(op: Operator, v: np.ndarray, odd: bool = False) -> np.ndarray:
+    """The left half of A [v, v reversed], or of A [v, -v reversed] when odd.
+
+    v has shape (n/2,); any other shape raises ValueError.  The folded
+    operator applies its even or odd block; the spectral one keeps the
+    first n/2 values of `apply` on the mirrored vector.
+    """
+    v = np.asarray(v, dtype=float)
+    half = op.grid.n // 2
+    if v.shape != (half,):
+        raise ValueError("v must have shape (n/2,), one value per left-half node")
+    if isinstance(op, SpectralOperator):
+        return apply(op, _mirror(v, odd))[:half]
+    return _slab_apply(op.odd if odd else op.even, op.grid.weights[:half], v)
+
+
 def apply(op: Operator, v: np.ndarray) -> np.ndarray:
     """Apply the discretized integral operator to node values.
 
     v is one vector of node values, shape (n,); any other shape raises
-    ValueError.  For the folded operator, an input whose mirror-odd part is
-    exactly zero skips the odd block: the result is [E e ; J E e], the
-    value the two-block formula gives, for half the bytes read, and the odd
-    block is never built.  Any other input reads `op.odd`, which builds
-    that block on first use.  For the spectral operator, v is extended
-    oddly to [v, -v reversed] and transformed by a long-double rfft of
-    length 2n; Fourier mode k (k = 1..n) is sine mode k and is scaled by
-    symbol[k - 1], the mean by 0, and the first n values of the irfft are
-    returned in float64.
+    ValueError.  The folded operator applies v's mirror-even and mirror-odd
+    parts by `apply_sector`.  The spectral one extends v oddly to
+    [v, -v reversed], runs a long-double rfft of length 2n, scales Fourier
+    mode k = 1..n, sine mode k, by symbol[k - 1] and the mean by 0, and
+    returns the first n values of the irfft in float64.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (op.grid.n,):
@@ -363,14 +378,9 @@ def apply(op: Operator, v: np.ndarray) -> np.ndarray:
         coef[0] = 0.0  # the mean, which no sine mode has
         coef[1:] *= op.symbol
         return np.fft.irfft(coef, 2 * n)[:n].astype(float)
-    half = op.grid.n // 2
-    w = op.grid.weights[:half]
-    left, right = v[:half], v[half:][::-1]
-    ee = _slab_apply(op.even, w, 0.5 * (left + right))
-    odd_part = 0.5 * (left - right)
-    if not np.any(odd_part):  # mirror-even input: the odd block would add exact zeros
-        return np.concatenate([ee, ee[::-1]])
-    oo = _slab_apply(op.odd, w, odd_part)
+    left, right = v[:op.grid.n // 2], v[op.grid.n // 2:][::-1]
+    ee = apply_sector(op, 0.5 * (left + right))
+    oo = apply_sector(op, 0.5 * (left - right), odd=True)
     return np.concatenate([ee + oo, (ee - oo)[::-1]])
 
 

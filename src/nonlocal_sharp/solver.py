@@ -15,7 +15,8 @@ sqrt(b/a) of the fixed point in every entry.  Since min r = a^{1-p} and
 max r = b^{1-p}, the next enclosure [a' T(u), b' T(u)] lies inside
 [a u, b u] exactly when a' >= a^p and b' <= b^p, so the two numbers
 (a, b) carry the whole certificate; a step may miss either bound by the
-relative roundoff _NEST_RTOL.
+relative roundoff _NEST_RTOL.  The torsion and every iterate are mirror-even,
+so the iteration runs on left halves, by `apply_sector`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import ExponentPrediction
+from .exponents import ExponentPrediction, _check_p
 from .grids import Grid, InsufficientWindowError
-from .operators import Operator, apply
+from .operators import Operator, _mirror, apply_sector
 
 
 class ConvergenceError(RuntimeError):
@@ -55,8 +56,7 @@ class SolverConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("solver handles 0 < p < 1; p = 1 is the eigenvalue problem")
+        _check_p(self.p)
         _check_tol(self.tol)
 
 
@@ -69,11 +69,11 @@ class SemilinearSolution:
 
 
 def picard_map(op: Operator, p: float, u: np.ndarray) -> np.ndarray:
-    """T(u) = G[u^p]; monotone and p-homogeneous on nonnegative inputs."""
+    """T(u) = G[u^p] on left halves of mirror-even vectors; monotone, p-homogeneous."""
     u = np.asarray(u, dtype=float)
     if np.any(u < 0.0):
         raise ValueError("fixed-point map defined for nonnegative inputs")
-    return apply(op, u ** p)
+    return apply_sector(op, u ** p)
 
 
 def enclosure(u: np.ndarray, tu: np.ndarray, p: float) -> tuple[float, float]:
@@ -101,10 +101,10 @@ def picard_solve(op: Operator, config: SolverConfig) -> SemilinearSolution:
     returns that u_k.  Successive enclosures are nested in exact
     arithmetic, that is a_{k+1}' >= a_k^p and b_{k+1}' <= b_k^p; a step
     that misses either by more than the relative roundoff _NEST_RTOL raises
-    BracketError.
+    BracketError.  The iterates are left halves, and the u returned is whole.
     """
     p, tol = config.p, config.tol
-    u = apply(op, np.ones(op.grid.n))
+    u = apply_sector(op, np.ones(op.grid.n // 2))
     a, b = 0.0, np.inf  # no enclosure yet: the first step is nested in anything
     residual = np.inf
     for iterations in range(1, _MAX_ITER + 1):
@@ -115,7 +115,7 @@ def picard_solve(op: Operator, config: SolverConfig) -> SemilinearSolution:
         gap = b_next / a_next - 1.0
         residual = float(np.max(np.abs(tu - u))) / float(np.max(u))
         if gap <= tol and residual <= tol:
-            return SemilinearSolution(u=u, residual=residual,
+            return SemilinearSolution(u=_mirror(u), residual=residual,
                                       iterations=iterations, bracket_gap=gap)
         m = np.sqrt(a_next * b_next)
         a, b = a_next / m, b_next / m

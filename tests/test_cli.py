@@ -1,10 +1,13 @@
 import concurrent.futures
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocal_sharp import (BracketError, ConvergenceError, ProblemParams, cli, graded_mesh,
                             green_q_norm_profile, operators, predict_mu, synthetic_k5)
@@ -226,6 +229,18 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--s", "0.2", "--gamma", "1",
                          "--p", "0.5", "--n", "63", "--out-dir", str(tmp_path))
         assert code == 2
+
+    def test_p_equal_one_names_the_eigen_command(self, capsys, tmp_path):
+        code, _, err = run(capsys, "solve", "--s", "0.2", "--p", "1", "--n", "64",
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "use the eigen command (leading_eigenpairs)" in err
+
+    def test_p_above_one_is_no_eigenvalue_problem(self, capsys, tmp_path):
+        code, _, err = run(capsys, "solve", "--s", "0.2", "--p", "1.5", "--n", "64",
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "0 < p < 1" in err and "p = 1" not in err
 
     def test_too_strong_grading_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", "--s", "0.2", "--gamma", "1", "--p", "0.5",
@@ -636,3 +651,58 @@ class TestCaseFields:
                          else json.dumps(default))
                   for name, (kind, default) in cli._CASE_FIELDS.items()}
         assert documented == fields
+
+
+# values of another JSON type than a field's, and numbers out of its range
+_WRONG_TYPES = st.sampled_from(["0.3", None, True, [0.3], {"value": 0.3}])
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+_BAD_VALUES = {
+    "backend": st.sampled_from(["fem", "", "Synthetic"]),
+    "s": st.sampled_from([0.0, -0.2, 0.5, 1.0, 1.5]),  # the synthetic backend needs s < 1/2
+    "gamma": st.sampled_from([0.0, -0.5, 1.5]),
+    "p": st.sampled_from([0.0, 1.0, 1.5, -0.5]),
+    "n": st.integers(-4, 256),  # odd, zero and negative n among them
+    "beta_g": st.sampled_from([0.0, -1.0, 0.5, 12.0]),
+    "tol": st.sampled_from([0.0, -1e-8, 1e-300]),
+    "force_critical": st.sampled_from([0, 1, "true"]),
+}
+
+
+@st.composite
+def malformed_configs(draw):
+    """A study config with one to three cases, most of them broken in one or more fields."""
+    cases = []
+    for _ in range(draw(st.integers(1, 3))):
+        case = {**SMALL_CASE, "backend": draw(st.sampled_from(["synthetic", "spectral"])),
+                "n": draw(st.sampled_from([64, 128, 256]))}
+        if case["backend"] == "spectral":
+            case["beta_g"] = 1.0
+        for name in draw(st.lists(st.sampled_from([*_BAD_VALUES, "unknown"]), max_size=3)):
+            kind = draw(st.sampled_from(["range", "type", "non-finite", "missing"]))
+            if name == "unknown":
+                case["beta"] = 2.0
+            elif kind == "missing":
+                case.pop(name, None)
+            elif kind == "type":
+                case[name] = draw(_WRONG_TYPES)
+            elif kind == "non-finite":
+                case[name] = draw(_NON_FINITE)
+            else:
+                case[name] = draw(_BAD_VALUES[name])
+        cases.append(case)
+    return draw(st.sampled_from([{"cases": cases}, {"cases": cases, "out_dir": 5},
+                                 {"cases": cases, "jobs": 2}, {"cases": cases[0]}, cases]))
+
+
+class TestExitCodes:
+    @settings(max_examples=60, deadline=None)
+    @given(config=malformed_configs())
+    def test_malformed_study_configs_exit_0_2_or_3(self, config):
+        # an uncaught exception here is what a user sees as a traceback and exit 1
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out_dir = Path(tmp) / "config.json", Path(tmp) / "out"
+            path.write_text(json.dumps(config))  # NaN and Infinity, which json reads back
+            code = main(["study", "--config", str(path), "--out-dir", str(out_dir)])
+            assert code in (0, 2, 3)
+            if code == 2:  # rejected before any work: no output directory
+                assert not out_dir.exists()

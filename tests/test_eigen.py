@@ -99,6 +99,18 @@ class TestSyntheticEigenpairs:
         with pytest.raises(ValueError):
             leading_eigenpairs(spectral_mt_operator(0.3, graded_mesh(8, 1.0)), n_eigs=8)
 
+    def test_n_eigs_is_capped_by_the_two_mirror_sectors(self):
+        # ARPACK finds at most n/2 - 1 pairs of each sector
+        op = spectral_mt_operator(0.3, graded_mesh(20, 1.0))
+        with pytest.raises(ValueError, match="n - 2"):
+            leading_eigenpairs(op, n_eigs=19)
+        pairs = leading_eigenpairs(op, n_eigs=18)
+        # the sectors merge by mu: sine mode k, even about x = 1/2 for odd k
+        np.testing.assert_allclose([pair.mu for pair in pairs], op.symbol[:18], rtol=1e-12)
+        for pair in pairs:
+            sign = 1.0 if pair.index % 2 else -1.0
+            np.testing.assert_array_equal(pair.phi[::-1], sign * pair.phi)
+
     def test_non_convergence_raises(self, monkeypatch):
         # 200 evenly spaced eigenvalues: one restart cannot isolate the top one
         grid = graded_mesh(200, 1.0)

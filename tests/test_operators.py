@@ -27,6 +27,7 @@ from nonlocal_sharp import (
     ProblemParams,
     SolverConfig,
     apply,
+    apply_sector,
     assemble,
     check_kernel_bounds,
     graded_mesh,
@@ -138,7 +139,7 @@ class TestAssemble:
             return [a.shape for a in vars(op).values() if isinstance(a, np.ndarray)]
         # the upper slabs of each (300, 300) block: rows 0-127, 128-255 and 256-299
         packed = (128 * 300 + 128 * 172 + 44 * 44,)
-        apply(op, np.ones(600))  # mirror-even: the even block alone
+        apply_sector(op, np.ones(300))  # the mirror-even sector: the even block alone
         assert stored_shapes() == [packed]
         apply(op, np.arange(600.0))  # mirror-odd part: builds and keeps the odd block
         assert stored_shapes() == [packed, packed]
@@ -245,21 +246,32 @@ class TestApply:
         rhs = 2.0 * apply(op, u) + 3.0 * apply(op, v)
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
 
-    def test_mirror_even_input_skips_the_odd_block(self, op):
-        half = op.grid.n // 2
+    def test_even_sector_solves_never_read_the_odd_block(self, op):
+        # an odd block of NaN would poison any result that read it
         blind = GreenOperator(grid=op.grid, even=op.even,
                               build_odd=lambda: np.full(op.even.shape, np.nan),
                               params=op.params)
-        w = op.grid.weights[:half]
-        left = np.random.default_rng(5).uniform(0, 1, half)
-        v = np.concatenate([left, left[::-1]])
-        got = apply(blind, v)
-        assert np.all(np.isfinite(got))
-        ee = operators._slab_apply(op.even, w, 0.5 * (left + left))
-        oo = operators._slab_apply(op.odd, w, 0.5 * (left - left))
-        np.testing.assert_array_equal(got, np.concatenate([ee + oo, (ee - oo)[::-1]]))
-        v[half - 1] += 1.0  # no longer mirror-symmetric: the odd block is used again
-        assert np.all(np.isnan(apply(blind, v)))
+        sol = picard_solve(blind, SolverConfig(p=0.5))
+        assert np.all(np.isfinite(sol.u)) and sol.residual <= 1e-10
+        [pair] = leading_eigenpairs(blind, n_eigs=1)
+        assert np.all(np.isfinite(pair.phi)) and np.isfinite(pair.mu)
+        # `apply` reads both blocks, whatever the input's symmetry
+        assert np.all(np.isnan(apply(blind, np.ones(op.grid.n))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(spectral=st.booleans(), odd=st.booleans(), n_half=st.integers(4, 256),
+           seed=st.integers(0, 2 ** 16))
+    def test_sector_is_the_left_half_of_the_mirrored_apply(self, spectral, odd, n_half, seed):
+        n = 2 * n_half
+        if spectral:
+            target = spectral_mt_operator(0.3, graded_mesh(n, 1.0))
+        else:
+            target = assemble(synthetic_k5(ProblemParams(s=0.25, gamma=0.5)),
+                              graded_mesh(n, 2.0))
+        v = np.random.default_rng(seed).standard_normal(n_half)
+        full = np.concatenate([v, -v[::-1] if odd else v[::-1]])
+        np.testing.assert_array_equal(apply_sector(target, v, odd),
+                                      apply(target, full)[:n_half])
 
     def test_shape_mismatch(self, op):
         n = op.grid.n
@@ -268,6 +280,9 @@ class TestApply:
                         np.ones((n, 2, 2))):
                 with pytest.raises(ValueError):
                     apply(target, bad)
+            for bad in (np.ones(n), np.ones(n // 2 + 1), np.ones((n // 2, 1))):
+                with pytest.raises(ValueError):
+                    apply_sector(target, bad)
 
     def test_lower_sandwich(self, op):
         # apply(op, f)(x) >= c0 * phi(x) * sum_j w_j f_j phi(x_j) for f >= 0
