@@ -31,7 +31,7 @@ from .eigen import (check_eigen_request, eigenfunction_boundary_report, leading_
 from .exponents import ExponentPrediction, ProblemParams, classify_bq, nu_case_machine, predict_mu
 from .fitting import _least_squares, fit_report, fit_window
 from .grids import Grid, graded_mesh
-from .operators import (assemble, check_kernel_bounds, green_q_norm_profile,
+from .operators import (_check_samples, assemble, check_kernel_bounds, green_q_norm_profile,
                         spectral_mt_operator, synthetic_k5)
 from .solver import (ConvergenceError, SolverConfig, harnack_report, harnack_window,
                      picard_solve)
@@ -397,13 +397,10 @@ def cmd_green_norm(args) -> int:
 
 
 def cmd_verify_kernel(args) -> int:
-    params = ProblemParams(s=args.s, gamma=args.gamma)
-    if args.backend == "synthetic":
-        target = synthetic_k5(params)
-    else:
-        _, build = _operator_plan("spectral", params, args.n, beta_g=1.0)
-        target = build()
-    report = check_kernel_bounds(target, n_samples=args.n_samples, seed=args.seed)
+    _check_samples(args.n_samples)
+    _, build = _operator_plan(args.backend, ProblemParams(s=args.s, gamma=args.gamma), args.n,
+                              _CASE_FIELDS["beta_g"][1])
+    report = check_kernel_bounds(build(), n_samples=args.n_samples, seed=args.seed)
     sys.stdout.write(_json_text(asdict(report)))
     return EXIT_OK
 

@@ -32,8 +32,9 @@ extended on x86-64 Linux): FFT rounding is absolute, and in float64 it is
 large enough relative to the small boundary values of u to break the
 solver's nesting certificate.  `apply_sector`, each backend's one matvec on
 a sector, is what the solvers call; `apply` takes one full vector; both run
-on numpy alone, and `entries` reads single matrix entries from either
-backend's storage, which is how `check_kernel_bounds` samples an operator.
+on numpy alone.  `entries` evaluates single matrix entries by the rule that
+defines them, the envelope and its correction table, or the spectral closed
+form, never from stored blocks; `check_kernel_bounds` samples operators so.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def _fold(kernel: GreenKernel, grid: Grid, combine) -> np.ndarray:
     d = grid.delta
     n = grid.n
     half = n // 2
-    rows_at, cols_at, values = _corrected_entries(kernel, grid)
+    rows_at, cols_at, values = _corrected_entries(kernel.params, grid)
     row_start = np.searchsorted(rows_at, np.arange(half + 1))  # row i: [row_start[i], row_start[i+1])
     slabs = _slabs(half)
     packed = np.empty(slabs[-1][3])
@@ -265,14 +266,14 @@ def _own_cell_integral(half_width, a: float):
 _NEAR_BAND = 8        # off-diagonal band refined by Gauss quadrature
 _GAUSS_NODES = 8
 
-def _corrected_entries(kernel: GreenKernel, grid: Grid):
+def _corrected_entries(params: ProblemParams, grid: Grid):
     """(rows, cols, values) of the entries in rows < n/2 the envelope misses.
 
-    Sorted by row, each value a kernel value: the entry divided by its
-    weight w_j, which `_fold` multiplies back in.  The diagonal cell
-    integral is the closed form int |x_i - y|^{2s-1} dy over the cell with
-    min-factors 1, exact because every cell's half-width is at most
-    delta(x_i).  Within _NEAR_BAND cells of the singularity the kernel's
+    Sorted by row, then column, each value a kernel value: the entry
+    divided by its weight w_j, which `_fold` and `entries` multiply back
+    in.  The diagonal cell integral is the closed form
+    int |x_i - y|^{2s-1} dy over the cell with min-factors 1, exact
+    because every cell's half-width is at most delta(x_i).  Within _NEAR_BAND cells of the singularity the kernel's
     curvature makes the midpoint rule only first-order accurate, which
     dominates the global assembly error; an 8-point Gauss rule on those
     cells removes it.  The two one-sided cell averages are combined at the
@@ -297,14 +298,14 @@ def _corrected_entries(kernel: GreenKernel, grid: Grid):
         xi = x[i0][:, None]
         # Gauss points lie inside their cells, so r > 0 and every point is in [0, 1]
         vals = _envelope(np.abs(xi - y), np.minimum(xi, 1.0 - xi), np.minimum(y, 1.0 - y),
-                         kernel.params)
+                         params)
         return half * (vals @ gw) / w[j0]
 
     k = _NEAR_BAND
     i = np.arange(n // 2)
     cols = i[:, None] + np.arange(-k, k + 1)  # row i holds the columns i - k .. i + k
     values = np.empty(cols.shape)
-    values[:, k] = _own_cell_integral(0.5 * w, 2.0 * kernel.params.s)[i] / w[i]
+    values[:, k] = _own_cell_integral(0.5 * w, 2.0 * params.s)[i] / w[i]
     for off in range(1, min(k, n - 1) + 1):
         i0 = i[:n - off]  # rows whose pair (i, i + off) lies in the grid
         j0 = i0 + off
@@ -385,42 +386,36 @@ def apply(op: Operator, v: np.ndarray) -> np.ndarray:
 
 
 def entries(op: Operator, i, j) -> np.ndarray:
-    """The matrix entries A[i, j] at index arrays i, j, read from storage, no column applied.
+    """The matrix entries A[i, j] at index arrays i, j, from the rule that defines them.
 
-    A folded operator commutes with the flip, so a right-half row i is read
-    as the entry (n-1-i, n-1-j).  A left row is A_LL = (E_even + E_odd)/2 on
-    the left columns and A_LR J = (E_even - E_odd)/2 on the flipped right
-    ones, with E = S diag(w_L).  S[i, j] is read from row i's slab, or, for
-    j left of that slab, as S[j, i] from row j's slab, and scaled by w_j/2,
-    as `apply` scales a unit column's even and odd parts: the entry is the
-    bits `apply` gives on that column.  So a left-row entry is read to an
-    absolute precision, not a relative one: within about
-    2e-15 (|A[i, j]| + |A[i, n-1-j]|), the rounding of the blocks that hold
-    both.  A cross-half entry far below its mirror partner reads 0.0: at
-    s = 0.2, gamma = 1 on graded_mesh(1000, 3), A[995, 1], read as
-    A[4, 998] beside the far larger A[4, 1], does.  The spectral operator
-    is `apply`'s 2n-point circulant restricted to the first n points,
-    Toeplitz minus Hankel: A[i, j] = c[|i - j|] - c[i + j + 1], with c the
-    circulant's first column, the long-double irfft of [0, symbol].
+    No column is applied and no stored block is read.  A folded operator
+    commutes with the flip, so a right-half row i is read as the entry
+    (n-1-i, n-1-j).  A left-row entry is w_j times its kernel value: the
+    value in `_corrected_entries`' row-sorted table (the diagonal cell and
+    the Gauss band), found by its flat key row * n + col, or else the
+    envelope at the nodes, with r = 1 placed at the table's positions, as
+    `_fold` does, so r = 0 never reaches the envelope.  These are the
+    values `_fold` combines into its blocks, to within a few ulps: numpy's
+    pow can round differently at another array position.  The spectral
+    operator is `apply`'s 2n-point circulant restricted to the first n
+    points, Toeplitz minus Hankel: A[i, j] = c[|i - j|] - c[i + j + 1],
+    with c the circulant's first column, the long-double irfft of
+    [0, symbol].
     """
     n = op.grid.n
     if isinstance(op, SpectralOperator):
         c = np.fft.irfft(np.concatenate([[0.0], op.symbol], dtype=np.longdouble), 2 * n)
         return (c[np.abs(i - j)] - c[i + j + 1]).astype(float)
-    half = n // 2
-    flip = i >= half
+    flip = i >= n // 2
     i, j = np.where(flip, n - 1 - i, i), np.where(flip, n - 1 - j, j)
-    right = j >= half
-    j = np.where(right, n - 1 - j, j)
-    # S[i, j] is in row i's slab unless j lies in an earlier slab, which holds S[j, i]
-    r0, _, start, _ = (np.array(c) for c in zip(*_slabs(half)))
-    si, sj = np.searchsorted(r0, i, "right") - 1, np.searchsorted(r0, j, "right") - 1
-    upper = si <= sj
-    a, b, k = np.where(upper, i, j), np.where(upper, j, i), np.minimum(si, sj)
-    at = start[k] + (a - r0[k]) * (half - r0[k]) + b - r0[k]
-    w = 0.5 * op.grid.weights[j]  # the unit column's even or odd part, scaled as `apply` scales it
-    even, odd = op.even[at] * w, op.odd[at] * w
-    return np.where(right, even - odd, even + odd)
+    rows_at, cols_at, values = _corrected_entries(op.params, op.grid)
+    keys, key = rows_at * np.int64(n) + cols_at, i * np.int64(n) + j
+    at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+    table = keys[at] == key
+    x, d = op.grid.nodes, op.grid.delta
+    r = np.where(table, 1.0, np.abs(x[i] - x[j]))
+    g = np.where(table, values[at], _envelope(r, d[i], d[j], op.params))
+    return g * op.grid.weights[j]
 
 
 def spectral_mt_operator(s: float, grid: Grid) -> SpectralOperator:
@@ -499,17 +494,24 @@ class BoundReport:
     n_samples: int
 
 
+def _check_samples(n_samples: int) -> None:
+    """The one range of a bound check's sample count: at least 100 pairs."""
+    if n_samples < 100:
+        raise ValueError("need at least 100 sample pairs")
+
+
 def check_kernel_bounds(kernel_or_op, n_samples: int = 10_000, seed: int = 0) -> BoundReport:
     """Sample kernel values and report envelope constants.
 
     Accepts either a pointwise GreenKernel (pairs drawn uniformly in the
-    square) or an operator, whose entries divided by the quadrature
-    weights estimate kernel values at node pairs.  The sampled entries are
-    read from the operator's storage by `entries`, in O(n_samples) memory
-    and without applying the operator.
+    square; acceptance criterion 11 checks the synthetic kernel so) or an
+    operator, whose entries divided by the quadrature weights estimate
+    kernel values at node pairs (`verify-kernel`, on either backend).  The
+    sampled entries are evaluated by `entries` from the rule that defines
+    them, in O(n_samples + n) memory, without applying the operator or
+    reading its stored blocks.
     """
-    if n_samples < 100:
-        raise ValueError("need at least 100 sample pairs")
+    _check_samples(n_samples)
     rng = np.random.default_rng(seed)
     params = kernel_or_op.params
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -5,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import dense_matrix_transfer, pack_block, quotient_envelope
+from reference import dense_matrix_transfer, quotient_envelope
 
 from nonlocal_sharp import operators
 from nonlocal_sharp import (
     DiagonalSingularityError,
-    GreenOperator,
     ProblemParams,
     assemble,
     check_kernel_bounds,
@@ -122,16 +122,27 @@ class TestBoundChecks:
     def test_spectral_report_matches_the_dense_matrix(self):
         op = spectral_mt_operator(0.3, graded_mesh(1000, 1.0))
         dense = dense_matrix_transfer(0.3, op.grid)
-        left, right = dense[:500, :500], dense[:500, 500:][:, ::-1]
-        folded = GreenOperator(grid=op.grid, even=pack_block(left + right, op.grid),
-                               build_odd=lambda: pack_block(left - right, op.grid),
-                               params=op.params)
-        rep, ref = check_kernel_bounds(op), check_kernel_bounds(folded)
+        rep = check_kernel_bounds(op)
+        with mock.patch.object(operators, "entries", lambda op, i, j: dense[i, j]):
+            ref = check_kernel_bounds(op)
         assert (rep.violations, rep.n_samples) == (ref.violations, ref.n_samples)
         # the float64 reference rounds at about 1e-16 of its largest entry, which
         # is about 1e-9 of the smallest sampled ones, where c0_hat and c1_hat sit
         assert rep.c0_hat == pytest.approx(ref.c0_hat, rel=1e-8)
         assert rep.c1_hat == pytest.approx(ref.c1_hat, rel=1e-8)
+
+    def test_assembled_operator_report(self):
+        # the diagonal cells and the Gauss band are sampled too, and a cross-half entry
+        # far below its mirror partner is read to its own precision: no false violation
+        op = assemble(synthetic_k5(ProblemParams(0.2, 1.0)), graded_mesh(1000, 3.0))
+
+        def no_odd_block():
+            raise AssertionError("sampling built the odd block")
+
+        rep = check_kernel_bounds(dataclasses.replace(op, build_odd=no_odd_block))
+        assert rep.violations == 0
+        assert rep.c0_hat >= 1.0 - 1e-12
+        assert rep.c1_hat > 1.0
 
     @pytest.mark.parametrize("build", [
         lambda: spectral_mt_operator(0.3, graded_mesh(1000, 1.0)),

@@ -24,6 +24,7 @@ from nonlocal_sharp import (
     fit_power,
     graded_mesh,
     harnack_report,
+    operators,
     picard_map,
     picard_solve,
     predict_mu,
@@ -56,14 +57,14 @@ class TestSolveLinear:
     def test_torsion_slope_power_regime(self, case_scaling_dominated):
         # s=0.2, gamma=1: B_1 power regime, slope min(gamma, 2s) = 0.4
         op, _, _ = case_scaling_dominated
-        u = apply(op, np.ones(op.grid.n))
+        u = operators._mirror(apply_sector(op, np.ones(op.grid.n // 2)))  # G[1] is mirror-even
         res = fit_power(u, op.grid)
         assert res.mu_hat == pytest.approx(0.4, abs=0.03)
 
     def test_torsion_slope_linear_regime(self, case_gamma_equals_s):
         # s=0.3, gamma=0.3 < 2s: B_1 linear regime, slope gamma = 0.3
         op, _, _ = case_gamma_equals_s
-        u = apply(op, np.ones(op.grid.n))
+        u = operators._mirror(apply_sector(op, np.ones(op.grid.n // 2)))  # G[1] is mirror-even
         res = fit_power(u, op.grid)
         assert res.mu_hat == pytest.approx(0.3, abs=0.03)
 
