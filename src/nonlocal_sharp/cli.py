@@ -294,7 +294,10 @@ def cmd_solve(args) -> int:
 
 def cmd_study(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        config = _read_fields(json.load(fh), _CONFIG_FIELDS, "study config")
+        try:
+            config = _read_fields(json.load(fh), _CONFIG_FIELDS, "study config")
+        except RecursionError as exc:  # a RuntimeError: exit 3 otherwise
+            raise ValueError(f"study config nested too deeply: {exc}") from exc
     cases = config["cases"]
     if not cases:
         raise ValueError("study config contains no cases: 'cases' must be a non-empty list")
@@ -443,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eigen", help="leading eigenpairs + boundary ratios")
     add_params(sp, with_p=False)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--beta-g", type=float, default=1.0)
+    sp.add_argument("--beta-g", type=float, default=_CASE_FIELDS["beta_g"][1])
     sp.add_argument("--n-eigs", type=int, default=1)
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--backend", choices=["synthetic", "spectral"], default="spectral")
@@ -460,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_params(sp, with_p=False)
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--n", type=int, default=2000)
-    sp.add_argument("--beta-g", type=float, default=3.0)
+    sp.add_argument("--beta-g", type=float, default=_CASE_FIELDS["beta_g"][1])
     sp.set_defaults(func=cmd_green_norm)
 
     sp = sub.add_parser("verify-kernel", help="sampled two-sided kernel bound report")

@@ -26,6 +26,12 @@ def _check_order(s: float) -> None:
         raise ValueError("fractional order s must lie in (0, 1]")
 
 
+def _check_dimension(N: int) -> None:
+    """The one rule of N, a positive integer: NaN fails N >= 1, and inf % 1 is NaN."""
+    if not (N >= 1 and N % 1 == 0):
+        raise ValueError("dimension N must be a positive integer")
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """The operator's parameters (s, gamma), validated once for every caller.
@@ -119,10 +125,9 @@ def classify_bq(N: int, s: float, gamma: float, q: float) -> BqClassification:
 
     B_q(t) = t for q < N/(N-2s+gamma), t(1+|log t|^{1/q}) at the threshold,
     and t^{(N-q(N-2s))/(q gamma)} for larger q (up to the integrability
-    limit N/(N-2s)).
+    limit N/(N-2s)).  N must be a positive integer.
     """
-    if N < 1:
-        raise ValueError("dimension N must be a positive integer")
+    _check_dimension(N)
     ProblemParams(s=s, gamma=gamma)
     q_high = _check_q(N, s, q)
     q_low = N / (N - 2.0 * s + gamma)
@@ -144,10 +149,9 @@ def hls_ladder(N: int, s: float) -> HlsLadder:
 
     Stops at the first exponent above N/(2s); at p_k = N/(2s) the
     denominator is 0 and the next exponent is +inf, which counts as a step.
-    Raises ValueError unless N >= 1 and 0 < s <= 1.
+    Raises ValueError unless N is a positive integer and 0 < s <= 1.
     """
-    if N < 1:
-        raise ValueError("dimension N must be a positive integer")
+    _check_dimension(N)
     _check_order(s)
     target = N / (2.0 * s)
     seq = [2.0]
@@ -177,10 +181,10 @@ def nu_case_machine(s: float, gamma: float, m: float,
     The iteration starts from nu_1 = 2s/(m gamma) and either reaches the
     eigenfunction exponent (sigma = 1) in finitely many steps, converges to
     sigma = 2 s m / (gamma (m-1)) < 1, or hits the critical threshold where
-    the logarithmic factor |log|^{m/(m-1)} appears.
+    the logarithmic factor |log|^{m/(m-1)} appears.  m must lie in (1, inf).
     """
-    if m <= 1.0:
-        raise ValueError("case machine requires m > 1")
+    if not 1.0 < m < math.inf:
+        raise ValueError("case machine requires a finite m > 1")
     ProblemParams(s=s, gamma=gamma)
     two_s = 2.0 * s
     t_case1 = two_s * (m + 1.0) / m          # upper edge of Case I

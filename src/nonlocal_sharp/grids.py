@@ -125,11 +125,11 @@ def graded_mesh(n: int, beta: float = 3.0) -> Grid:
     j = 0..n/2, mirrored onto the right half.  beta = 1 gives the uniform
     mesh; larger beta clusters cells at both endpoints.  A grading so
     strong that the mirrored nodes near x = 1 round together (or onto 1)
-    is rejected.
+    is rejected, and so is a beta outside [1, inf).
     """
     if n < 8 or n % 2 != 0:
         raise ValueError("node count must be even and at least 8")
-    if beta < 1.0:
-        raise ValueError("grading exponent must be >= 1")
+    if not 1.0 <= beta < np.inf:
+        raise ValueError("grading exponent must lie in [1, inf)")
     j = np.arange(n // 2 + 1, dtype=float)
     return Grid(0.5 * (2.0 * j / n) ** beta)

@@ -495,9 +495,9 @@ class BoundReport:
 
 
 def _check_samples(n_samples: int) -> None:
-    """The one range of a bound check's sample count: at least 100 pairs."""
-    if n_samples < 100:
-        raise ValueError("need at least 100 sample pairs")
+    """The one range of a bound check's sample count: an integer >= 100."""
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 100):
+        raise ValueError("need an integer of at least 100 sample pairs")
 
 
 def check_kernel_bounds(kernel_or_op, n_samples: int = 10_000, seed: int = 0) -> BoundReport:

@@ -327,6 +327,26 @@ class TestSolve:
         assert diag["error"] == f"{error.__name__}: no room" and diag["residual"] is None
 
 
+class TestGradingDefault:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--s", "0.2", "--p", "0.5", "--n", "64"],
+        ["eigen", "--s", "0.2", "--n", "64"],
+        ["green-norm", "--s", "0.2", "--q", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_every_beta_g_flag_defaults_to_the_case_field(self, argv):
+        assert cli.build_parser().parse_args(argv).beta_g == cli._CASE_FIELDS["beta_g"][1]
+
+    @pytest.mark.parametrize("argv", [
+        ["green-norm", "--s", "0.2", "--q", "1", "--beta-g", "nan"],
+        ["eigen", "--backend", "synthetic", "--s", "0.2", "--n", "64", "--beta-g", "inf"],
+    ], ids=["green-norm-nan", "eigen-inf"])
+    def test_non_finite_grading_exits_2_naming_it(self, capsys, argv):
+        # the mesh is checked before eigen creates its output directory
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "grading exponent" in err
+
+
 class TestEigen:
     def test_spectral_csv(self, capsys, tmp_path):
         code, out, _ = run(capsys, "eigen", "--s", "0.3", "--n", "200",
@@ -372,6 +392,19 @@ class TestEigen:
         assert code == 2
         assert "in window" in err
         assert calls == []
+
+    def test_synthetic_default_grades_the_mesh(self, capsys, tmp_path, monkeypatch):
+        grids = []
+
+        def spy(kernel, grid):
+            grids.append(grid)
+            return operators.assemble(kernel, grid)
+        monkeypatch.setattr(cli, "assemble", spy)
+        code, _, _ = run(capsys, "eigen", "--backend", "synthetic", "--s", "0.2",
+                         "--n", "64", "--out-dir", str(tmp_path))
+        assert code == 0
+        [grid] = grids
+        np.testing.assert_array_equal(grid.boundaries, graded_mesh(64, 3.0).boundaries)
 
     def test_unusable_out_dir_exits_2_before_building(self, capsys, tmp_path, monkeypatch):
         calls = []
@@ -708,6 +741,15 @@ def malformed_configs(draw):
 
 
 class TestExitCodes:
+    def test_config_too_deeply_nested_to_decode_exits_2(self, capsys, tmp_path):
+        # json raises RecursionError, a RuntimeError, here; the strategy below never nests so deep
+        path, out_dir = tmp_path / "config.json", tmp_path / "out"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run(capsys, "study", "--config", str(path), "--out-dir", str(out_dir))
+        assert code == 2
+        assert "nested too deeply" in err
+        assert not out_dir.exists()
+
     @settings(max_examples=60, deadline=None)
     @given(config=malformed_configs())
     def test_malformed_study_configs_exit_0_2_or_3(self, config):

@@ -97,6 +97,14 @@ class TestClassifyBq:
         with pytest.raises(ValueError, match="dimension N"):
             classify_bq(0, 0.2, 1.0, 0.5)
 
+    @pytest.mark.parametrize("N", [math.nan, math.inf, -math.inf, 0, 1.5])
+    def test_dimension_is_a_positive_integer_for_every_rule(self, N):
+        # the B_q classifier and the HLS ladder state the one rule of N
+        with pytest.raises(ValueError, match="positive integer"):
+            classify_bq(N, 0.2, 1.0, 0.5)
+        with pytest.raises(ValueError, match="positive integer"):
+            hls_ladder(N, 0.2)
+
     def test_q_out_of_range(self):
         with pytest.raises(ValueError):
             classify_bq(1, 0.2, 1.0, 2.0)   # q_high = 5/3
@@ -202,6 +210,12 @@ class TestNuCaseMachine:
     def test_m_validation(self):
         with pytest.raises(ValueError):
             nu_case_machine(0.2, 1.0, 1.0)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, 1.0, 0.5, 0.0])
+    def test_m_outside_one_to_infinity_rejected(self, m):
+        # the case machine checks m itself: it cross-checks predict_mu, not through it
+        with pytest.raises(ValueError, match="finite m > 1"):
+            nu_case_machine(0.2, 1.0, m)
 
     @settings(max_examples=200, deadline=None)
     @given(s=st.floats(0.01, 0.49), gamma=st.floats(0.05, 1.0),

@@ -103,6 +103,11 @@ class TestGradedMesh:
         assert np.all(np.diff(g.nodes) > 0)
         assert 0.0 < g.nodes[0] and g.nodes[-1] < 1.0
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, 0.5])
+    def test_grading_exponent_outside_one_to_infinity_rejected(self, beta):
+        with pytest.raises(ValueError, match="grading exponent"):
+            graded_mesh(64, beta)
+
     def test_too_strong_grading_rejected(self):
         # the first midpoint, 8e-18, is below the rounding of 1 - x
         with pytest.raises(ValueError, match="grading too strong for n"):

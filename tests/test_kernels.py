@@ -171,6 +171,16 @@ class TestBoundChecks:
             check_kernel_bounds(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)),
                                 n_samples=50)
 
+    @pytest.mark.parametrize("n_samples", [np.nan, np.inf, 150.5, 200.0, 99])
+    def test_sample_count_is_an_integer_of_at_least_100(self, n_samples):
+        with pytest.raises(ValueError, match="integer of at least 100 sample pairs"):
+            check_kernel_bounds(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)),
+                                n_samples=n_samples)
+
+    def test_numpy_integer_sample_count_accepted(self):
+        k = synthetic_k5(ProblemParams(s=0.2, gamma=1.0))
+        assert check_kernel_bounds(k, n_samples=np.int64(200)).n_samples == 200
+
     def test_deterministic(self):
         k = synthetic_k5(ProblemParams(s=0.2, gamma=0.7))
         a = check_kernel_bounds(k, n_samples=1000, seed=7)
