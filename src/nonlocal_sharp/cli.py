@@ -1,8 +1,8 @@
 """Command-line driver: predictions, solves, parameter studies, reports.
 
 Exit codes: 0 success; 2 argument or configuration validation failure,
-found before any solve (a case is validated by building everything its run
-needs but the operator, its fit and Harnack windows included); 3 run-time
+found before any solve (a case is validated by building its mesh and all
+its run needs but the operator, fit and Harnack windows included); 3 run-time
 failure of a valid case, one of `_RUN_ERRORS`: non-convergence or a broken
 solver certificate (RuntimeError), memory, arithmetic, or a numerical check
 (ValueError raised while running).  No failure path exits 1.
@@ -30,7 +30,7 @@ from .eigen import (check_eigen_request, eigenfunction_boundary_report, leading_
                     ratio_window)
 from .exponents import ExponentPrediction, ProblemParams, classify_bq, nu_case_machine, predict_mu
 from .fitting import _least_squares, fit_report, fit_window
-from .grids import Grid, graded_mesh
+from .grids import graded_mesh
 from .operators import (_check_samples, assemble, check_kernel_bounds, green_q_norm_profile,
                         spectral_mt_operator, synthetic_k5)
 from .solver import (ConvergenceError, SolverConfig, harnack_report, harnack_window,
@@ -114,13 +114,13 @@ def _error_text(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _operator_plan(backend: str, params: ProblemParams, n: int, beta_g: float):
+def _operator_plan(backend: str, params: ProblemParams, n: int, beta_g: float | None):
     """Check that a backend runs these parameters, and build its mesh.
 
     Returns (grid, build): build() makes the operator, the expensive step,
     which a caller defers until its other checks have passed.  The spectral
     backend has gamma = 1 by construction and runs on the uniform mesh, so
-    it ignores beta_g; the synthetic one needs s < 1/2.
+    it ignores beta_g, None in a case's key; the synthetic needs s < 1/2.
     """
     if backend == "spectral":
         if params.gamma != 1.0:
@@ -135,15 +135,15 @@ def _operator_plan(backend: str, params: ProblemParams, n: int, beta_g: float):
 
 
 class _Case(NamedTuple):
-    """A validated case: everything its run needs except the operator."""
+    """A validated case as plain values, no mesh; the first four fix its operator."""
 
     backend: str
     params: ProblemParams
-    grid: Grid
-    build: Callable
+    n: int
+    beta_g: float | None  # None on the spectral backend, which ignores it
     solver: SolverConfig
     prediction: ExponentPrediction
-    operator: tuple  # the fields that fix the operator: equal ones share it
+    operator = property(lambda case: case[:4])  # its operator's key: `_operator_plan`'s arguments
 
 
 def _field(obj: dict, fields: dict, name: str, what: str):
@@ -186,12 +186,12 @@ def _parse_case(case) -> _Case:
     then the library's own checks run as the parameters, mesh, backend,
     solver settings and prediction are built, and the fit and Harnack
     windows are taken on the mesh, so a case whose fit or Harnack report
-    could not run fails before it solves.
-    Raises ValueError.
+    could not run fails before it solves.  The mesh is dropped: a run makes
+    it again where it builds.  Raises ValueError.
     """
     f = _read_fields(case, _CASE_FIELDS, "case")
     params = ProblemParams(s=f["s"], gamma=f["gamma"])
-    grid, build = _operator_plan(f["backend"], params, f["n"], f["beta_g"])
+    grid, _ = _operator_plan(f["backend"], params, f["n"], f["beta_g"])
     solver = SolverConfig(p=f["p"], tol=f["tol"])
     prediction = predict_mu(params.s, params.gamma, solver.p,
                             force_critical=f["force_critical"])
@@ -199,20 +199,19 @@ def _parse_case(case) -> _Case:
     harnack_window(grid)
     # the spectral backend runs on the uniform mesh whatever beta_g says
     beta_g = f["beta_g"] if f["backend"] == "synthetic" else None
-    return _Case(f["backend"], params, grid, build, solver, prediction,
-                 (f["backend"], params, f["n"], beta_g))
+    return _Case(f["backend"], params, f["n"], beta_g, solver, prediction)
 
 
 def _run(case: _Case, op, start: float) -> dict:
     """The result row of a case solved on its operator; wall_ms runs from `start`."""
     sol = picard_solve(op, case.solver)
     pred = case.prediction
-    rep = fit_report(sol.u, case.grid, pred)
-    ghp = harnack_report(sol.u, case.grid, pred)
+    rep = fit_report(sol.u, op.grid, pred)
+    ghp = harnack_report(sol.u, op.grid, pred)
     wall_ms = (time.perf_counter() - start) * 1e3
     return {
         "s": case.params.s, "gamma": case.params.gamma, "p": case.solver.p,
-        "backend": case.backend, "n": case.grid.n,
+        "backend": case.backend, "n": case.n,
         "mu_pred": pred.mu, "mu_hat": rep.mu_hat, "r2": rep.r2,
         "regime": pred.regime,
         "log_exp_pred": pred.log_exponent, "log_exp_hat": rep.log_exp_hat,
@@ -227,7 +226,8 @@ def run_case(case: dict) -> dict:
     """Solve one study case and return its result row as a dict."""
     case = _parse_case(case)
     start = time.perf_counter()
-    return _run(case, case.build(), start)
+    _, build = _operator_plan(*case.operator)
+    return _run(case, build(), start)
 
 
 def _attempt(step: Callable) -> tuple:
@@ -248,13 +248,14 @@ def _attempt(step: Callable) -> tuple:
 def _group_outcomes(group: list[_Case]) -> list[tuple]:
     """The (row, failure) of each case of a group that shares one operator, in order.
 
-    The operator is built once and every case runs on it, each caught on
-    its own, so one failing case keeps the rows of the others; a failed
-    build fails every case with its text.  Each row's wall_ms runs from
-    the start of the build.
+    The mesh and operator are made here, once, from the group's operator
+    key, and every case runs on them, each caught on its own, so one
+    failing case keeps the rows of the others; a failed build fails every
+    case with its text.  Each row's wall_ms runs from the start of the mesh.
     """
     start = time.perf_counter()
-    op, failure = _attempt(group[0].build)
+    _, build = _operator_plan(*group[0].operator)
+    op, failure = _attempt(build)
     if failure is not None:
         return [(None, failure)] * len(group)
     return [_attempt(partial(_run, case, op, start)) for case in group]
@@ -286,8 +287,9 @@ def cmd_solve(args) -> int:
         _atomic_write(fit_path, _json_text({**failure, **{k: fields[k] for k in _CASE_KEYS}}))
         print(f"error: {failure['error']}", file=sys.stderr)
         return EXIT_NUMERICAL
+    grid, _ = _operator_plan(*case.operator)
     _write_csv(os.path.join(args.out_dir, "solution.csv"), ("x", "delta", "u"),
-               zip(case.grid.nodes, case.grid.delta, row["_solution"].u))
+               zip(grid.nodes, grid.delta, row["_solution"].u))
     _atomic_write(fit_path, _json_text(_row_json(row)))
     return EXIT_OK
 
@@ -313,15 +315,13 @@ def cmd_study(args) -> int:
         raise ValueError("--jobs must be >= 1")
     os.makedirs(out_dir, exist_ok=True)
 
-    # One task per operator.  The largest n go out first, so none of them is
-    # left to run alone at the end, and equal n keep input order.
+    # One task per operator: its cases as parsed, plain values, so it sends no mesh.  The
+    # largest n go out first, so none is left to run alone at the end; equal n keep order.
     groups = {}
     for i, case in enumerate(parsed):
         groups.setdefault(case.operator, []).append(i)
-    order = sorted(groups.values(), key=lambda group: -parsed[group[0]].grid.n)
-    # a group's cases share its first one's mesh and build, so a task sends one mesh
-    tasks = [[parsed[i]._replace(grid=parsed[group[0]].grid, build=parsed[group[0]].build)
-              for i in group] for group in order]
+    order = sorted(groups.values(), key=lambda group: -parsed[group[0]].n)
+    tasks = [[parsed[i] for i in group] for group in order]
     if args.jobs == 1 or len(tasks) == 1:
         results = map(_group_outcomes, tasks)
     else:
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--beta-g", type=float, default=_CASE_FIELDS["beta_g"][1])
     sp.add_argument("--n-eigs", type=int, default=1)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=_CASE_FIELDS["tol"][1])
     sp.add_argument("--backend", choices=["synthetic", "spectral"], default="spectral")
     sp.add_argument("--out-dir", default=".")
     sp.set_defaults(func=cmd_eigen)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import pickle
 import re
 import tempfile
 from pathlib import Path
@@ -347,6 +348,15 @@ class TestGradingDefault:
         assert "grading exponent" in err
 
 
+class TestToleranceDefault:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--s", "0.2", "--p", "0.5", "--n", "64"],
+        ["eigen", "--s", "0.2", "--n", "64"],
+    ], ids=lambda argv: argv[0])
+    def test_every_tol_flag_defaults_to_the_case_field(self, argv):
+        assert cli.build_parser().parse_args(argv).tol == cli._CASE_FIELDS["tol"][1]
+
+
 class TestEigen:
     def test_spectral_csv(self, capsys, tmp_path):
         code, out, _ = run(capsys, "eigen", "--s", "0.3", "--n", "200",
@@ -537,9 +547,11 @@ class TestStudy:
         assert run(capsys, "study", "--config", str(tmp_path / "nope.json"))[0] == 2
 
     def test_parallel_output_matches_serial(self, capsys, tmp_path):
+        # a mixed-backend pool: the spectral case's operator key holds beta_g = None
         cases = [SMALL_CASE,
                  {**SMALL_CASE, "s": 0.3, "gamma": 0.5},
-                 {**SMALL_CASE, "s": 0.15, "p": 0.25}]
+                 {**SMALL_CASE, "s": 0.15, "p": 0.25},
+                 {**SMALL_CASE, "backend": "spectral", "n": 256}]
         cfg = write_config(tmp_path, cases)
         assert main(["study", "--config", cfg, "--jobs", "1"]) == 0
         capsys.readouterr()
@@ -609,7 +621,7 @@ class TestStudy:
         ran, run_group = [], cli._group_outcomes
 
         def serial_spy(task):
-            ran.append([case.grid.n for case in task])
+            ran.append([case.n for case in task])
             return run_group(task)
         monkeypatch.setattr(cli, "_group_outcomes", serial_spy)
         serial = study_rows(capsys, tmp_path, cases, "--jobs", "1")
@@ -619,7 +631,7 @@ class TestStudy:
 
         class Spy(pool):
             def map(self, fn, tasks):
-                sent.extend([[case.grid.n for case in task] for task in tasks])
+                sent.extend([[case.n for case in task] for task in tasks])
                 return super().map(fn, tasks)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
         assert study_rows(capsys, tmp_path, cases, "--jobs", "2") == serial
@@ -688,6 +700,10 @@ class TestCaseFields:
         shipped = json.loads((ROOT / "configs" / "acceptance.json").read_text())
         for case in json.loads(example.group(1))["cases"] + shipped["cases"]:
             cli._parse_case(case)
+
+    def test_parsed_case_pickles_as_plain_values(self):
+        # a study task pickles its cases: no mesh or other array may ride along
+        assert b"numpy" not in pickle.dumps(cli._parse_case({**SMALL_CASE, "n": 4000}))
 
     def test_readme_table_lists_the_fields(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
