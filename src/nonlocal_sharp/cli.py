@@ -62,9 +62,12 @@ def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    umask = os.umask(0)  # the umask is read by setting it: put it back at once
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 -> the mode open() gives a new file
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -96,7 +99,7 @@ _CASE_FIELDS = {
     "p": ("number", _REQUIRED),
     "n": ("integer", _REQUIRED),
     "beta_g": ("number", 3.0),
-    "tol": ("number", 1e-10),
+    "tol": ("number", SolverConfig.tol),
     "force_critical": ("boolean", False),
 }
 # the study config's top level, read by the same rules as a case

@@ -19,7 +19,7 @@ import numpy as np
 
 from .grids import Grid
 from .operators import Operator, _mirror, apply_sector
-from .solver import ConvergenceError, _check_tol
+from .solver import ConvergenceError, SolverConfig, _check_tol
 
 _MAX_ITER = 10_000  # ARPACK restarts before ConvergenceError
 
@@ -45,7 +45,7 @@ def check_eigen_request(n: int, n_eigs: int, tol: float) -> None:
 
 
 def leading_eigenpairs(op: Operator, n_eigs: int = 1,
-                       tol: float = 1e-10) -> list[EigenPair]:
+                       tol: float = SolverConfig.tol) -> list[EigenPair]:
     """Largest n_eigs eigenpairs, ordered by decreasing eigenvalue.
 
     Every pair must reach ||A phi - mu phi||_w <= tol * mu_1, whatever

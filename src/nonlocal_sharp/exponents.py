@@ -62,8 +62,8 @@ def _check_p(p: float) -> None:
         raise ValueError("nonlinearity power p must lie in 0 < p < 1")
 
 
-def _close(a: float, b: float, rel_tol: float = 1e-12) -> bool:
-    return math.isclose(a, b, rel_tol=rel_tol, abs_tol=0.0)
+def _close(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ gamma = s (restricted), gamma = s - 1/2 (censored-like), gamma = 1
 The integral operator u -> int G(., y) u(y) dy is collocated at grid nodes
 with cell quadrature: A_ij ~ int_{cell_j} G(x_i, y) dy.  The envelope at the
 nodes (the midpoint rule) gives every entry; the entries it misses are then
-written from one row-sorted table: the singular diagonal cell, integrated in
-closed form through the |x - y|^{2s-1} envelope, whose min-factors are 1 on
-every cell because the exactly mirrored grid has half-width <= delta, and a
-Gauss-refined band around it.  The grid and the synthetic kernel are
+written from one dense band per row: the singular diagonal cell, integrated
+in closed form through the |x - y|^{2s-1} envelope, whose min-factors are 1
+on every cell because the exactly mirrored grid has half-width <= delta, and
+the Gauss-refined cells around it.  The grid and the synthetic kernel are
 symmetric under x -> 1 - x, so the operator is folded into two (n/2, n/2)
 blocks, its actions on the left halves of mirror-even and mirror-odd vectors
 (the two sectors), each stored once as the upper slabs of a symmetric matrix
@@ -33,7 +33,7 @@ large enough relative to the small boundary values of u to break the
 solver's nesting certificate.  `apply_sector`, each backend's one matvec on
 a sector, is what the solvers call; `apply` takes one full vector; both run
 on numpy alone.  `entries` evaluates single matrix entries by the rule that
-defines them, the envelope and its correction table, or the spectral closed
+defines them, the envelope and its correction band, or the spectral closed
 form, never from stored blocks; `check_kernel_bounds` samples operators so.
 """
 
@@ -197,11 +197,10 @@ def _fold(kernel: GreenKernel, grid: Grid, combine) -> np.ndarray:
     Each slab [r0, r1) is written directly, in row blocks of about
     _BLOCK_ENTRIES entries.  Row block [b0, b1) evaluates the envelope at
     the nodes on the columns r0 .. n-1-r0, plus a margin of _NEAR_BAND
-    columns on each side that holds every entry of its rows in the
-    row-sorted table of kernel values the envelope misses
-    (`_corrected_entries`: the singular diagonal cell and the Gauss band);
-    the table entries are written, and the columns r0 .. n-1-r0 are folded
-    into S[b0:b1, r0:], its rows of the slab.  Off the table
+    columns on each side that holds its rows' band (`_corrected_band`) of
+    the kernel values the envelope misses; it writes the band's in-grid
+    entries, each at its offset j - i, and folds the columns r0 .. n-1-r0
+    into S[b0:b1, r0:], its rows of the slab.  Off the band
     r_ij = |x_i - x_j| > 0; on it r is set to 1, so r = 0 never reaches the
     envelope.  So every slab's diagonal square is evaluated in full, never
     copied from its transpose: the last slab holds the last _NEAR_BAND rows,
@@ -214,8 +213,7 @@ def _fold(kernel: GreenKernel, grid: Grid, combine) -> np.ndarray:
     d = grid.delta
     n = grid.n
     half = n // 2
-    rows_at, cols_at, values = _corrected_entries(kernel.params, grid)
-    row_start = np.searchsorted(rows_at, np.arange(half + 1))  # row i: [row_start[i], row_start[i+1])
+    band, inside = _corrected_band(kernel.params, grid)
     slabs = _slabs(half)
     packed = np.empty(slabs[-1][3])
     rows = max(1, _BLOCK_ENTRIES // n)
@@ -224,16 +222,17 @@ def _fold(kernel: GreenKernel, grid: Grid, combine) -> np.ndarray:
         slab = packed[start:stop].reshape(r1 - r0, half - r0)
         e = max(0, r0 - _NEAR_BAND)  # it folds the columns r0 .. n-1-r0, evaluates e .. n-1-e
         m = n - 2 * e
+        # entry (b0 + t, b0 + t + off) of row block b0 lies at flat index t (m + 1) + b0 - e + off
+        band_at = np.arange(rows)[:, None] * (m + 1) + np.arange(-_NEAR_BAND, _NEAR_BAND + 1) - e
         for b0 in range(r0, r1, rows):
             b1 = min(b0 + rows, r1)
             r, G, scratch = (b[:(b1 - b0) * m].reshape(b1 - b0, m) for b in buffers)
-            lo, hi = row_start[b0], row_start[b1]
-            at = (rows_at[lo:hi] - b0) * m + cols_at[lo:hi] - e  # flat indices in the block
+            at = band_at[:b1 - b0][inside[b0:b1]] + b0
             np.subtract(x[b0:b1, None], x[None, e:n - e], out=r)
             np.abs(r, out=r)
             r.put(at, 1.0)  # placeholders, overwritten below
             _envelope(r, d[b0:b1, None], d[None, e:n - e], kernel.params, out=G, scratch=scratch)
-            G.put(at, values[lo:hi])
+            G.put(at, band[b0:b1][inside[b0:b1]])
             # G's column j is the grid's column e + j; the margin is left out of the fold
             combine(G[:, r0 - e:half - e], G[:, half - e:n - r0 - e][:, ::-1],
                     out=slab[b0 - r0:b1 - r0])
@@ -266,32 +265,32 @@ def _own_cell_integral(half_width, a: float):
 _NEAR_BAND = 8        # off-diagonal band refined by Gauss quadrature
 _GAUSS_NODES = 8
 
-def _corrected_entries(params: ProblemParams, grid: Grid):
-    """(rows, cols, values) of the entries in rows < n/2 the envelope misses.
+def _corrected_band(params: ProblemParams, grid: Grid):
+    """(band, inside): the kernel values in rows < n/2 that the envelope misses.
 
-    Sorted by row, then column, each value a kernel value: the entry
-    divided by its weight w_j, which `_fold` and `entries` multiply back
-    in.  The diagonal cell integral is the closed form
-    int |x_i - y|^{2s-1} dy over the cell with min-factors 1, exact
-    because every cell's half-width is at most delta(x_i).  Within _NEAR_BAND cells of the singularity the kernel's
-    curvature makes the midpoint rule only first-order accurate, which
-    dominates the global assembly error; an 8-point Gauss rule on those
-    cells removes it.  The two one-sided cell averages are combined at the
-    kernel level, Ghat_ij = (I_ij/w_j + I_ji/w_i)/2, so the kernel values
-    stay exactly symmetric and every row a consistent quadrature
-    (entrywise averaging (A+A^T)/2 would inject an O(h) bulk bias on
-    graded meshes where w_i != w_j).
+    band[i, k + off] is the kernel value at (i, i + off), |off| <= k =
+    _NEAR_BAND: the entry divided by its weight w_j, which `_fold` and
+    `entries` multiply back in.  inside marks the offsets whose column lies
+    in the grid, 0 <= i + off < n; the other positions hold no value.  The
+    diagonal cell integral is the closed form int |x_i - y|^{2s-1} dy over
+    the cell with min-factors 1, exact because every cell's half-width is at
+    most delta(x_i).  Within _NEAR_BAND cells of the singularity the
+    kernel's curvature makes the midpoint rule only first-order accurate,
+    which dominates the global assembly error; an 8-point Gauss rule on
+    those cells removes it.  The two one-sided cell averages are combined at
+    the kernel level, Ghat_ij = (I_ij/w_j + I_ji/w_i)/2, so the kernel
+    values stay exactly symmetric and every row a consistent quadrature
+    (entrywise averaging (A+A^T)/2 would inject an O(h) bulk bias on graded
+    meshes where w_i != w_j).
     """
     gx, gw = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     x = grid.nodes
     w = grid.weights
-    lo_all = grid.boundaries[:-1]
-    hi_all = grid.boundaries[1:]
     n = grid.n
 
     def cell_average(i0, j0):
         # (1/w_j) int_{cell_j} G(x_i, y) dy
-        lo, hi = lo_all[j0], hi_all[j0]
+        lo, hi = grid.boundaries[j0], grid.boundaries[j0 + 1]
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         y = mid[:, None] + half[:, None] * gx[None, :]
@@ -303,19 +302,17 @@ def _corrected_entries(params: ProblemParams, grid: Grid):
 
     k = _NEAR_BAND
     i = np.arange(n // 2)
-    cols = i[:, None] + np.arange(-k, k + 1)  # row i holds the columns i - k .. i + k
-    values = np.empty(cols.shape)
-    values[:, k] = _own_cell_integral(0.5 * w, 2.0 * params.s)[i] / w[i]
+    band = np.empty((n // 2, 2 * k + 1))  # row i holds the columns i - k .. i + k
+    band[:, k] = _own_cell_integral(0.5 * w, 2.0 * params.s)[i] / w[i]
     for off in range(1, min(k, n - 1) + 1):
         i0 = i[:n - off]  # rows whose pair (i, i + off) lies in the grid
         j0 = i0 + off
         avg = 0.5 * (cell_average(i0, j0) + cell_average(j0, i0))
-        values[i0, k + off] = avg
+        band[i0, k + off] = avg
         left = j0 < n // 2  # pairs whose mirror entry (j0, i0) is in a left row too
-        values[j0[left], k - off] = avg[left]
-    rows, band = np.nonzero((cols >= 0) & (cols < n))  # row by row, so sorted by row
-    # int32 indices: a block's flat index (row - r0) * m + col - e stays below _BLOCK_ENTRIES + n
-    return rows.astype(np.int32), cols[rows, band].astype(np.int32), values[rows, band]
+        band[j0[left], k - off] = avg[left]
+    cols = i[:, None] + np.arange(-k, k + 1)
+    return band, (cols >= 0) & (cols < n)
 
 
 @dataclass(frozen=True)
@@ -391,9 +388,9 @@ def entries(op: Operator, i, j) -> np.ndarray:
     No column is applied and no stored block is read.  A folded operator
     commutes with the flip, so a right-half row i is read as the entry
     (n-1-i, n-1-j).  A left-row entry is w_j times its kernel value: the
-    value in `_corrected_entries`' row-sorted table (the diagonal cell and
-    the Gauss band), found by its flat key row * n + col, or else the
-    envelope at the nodes, with r = 1 placed at the table's positions, as
+    value band[i, j - i + _NEAR_BAND] of `_corrected_band` (the diagonal
+    cell and the Gauss cells) when |j - i| <= _NEAR_BAND, or else the
+    envelope at the nodes, with r = 1 placed at the band's positions, as
     `_fold` does, so r = 0 never reaches the envelope.  These are the
     values `_fold` combines into its blocks, to within a few ulps: numpy's
     pow can round differently at another array position.  The spectral
@@ -408,13 +405,12 @@ def entries(op: Operator, i, j) -> np.ndarray:
         return (c[np.abs(i - j)] - c[i + j + 1]).astype(float)
     flip = i >= n // 2
     i, j = np.where(flip, n - 1 - i, i), np.where(flip, n - 1 - j, j)
-    rows_at, cols_at, values = _corrected_entries(op.params, op.grid)
-    keys, key = rows_at * np.int64(n) + cols_at, i * np.int64(n) + j
-    at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-    table = keys[at] == key
+    band, _ = _corrected_band(op.params, op.grid)
+    k = _NEAR_BAND
+    near = np.abs(j - i) <= k  # j lies in the grid, so the band holds (i, j)
     x, d = op.grid.nodes, op.grid.delta
-    r = np.where(table, 1.0, np.abs(x[i] - x[j]))
-    g = np.where(table, values[at], _envelope(r, d[i], d[j], op.params))
+    r = np.where(near, 1.0, np.abs(x[i] - x[j]))
+    g = np.where(near, band[i, np.clip(j - i + k, 0, 2 * k)], _envelope(r, d[i], d[j], op.params))
     return g * op.grid.weights[j]
 
 

@@ -1,7 +1,9 @@
 import concurrent.futures
 import json
+import os
 import pickle
 import re
+import stat
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -691,6 +693,17 @@ class TestAtomicWrite:
             cli._atomic_write(str(target), "a lone surrogate \ud800 has no UTF-8")
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_file_has_the_mode_open_gives(self, tmp_path, umask, mode):
+        # mkstemp makes its file 0600 whatever the umask; the output must not keep that
+        target = tmp_path / "out.csv"
+        old = os.umask(umask)
+        try:
+            cli._atomic_write(str(target), "x\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == mode
 
 
 class TestCaseFields:

@@ -87,6 +87,9 @@ class TestAssemble:
     # near x = 1/2 the stored-node kernel is asymmetric in its last bits: this case
     # fails if the centre rows copy their lower triangle instead of evaluating it
     @example(s=0.484375, gamma=1.0, beta=1.0, n_half=104, block_rows=1)
+    # grids narrower than the 17-wide band: its positions outside the grid are skipped
+    @example(s=0.3, gamma=0.7, beta=2.0, n_half=4, block_rows=2)
+    @example(s=0.1, gamma=1.0, beta=3.0, n_half=7, block_rows=3)
     def test_folded_equals_unfolded(self, s, gamma, beta, n_half, block_rows):
         # row blocks of 1-9 rows put block seams inside the 8-wide Gauss band
         kernel = synthetic_k5(ProblemParams(s=s, gamma=gamma))
@@ -205,7 +208,7 @@ class TestAssemble:
         stored, peak = traced_assembly(n)
         block = operators._BLOCK_ENTRIES // n * n * 8
         extra = (peak - stored) / block
-        assert extra <= 5.0, extra
+        assert extra <= 4.0, extra
 
     def test_refinement_convergence_first_order(self):
         # apply to the constant 1 and compare against the finest level
@@ -400,6 +403,9 @@ class TestEntries:
     @settings(max_examples=30, deadline=None)
     @given(s=st.floats(0.01, 0.49), gamma=st.floats(0.05, 1.0), beta=st.floats(1.0, 3.0),
            n_half=st.integers(4, 300))
+    # the band is wider than these grids' rows: an in-grid offset is read, no other
+    @example(s=0.3, gamma=0.7, beta=2.0, n_half=4)
+    @example(s=0.1, gamma=1.0, beta=3.0, n_half=7)
     def test_folded_entries_match_the_dense_reference(self, s, gamma, beta, n_half):
         kernel = synthetic_k5(ProblemParams(s, gamma))
         grid = graded_mesh(2 * n_half, beta)
