@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
 import tempfile
 import time
@@ -237,7 +238,7 @@ def _attempt(step: Callable) -> tuple:
     """(step(), None), or (None, failure) if it raised one of _RUN_ERRORS.
 
     The one place a run's errors are caught, for `solve`, the serial study
-    loop and pool workers alike.  The failure is {"error": text,
+    loop and the forked workers alike.  The failure is {"error": text,
     "residual": r}, r the last residual of a ConvergenceError, else None:
     plain values, because a ConvergenceError does not survive unpickling.
     """
@@ -262,6 +263,117 @@ def _group_outcomes(group: list[_Case]) -> list[tuple]:
     if failure is not None:
         return [(None, failure)] * len(group)
     return [_attempt(partial(_run, case, op, start)) for case in group]
+
+
+class WorkerLost(RuntimeError):
+    """A study worker died, or its result came back cut short: exit 3."""
+
+
+class _WorkerTraceback(Exception):
+    """The traceback, as text, of an exception a study worker raised: its cause."""
+
+
+def _read_result(reader) -> tuple:
+    """The next (ok, outcome) a worker sent: an 8-byte length, then its pickle."""
+    head = reader.read(8)
+    size = int.from_bytes(head, "little")
+    data = reader.read(size) if len(head) == 8 else b""
+    if not 0 < len(data) == size:
+        raise WorkerLost("a study worker exited before it sent a whole result")
+    return pickle.loads(data)
+
+
+def _serve(fn: Callable, tasks: list, inbox, outbox) -> None:
+    """A worker's loop: run tasks[i] for each 4-byte index i until the inbox closes."""
+    while index := inbox.read(4):
+        try:
+            outcome = True, fn(tasks[int.from_bytes(index, "little")])
+        except Exception as exc:  # a bug: the parent raises it, caused by this traceback
+            import traceback
+
+            outcome = False, (exc, traceback.format_exc())
+        data = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+        outbox.write(len(data).to_bytes(8, "little") + data)
+        outbox.flush()
+
+
+def _fork_map(fn: Callable, tasks: list, jobs: int) -> list:
+    """[fn(task) for task in tasks], run in min(jobs, len(tasks)) forked workers.
+
+    Each worker has its own task pipe and result pipe.  The parent hands out
+    task indices one at a time, in order, to whichever worker is idle, and
+    runs no task itself, so the study process never holds an operator.
+    A worker sends back each (ok, outcome) as soon as it has it, and leaves
+    by os._exit when its task pipe closes, so no atexit handler or buffered
+    output of the parent runs twice.  An exception a task raised is
+    re-raised here; a worker that dies, or sends a result cut short, raises
+    WorkerLost.  On any exception every worker is killed and reaped.
+    """
+    import select
+    import signal
+
+    results = [None] * len(tasks)
+    workers = {}  # result pipe's read end -> (pid, task pipe's write end, reader)
+    try:
+        for _ in range(min(jobs, len(tasks))):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker: close every end that is not its own, and serve
+                code = 1
+                try:
+                    os.close(task_w)
+                    os.close(result_r)
+                    for _, other_w, reader in workers.values():
+                        os.close(other_w)
+                        reader.close()
+                    with open(task_r, "rb") as inbox, open(result_w, "wb") as outbox:
+                        _serve(fn, tasks, inbox, outbox)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(task_r)
+            os.close(result_w)
+            workers[result_r] = pid, task_w, open(result_r, "rb")
+        pending, busy, poll = iter(range(len(tasks))), {}, select.poll()
+
+        def hand_out(fd):
+            """Send the worker at this result pipe the next task, or close its inbox."""
+            pid, task_w, reader = workers[fd]
+            i = next(pending, None)
+            if i is None:  # the worker reads the end of its inbox and exits
+                poll.unregister(fd)
+                os.close(task_w)
+                workers[fd] = pid, None, reader
+                return
+            try:
+                os.write(task_w, i.to_bytes(4, "little"))
+            except BrokenPipeError as exc:
+                raise WorkerLost("a study worker exited before it took its task") from exc
+            busy[fd] = i
+
+        for fd in workers:
+            poll.register(fd, select.POLLIN)
+            hand_out(fd)
+        while busy:
+            for fd, _ in poll.poll():
+                ok, outcome = _read_result(workers[fd][2])
+                if not ok:
+                    exc, text = outcome
+                    raise exc from _WorkerTraceback(text)
+                results[busy.pop(fd)] = outcome
+                hand_out(fd)
+    except BaseException:
+        for pid, _, _ in workers.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, task_w, reader in workers.values():
+            if task_w is not None:
+                os.close(task_w)
+            reader.close()
+            os.waitpid(pid, 0)
+    return results
 
 
 def _row_json(row: dict) -> dict:
@@ -320,6 +432,7 @@ def cmd_study(args) -> int:
 
     # One task per operator: its cases as parsed, plain values, so it sends no mesh.  The
     # largest n go out first, so none is left to run alone at the end; equal n keep order.
+    # A single task, or --jobs 1, runs here; else forked workers run them all.
     groups = {}
     for i, case in enumerate(parsed):
         groups.setdefault(case.operator, []).append(i)
@@ -328,11 +441,7 @@ def cmd_study(args) -> int:
     if args.jobs == 1 or len(tasks) == 1:
         results = map(_group_outcomes, tasks)
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a fork pool starts all its workers at once: no more than there are tasks
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            results = list(pool.map(_group_outcomes, tasks))
+        results = _fork_map(_group_outcomes, tasks, args.jobs)
     # back to input order: the case indices are unique, so no outcome is compared
     outcomes = [outcome for _, outcome in sorted(zip(chain(*order), chain(*results)))]
     rows = [row for row, _ in outcomes if row is not None]

@@ -134,12 +134,16 @@ class GreenOperator:
     entries, each applied by `apply_sector` to a left half.  Only `even` is
     stored up front: `odd` is made by the zero-argument `build_odd` the first
     time it is read, and kept, so the mirror-even sector never builds it.
+    `band` is the (band, inside) of `_corrected_band`, evaluated once by
+    `assemble` for both folds and kept for `entries`; None on an operator
+    made from given blocks, which `entries` cannot read.
     """
 
     grid: Grid
     even: np.ndarray
     build_odd: Callable[[], np.ndarray]
     params: ProblemParams
+    band: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         self._check(self.even)
@@ -181,14 +185,16 @@ def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
     """Assemble the folded operator of the synthetic kernel.
 
     Builds `even` now and leaves `odd` to the same fold with np.subtract,
-    run the first time a mirror-odd input reads it.
+    run the first time a mirror-odd input reads it; both read the one
+    correction band, which the operator keeps.
     """
-    return GreenOperator(grid=grid, even=_fold(kernel, grid, np.add),
-                         build_odd=partial(_fold, kernel, grid, np.subtract),
-                         params=kernel.params)
+    band = _corrected_band(kernel.params, grid)
+    return GreenOperator(grid=grid, even=_fold(kernel, grid, np.add, band),
+                         build_odd=partial(_fold, kernel, grid, np.subtract, band),
+                         params=kernel.params, band=band)
 
 
-def _fold(kernel: GreenKernel, grid: Grid, combine) -> np.ndarray:
+def _fold(kernel: GreenKernel, grid: Grid, combine, corrections) -> np.ndarray:
     """The packed slabs of S = combine(K_LL, K_LR J), the kernel values of a block.
 
     The right-half weights are exact copies of the left ones, so the block
@@ -197,23 +203,24 @@ def _fold(kernel: GreenKernel, grid: Grid, combine) -> np.ndarray:
     Each slab [r0, r1) is written directly, in row blocks of about
     _BLOCK_ENTRIES entries.  Row block [b0, b1) evaluates the envelope at
     the nodes on the columns r0 .. n-1-r0, plus a margin of _NEAR_BAND
-    columns on each side that holds its rows' band (`_corrected_band`) of
-    the kernel values the envelope misses; it writes the band's in-grid
-    entries, each at its offset j - i, and folds the columns r0 .. n-1-r0
-    into S[b0:b1, r0:], its rows of the slab.  Off the band
-    r_ij = |x_i - x_j| > 0; on it r is set to 1, so r = 0 never reaches the
-    envelope.  So every slab's diagonal square is evaluated in full, never
-    copied from its transpose: the last slab holds the last _NEAR_BAND rows,
-    and stored right-half nodes are fl(1 - x), so near x_i + x_k = 1, for
-    pairs of those rows, the stored-node kernel is itself asymmetric in its
-    last bits.  The row-block buffers are allocated once per call and
-    reused by every block, and every step is written in place.
+    columns on each side that holds its rows' band of the kernel values the
+    envelope misses (`corrections`, the (band, inside) of `_corrected_band`);
+    it writes the band's in-grid entries, each at its offset j - i, and
+    folds the columns r0 .. n-1-r0 into S[b0:b1, r0:], its rows of the
+    slab.  Off the band r_ij = |x_i - x_j| > 0; on it r is set to 1, so
+    r = 0 never reaches the envelope.  So every slab's diagonal square is
+    evaluated in full, never copied from its transpose: the last slab holds
+    the last _NEAR_BAND rows, and stored right-half nodes are fl(1 - x), so
+    near x_i + x_k = 1, for pairs of those rows, the stored-node kernel is
+    itself asymmetric in its last bits.  The row-block buffers are allocated
+    once per call and reused by every block, and every step is written in
+    place.
     """
     x = grid.nodes
     d = grid.delta
     n = grid.n
     half = n // 2
-    band, inside = _corrected_band(kernel.params, grid)
+    band, inside = corrections
     slabs = _slabs(half)
     packed = np.empty(slabs[-1][3])
     rows = max(1, _BLOCK_ENTRIES // n)
@@ -388,7 +395,7 @@ def entries(op: Operator, i, j) -> np.ndarray:
     No column is applied and no stored block is read.  A folded operator
     commutes with the flip, so a right-half row i is read as the entry
     (n-1-i, n-1-j).  A left-row entry is w_j times its kernel value: the
-    value band[i, j - i + _NEAR_BAND] of `_corrected_band` (the diagonal
+    value band[i, j - i + _NEAR_BAND] of the operator's `band` (the diagonal
     cell and the Gauss cells) when |j - i| <= _NEAR_BAND, or else the
     envelope at the nodes, with r = 1 placed at the band's positions, as
     `_fold` does, so r = 0 never reaches the envelope.  These are the
@@ -405,7 +412,9 @@ def entries(op: Operator, i, j) -> np.ndarray:
         return (c[np.abs(i - j)] - c[i + j + 1]).astype(float)
     flip = i >= n // 2
     i, j = np.where(flip, n - 1 - i, i), np.where(flip, n - 1 - j, j)
-    band, _ = _corrected_band(op.params, op.grid)
+    if op.band is None:
+        raise ValueError("an operator made from given blocks has no rule to read entries by")
+    band, _ = op.band
     k = _NEAR_BAND
     near = np.abs(j - i) <= k  # j lies in the grid, so the band holds (i, j)
     x, d = op.grid.nodes, op.grid.delta

@@ -1,10 +1,14 @@
-import concurrent.futures
+import io
 import json
 import os
 import pickle
 import re
+import signal
 import stat
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -65,6 +69,28 @@ def assemble_all_but_s_03(kernel, grid):
     if kernel.params.s == 0.3:
         raise MemoryError("no room")
     return operators.assemble(kernel, grid)
+
+
+def spy_fork_map(monkeypatch):
+    """Record each cli._fork_map call's (tasks, jobs), and the pid of each worker it forks."""
+    calls, forks, fork_map, fork = [], [], cli._fork_map, os.fork
+
+    def spy(fn, tasks, jobs):
+        calls.append((tasks, jobs))
+        return fork_map(fn, tasks, jobs)
+
+    def fork_spy():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+    monkeypatch.setattr(cli, "_fork_map", spy)
+    monkeypatch.setattr(os, "fork", fork_spy)
+    return calls, forks
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
 
 
 def study_rows(capsys, tmp_path, cases, *flags):
@@ -563,19 +589,15 @@ class TestStudy:
         assert (tmp_path / "study.csv").read_text() == serial
 
     def test_pool_never_outnumbers_the_cases(self, capsys, tmp_path, monkeypatch):
-        # a fork pool starts all of its workers at once, needed or not
+        # the workers are all forked at the start, needed or not
         cfg = write_config(tmp_path, [SMALL_CASE, {**SMALL_CASE, "s": 0.3}])
         assert main(["study", "--config", cfg, "--jobs", "1"]) == 0
         serial = (tmp_path / "study.csv").read_text()
-        sizes, pool = [], concurrent.futures.ProcessPoolExecutor
-
-        def spy(max_workers):
-            sizes.append(max_workers)
-            return pool(max_workers=max_workers)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+        calls, forks = spy_fork_map(monkeypatch)
         assert main(["study", "--config", cfg, "--jobs", "8"]) == 0
         capsys.readouterr()
-        assert sizes == [2]
+        assert [jobs for _, jobs in calls] == [8]
+        assert len(forks) == 2
         assert (tmp_path / "study.csv").read_text() == serial
 
     def test_cases_sharing_an_operator_build_it_once(self, capsys, tmp_path, monkeypatch):
@@ -594,11 +616,10 @@ class TestStudy:
     def test_spectral_cases_share_an_operator_whatever_beta_g(self, capsys, tmp_path,
                                                               monkeypatch):
         spectral = {**SMALL_CASE, "backend": "spectral", "n": 1024, "beta_g": 1.0}
-        sizes = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", sizes.append)
+        calls, forks = spy_fork_map(monkeypatch)
         cases = [spectral, {**spectral, "p": 0.25, "beta_g": 2.0}]
         assert len(study_rows(capsys, tmp_path, cases, "--jobs", "8")) == 2
-        assert sizes == []
+        assert calls == [] and forks == []
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_build_fails_its_whole_group(self, capsys, tmp_path, monkeypatch, jobs):
@@ -628,23 +649,122 @@ class TestStudy:
         monkeypatch.setattr(cli, "_group_outcomes", serial_spy)
         serial = study_rows(capsys, tmp_path, cases, "--jobs", "1")
         assert ran == [[256], [128], [64, 64], [64]]
-        monkeypatch.setattr(cli, "_group_outcomes", run_group)  # the pool pickles it by name
-        sent, pool = [], concurrent.futures.ProcessPoolExecutor
-
-        class Spy(pool):
-            def map(self, fn, tasks):
-                sent.extend([[case.n for case in task] for task in tasks])
-                return super().map(fn, tasks)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(cli, "_group_outcomes", run_group)
+        calls, _ = spy_fork_map(monkeypatch)
         assert study_rows(capsys, tmp_path, cases, "--jobs", "2") == serial
-        assert sent == [[256], [128], [64, 64], [64]]
+        # the workers take the tasks by index, in this order
+        assert [[[case.n for case in task] for task in tasks] for tasks, _ in calls] == [
+            [[256], [128], [64, 64], [64]]]
 
     def test_one_shared_operator_starts_no_pool(self, capsys, tmp_path, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", sizes.append)
+        calls, forks = spy_fork_map(monkeypatch)
         cases = [SMALL_CASE, {**SMALL_CASE, "p": 0.25}, {**SMALL_CASE, "p": 0.75}]
         assert len(study_rows(capsys, tmp_path, cases, "--jobs", "8")) == 3
-        assert sizes == []
+        assert calls == [] and forks == []
+
+    def test_more_jobs_than_cores_match_serial(self, capsys, tmp_path):
+        cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "s": 0.15, "n": 128}]
+        serial = study_rows(capsys, tmp_path, cases, "--jobs", "1")
+        summary = (tmp_path / "summary.json").read_text()
+        assert study_rows(capsys, tmp_path, cases, "--jobs", "3") == serial
+        assert (tmp_path / "summary.json").read_text() == summary
+
+    def test_dead_worker_exits_3_and_leaves_no_process(self, capsys, tmp_path, monkeypatch):
+        cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "s": 0.15}]
+        solve, fds = cli._run, open_fds()
+
+        def die_on_one(case, op, start):  # the forked workers inherit the patch
+            if case.params.s == 0.3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return solve(case, op, start)
+        monkeypatch.setattr(cli, "_run", die_on_one)
+        code, _, err = run(capsys, "study", "--config", write_config(tmp_path, cases),
+                           "--jobs", "2")
+        assert code == 3
+        assert err.startswith("error: WorkerLost:")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
+
+    def test_other_worker_error_propagates(self, tmp_path, monkeypatch):
+        cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "s": 0.15}]
+        solve, fds = cli._run, open_fds()
+
+        def bug_on_one(case, op, start):
+            if case.params.s == 0.3:
+                raise TypeError("a bug")
+            return solve(case, op, start)
+        monkeypatch.setattr(cli, "_run", bug_on_one)
+        with pytest.raises(TypeError, match="a bug") as raised:
+            main(["study", "--config", write_config(tmp_path, cases), "--jobs", "2"])
+        assert "in bug_on_one" in str(raised.value.__cause__)  # the worker's traceback
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
+
+    def test_finished_study_leaves_no_process_or_pipe(self, capsys, tmp_path):
+        fds = open_fds()
+        cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "s": 0.15}]
+        assert len(study_rows(capsys, tmp_path, cases, "--jobs", "2")) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
+
+    def test_a_failure_kills_the_busy_workers(self, tmp_path, monkeypatch):
+        # closing its inbox would stop the sleeping worker only after its 60 s task
+        cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "s": 0.15}]
+        solve = cli._run
+
+        def stall_one_and_fail_one(case, op, start):
+            if case.params.s == 0.15:
+                time.sleep(60)
+            if case.params.s == 0.3:
+                raise TypeError("a bug")
+            return solve(case, op, start)
+        monkeypatch.setattr(cli, "_run", stall_one_and_fail_one)
+        start = time.perf_counter()
+        with pytest.raises(TypeError, match="a bug"):
+            main(["study", "--config", write_config(tmp_path, cases), "--jobs", "3"])
+        assert time.perf_counter() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_each_worker_holds_only_its_own_pipes(self, capsys, tmp_path, monkeypatch):
+        # a pipe end a sibling kept open would hold back the end of file that stops a worker
+        cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "s": 0.15}]
+        solve, held = cli._run, []
+
+        def count_fds(case, op, start):
+            return {**solve(case, op, start), "_fds": len(open_fds())}
+        monkeypatch.setattr(cli, "_run", count_fds)
+        fork_map = cli._fork_map
+
+        def spy(fn, tasks, jobs):
+            results = fork_map(fn, tasks, jobs)
+            held.extend(row["_fds"] for outcomes in results for row, _ in outcomes)
+            return results
+        monkeypatch.setattr(cli, "_fork_map", spy)
+        assert len(study_rows(capsys, tmp_path, cases, "--jobs", "3")) == 3
+        # each its two ends beside what the study process held
+        assert held == [len(open_fds()) + 2] * 3
+
+    def test_workers_leave_the_parents_output_alone(self, tmp_path):
+        # a worker that left by sys.exit would flush the parent's buffered "before" again
+        code = ("import sys; from nonlocal_sharp import cli; print('before'); "
+                "sys.exit(cli.main(['study', '--config', sys.argv[1], '--jobs', '2']))")
+        cfg = write_config(tmp_path, [SMALL_CASE, {**SMALL_CASE, "s": 0.3}])
+        out = subprocess.run([sys.executable, "-c", code, cfg], capture_output=True, text=True,
+                             cwd=ROOT / "src")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.count("before") == 1
+        assert out.stdout.count("n_cases") == 1
+
+    @pytest.mark.parametrize("sent", [b"", b"\x05\x00", (9).to_bytes(8, "little") + b"abc",
+                                      (0).to_bytes(8, "little")],
+                             ids=["nothing", "half-a-length", "part-of-a-pickle", "no-pickle"])
+    def test_result_cut_short_raises_worker_lost(self, sent):
+        with pytest.raises(cli.WorkerLost):
+            cli._read_result(io.BytesIO(sent))
 
     def test_synthetic_case_never_builds_the_odd_block(self, monkeypatch):
         # every Picard iterate is mirror-even, so the solve reads the even block alone
@@ -670,7 +790,7 @@ class TestStudy:
         full = (tmp_path / "study.csv").read_text().splitlines()
         solve = cli._run
 
-        def fail_one(case, op, start):  # pool workers are forked and inherit the patch
+        def fail_one(case, op, start):  # the forked workers inherit the patch
             if case.params.s == 0.3:
                 raise ConvergenceError("did not converge", 1.0)
             return solve(case, op, start)

@@ -150,9 +150,9 @@ class TestAssemble:
     def test_odd_block_is_built_once_on_first_mirror_odd_apply(self, monkeypatch):
         folds, fold = [], operators._fold
 
-        def spy(kernel, grid, combine):
+        def spy(kernel, grid, combine, corrections):
             folds.append(combine)
-            return fold(kernel, grid, combine)
+            return fold(kernel, grid, combine, corrections)
         monkeypatch.setattr(operators, "_fold", spy)
         kernel = synthetic_k5(ProblemParams(s=0.3, gamma=0.7))
         grid = graded_mesh(128, 3.0)
@@ -165,6 +165,27 @@ class TestAssemble:
         ref_odd = pack_block(top_left - top_right[:, ::-1], grid)
         ref_even = pack_block(top_left + top_right[:, ::-1], grid)
         assert np.max(np.abs(op.odd - ref_odd)) <= 1e-14 * np.max(ref_even)
+
+    def test_correction_band_is_evaluated_once_per_operator(self, monkeypatch):
+        calls, band = [], operators._corrected_band
+
+        def spy(params, grid):
+            calls.append(grid.n)
+            return band(params, grid)
+        monkeypatch.setattr(operators, "_corrected_band", spy)
+        op = assemble(synthetic_k5(ProblemParams(s=0.3, gamma=0.7)), graded_mesh(128, 3.0))
+        op.odd  # the second fold
+        for seed in range(2):  # each sample reads entries
+            check_kernel_bounds(op, n_samples=200, seed=seed)
+        assert calls == [128]
+
+    def test_operator_from_given_blocks_has_no_entries(self):
+        grid = graded_mesh(8, 1.0)
+        block = pack_block(np.eye(4), grid)
+        op = GreenOperator(grid=grid, even=block, build_odd=lambda: block,
+                           params=ProblemParams(s=0.2, gamma=1.0))
+        with pytest.raises(ValueError, match="given blocks"):
+            operators.entries(op, np.array([0]), np.array([1]))
 
     def test_each_block_evaluates_the_envelope_on_its_upper_trapezoid(self, monkeypatch):
         # the full left rows are n^2 / 2 entries; the trapezoid is about half of them
@@ -506,17 +527,17 @@ CRITICAL_CASE = {"backend": "synthetic", "s": 0.25, "gamma": 1.0, "p": 0.5, "n":
 SPECTRAL_CASE = {"backend": "spectral", "s": 0.3, "gamma": 1.0, "p": 0.5, "n": 256}
 
 
-def scipy_modules_loaded(step, tmp_path):
-    """The scipy modules a fresh process running `step` holds, and those any process logs.
+def modules_loaded(step, tmp_path, package="scipy"):
+    """The modules of a package a fresh process running `step` holds, and those any process logs.
 
-    With PYTHONPROFILEIMPORTTIME every process, pool workers included, logs its
+    With PYTHONPROFILEIMPORTTIME every process, study workers included, logs its
     imports to stderr, so an import in a worker shows there although it leaves the
     step's own sys.modules alone.  argv[1] is tmp_path, which holds a two-case
     spectral study config.
     """
     cases = [SPECTRAL_CASE, {**SPECTRAL_CASE, "s": 0.6, "p": 0.4}]
     (tmp_path / "study.json").write_text(json.dumps({"cases": cases}))
-    code = step + "\nimport sys; print([m for m in sys.modules if m.startswith('scipy')])"
+    code = step + f"\nimport sys; print([m for m in sys.modules if m.startswith({package!r})])"
     src = Path(nonlocal_sharp.__file__).parents[1]  # the package under test, not an install
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                          text=True, check=True, cwd=src,
@@ -524,7 +545,7 @@ def scipy_modules_loaded(step, tmp_path):
     logged = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
               if line.startswith("import time:")]
     assert logged, "no import log"
-    return out.stdout.splitlines()[-1], [m for m in logged if m.startswith("scipy")]
+    return out.stdout.splitlines()[-1], [m for m in logged if m.startswith(package)]
 
 
 # scipy is imported only by leading_eigenpairs, which no study case calls
@@ -537,15 +558,23 @@ def scipy_modules_loaded(step, tmp_path):
     f"from nonlocal_sharp import cli; assert cli.run_case({CRITICAL_CASE!r})['log_exp_hat'] > 0",
 ], ids=["import", "predict", "critical-case"])
 def test_synthetic_path_loads_no_scipy(step, tmp_path):
-    assert scipy_modules_loaded(step, tmp_path) == ("[]", [])
+    assert modules_loaded(step, tmp_path) == ("[]", [])
+
+
+# two cases and two jobs: the cases run in forked workers
+STUDY_STEP = ("import sys; from nonlocal_sharp import cli; "
+              "assert cli.main(['study', '--config', sys.argv[1] + '/study.json', "
+              "'--out-dir', sys.argv[1], '--jobs', '2']) == 0")
 
 
 @pytest.mark.parametrize("step", [
     f"from nonlocal_sharp import cli; assert cli.run_case({SPECTRAL_CASE!r})['iterations'] > 0",
-    # two cases and two jobs: the cases run in pool workers
-    "import sys; from nonlocal_sharp import cli; "
-    "assert cli.main(['study', '--config', sys.argv[1] + '/study.json', "
-    "'--out-dir', sys.argv[1], '--jobs', '2']) == 0",
+    STUDY_STEP,
 ], ids=["case", "study"])
 def test_spectral_path_loads_no_scipy(step, tmp_path):
-    assert scipy_modules_loaded(step, tmp_path) == ("[]", [])
+    assert modules_loaded(step, tmp_path) == ("[]", [])
+
+
+@pytest.mark.parametrize("package", ["concurrent", "multiprocessing"])
+def test_study_workers_load_no_pool_module(package, tmp_path):
+    assert modules_loaded(STUDY_STEP, tmp_path, package) == ("[]", [])
