@@ -34,8 +34,8 @@ from .fitting import _least_squares, fit_report, fit_window
 from .grids import graded_mesh
 from .operators import (_check_samples, assemble, check_kernel_bounds, green_q_norm_profile,
                         spectral_mt_operator, synthetic_k5)
-from .solver import (ConvergenceError, SolverConfig, harnack_report, harnack_window,
-                     picard_solve)
+from .solver import (ConvergenceError, SemilinearSolution, SolverConfig, harnack_report,
+                     harnack_window, picard_solve)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -43,9 +43,9 @@ EXIT_NUMERICAL = 3
 
 # a case's identity: the fields that name it in every output
 _CASE_KEYS = ("s", "gamma", "p", "backend", "n")
-# the study.csv columns, each read from the run row of the same name
+# the study.csv columns: every field of a case's run row but bracket_gap, in its order
 STUDY_COLUMNS = (*_CASE_KEYS, "mu_pred", "mu_hat", "r2", "regime", "log_exp_pred",
-                 "log_exp_hat", "ghp_ratio", "iterations", "residual", "wall_ms")
+                 "log_exp_hat", "ghp_ratio", "iterations", "residual")
 
 
 def _fmt(x) -> str:
@@ -206,13 +206,12 @@ def _parse_case(case) -> _Case:
     return _Case(f["backend"], params, f["n"], beta_g, solver, prediction)
 
 
-def _run(case: _Case, op, start: float) -> dict:
-    """The result row of a case solved on its operator; wall_ms runs from `start`."""
+def _run(case: _Case, op) -> tuple[dict, SemilinearSolution]:
+    """A case solved on its operator: its result row, of plain values only, and its solution."""
     sol = picard_solve(op, case.solver)
     pred = case.prediction
     rep = fit_report(sol.u, op.grid, pred)
     ghp = harnack_report(sol.u, op.grid, pred)
-    wall_ms = (time.perf_counter() - start) * 1e3
     return {
         "s": case.params.s, "gamma": case.params.gamma, "p": case.solver.p,
         "backend": case.backend, "n": case.n,
@@ -221,17 +220,19 @@ def _run(case: _Case, op, start: float) -> dict:
         "log_exp_pred": pred.log_exponent, "log_exp_hat": rep.log_exp_hat,
         "ghp_ratio": ghp.global_ratio,
         "iterations": sol.iterations, "residual": sol.residual,
-        "bracket_gap": sol.bracket_gap, "wall_ms": wall_ms,
-        "_solution": sol,
-    }
+        "bracket_gap": sol.bracket_gap,
+    }, sol
 
 
 def run_case(case: dict) -> dict:
-    """Solve one study case and return its result row as a dict."""
+    """Solve one study case: its result row, and its solution under "_solution".
+
+    The solution rides in the row only for perfbench/run.py's traced replay, which reads it.
+    """
     case = _parse_case(case)
-    start = time.perf_counter()
     _, build = _operator_plan(*case.operator)
-    return _run(case, build(), start)
+    row, sol = _run(case, build())
+    return {**row, "_solution": sol}
 
 
 def _attempt(step: Callable) -> tuple:
@@ -255,18 +256,18 @@ def _group_outcomes(group: list[_Case]) -> list[tuple]:
     The mesh and operator are made here, once, from the group's operator
     key, and every case runs on them, each caught on its own, so one
     failing case keeps the rows of the others; a failed build fails every
-    case with its text.  Each row's wall_ms runs from the start of the mesh.
+    case with its text.  The solutions are dropped here, so a worker
+    pickles and sends, and the study process holds, no solution vector.
     """
-    start = time.perf_counter()
     _, build = _operator_plan(*group[0].operator)
     op, failure = _attempt(build)
     if failure is not None:
         return [(None, failure)] * len(group)
-    return [_attempt(partial(_run, case, op, start)) for case in group]
+    return [_attempt(lambda: _run(case, op)[0]) for case in group]
 
 
 class WorkerLost(RuntimeError):
-    """A study worker died, or its result came back cut short: exit 3."""
+    """A study worker could not be started, died, or sent a result cut short: exit 3."""
 
 
 class _WorkerTraceback(Exception):
@@ -306,8 +307,9 @@ def _fork_map(fn: Callable, tasks: list, jobs: int) -> list:
     A worker sends back each (ok, outcome) as soon as it has it, and leaves
     by os._exit when its task pipe closes, so no atexit handler or buffered
     output of the parent runs twice.  An exception a task raised is
-    re-raised here; a worker that dies, or sends a result cut short, raises
-    WorkerLost.  On any exception every worker is killed and reaped.
+    re-raised here; a worker that cannot be started (os.pipe or os.fork
+    failed), dies, or sends a result cut short raises WorkerLost.  On any
+    exception every worker is killed and reaped.
     """
     import select
     import signal
@@ -316,9 +318,16 @@ def _fork_map(fn: Callable, tasks: list, jobs: int) -> list:
     workers = {}  # result pipe's read end -> (pid, task pipe's write end, reader)
     try:
         for _ in range(min(jobs, len(tasks))):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
-            pid = os.fork()
+            ends = []  # an OSError here is no validation error: the study has begun
+            try:
+                ends += os.pipe()
+                ends += os.pipe()
+                pid = os.fork()
+            except OSError as exc:
+                for fd in ends:
+                    os.close(fd)
+                raise WorkerLost(f"a study worker could not be started: {exc}") from exc
+            task_r, task_w, result_r, result_w = ends
             if pid == 0:  # the worker: close every end that is not its own, and serve
                 code = 1
                 try:
@@ -376,10 +385,6 @@ def _fork_map(fn: Callable, tasks: list, jobs: int) -> list:
     return results
 
 
-def _row_json(row: dict) -> dict:
-    return {k: v for k, v in row.items() if not k.startswith("_")}
-
-
 # ----------------------------------------------------------------- subcommands
 
 def cmd_predict(args) -> int:
@@ -397,15 +402,18 @@ def cmd_solve(args) -> int:
     case = _parse_case(fields)
     os.makedirs(args.out_dir, exist_ok=True)
     fit_path = os.path.join(args.out_dir, "fit.json")
-    [(row, failure)] = _group_outcomes([case])
+    start = time.perf_counter()  # wall_ms: the mesh, build, solve, fit and Harnack report
+    grid, build = _operator_plan(*case.operator)
+    ran, failure = _attempt(lambda: _run(case, build()))
     if failure is not None:
         _atomic_write(fit_path, _json_text({**failure, **{k: fields[k] for k in _CASE_KEYS}}))
         print(f"error: {failure['error']}", file=sys.stderr)
         return EXIT_NUMERICAL
-    grid, _ = _operator_plan(*case.operator)
+    row, sol = ran
+    wall_ms = (time.perf_counter() - start) * 1e3
     _write_csv(os.path.join(args.out_dir, "solution.csv"), ("x", "delta", "u"),
-               zip(grid.nodes, grid.delta, row["_solution"].u))
-    _atomic_write(fit_path, _json_text(_row_json(row)))
+               zip(grid.nodes, grid.delta, sol.u))
+    _atomic_write(fit_path, _json_text({**row, "wall_ms": wall_ms}))
     return EXIT_OK
 
 
@@ -448,10 +456,8 @@ def cmd_study(args) -> int:
     errors = [{"case": i, "error": failure["error"]}
               for i, (_, failure) in enumerate(outcomes) if failure is not None]
 
-    # The CSV contract is byte-identical output for identical configs, so the
-    # wall_ms column carries a deterministic 0; measured timings go to JSON.
     _write_csv(os.path.join(out_dir, "study.csv"), STUDY_COLUMNS,
-               ([{**r, "wall_ms": 0}[name] for name in STUDY_COLUMNS] for r in rows))
+               ([r[name] for name in STUDY_COLUMNS] for r in rows))
 
     summary = {"n_cases": len(cases)}
     if rows:

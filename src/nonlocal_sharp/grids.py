@@ -118,7 +118,7 @@ class Grid:
         return mask
 
 
-def graded_mesh(n: int, beta: float = 3.0) -> Grid:
+def graded_mesh(n: int, beta: float) -> Grid:
     """Symmetric graded partition of (0, 1) with n cells.
 
     Cell boundaries on the left half are t_j = (1/2) (2j/n)^beta for

@@ -1,8 +1,10 @@
+import errno
 import io
 import json
 import os
 import pickle
 import re
+import shlex
 import signal
 import stat
 import subprocess
@@ -267,6 +269,26 @@ class TestSolve:
         capsys.readouterr()
         assert (tmp_path / "solution.csv").read_text() == sol
 
+    def test_makes_its_mesh_twice_and_times_its_run(self, capsys, tmp_path, monkeypatch):
+        # once to validate the case, once to run it; solution.csv is written on the second
+        grids, mesh = [], cli.graded_mesh
+
+        def spy(n, beta):
+            grids.append(mesh(n, beta))
+            return grids[-1]
+        monkeypatch.setattr(cli, "graded_mesh", spy)
+        code, _, _ = run(capsys, "solve", "--s", "0.2", "--p", "0.5", "--n", "64",
+                         "--out-dir", str(tmp_path))
+        assert code == 0
+        assert len(grids) == 2
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        assert set(fit) == {*STUDY_COLUMNS, "bracket_gap", "wall_ms"}
+        assert fit["wall_ms"] > 0
+        assert 0 <= fit["bracket_gap"] <= 1e-10
+        x = [float(line.split(",")[0])
+             for line in (tmp_path / "solution.csv").read_text().splitlines()[1:]]
+        assert x == grids[1].nodes.tolist()
+
     def test_bad_n_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "solve", "--s", "0.2", "--gamma", "1",
                          "--p", "0.5", "--n", "63", "--out-dir", str(tmp_path))
@@ -468,6 +490,13 @@ class TestStudy:
         lines = (tmp_path / "study.csv").read_text().splitlines()
         assert lines[0] == ",".join(STUDY_COLUMNS)
         assert len(lines) == 2
+
+    def test_header_is_the_study_columns(self, capsys, tmp_path):
+        # a timing would break the byte-identical CSV, so the study writes none
+        study_rows(capsys, tmp_path, [SMALL_CASE])
+        header = (tmp_path / "study.csv").read_text().splitlines()[0].split(",")
+        assert header == list(STUDY_COLUMNS)
+        assert "wall_ms" not in header
 
     def test_mu_pred_matches_library_bit_for_bit(self, capsys, tmp_path):
         cfg = write_config(tmp_path, [SMALL_CASE])
@@ -673,10 +702,10 @@ class TestStudy:
         cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "s": 0.15}]
         solve, fds = cli._run, open_fds()
 
-        def die_on_one(case, op, start):  # the forked workers inherit the patch
+        def die_on_one(case, op):  # the forked workers inherit the patch
             if case.params.s == 0.3:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return solve(case, op, start)
+            return solve(case, op)
         monkeypatch.setattr(cli, "_run", die_on_one)
         code, _, err = run(capsys, "study", "--config", write_config(tmp_path, cases),
                            "--jobs", "2")
@@ -686,14 +715,53 @@ class TestStudy:
             os.waitpid(-1, os.WNOHANG)
         assert open_fds() == fds
 
+    def test_worker_that_cannot_be_started_exits_3_and_leaks_no_pipe(self, capsys, tmp_path,
+                                                                     monkeypatch):
+        # a fork that fails after validation is a run-time failure, not a bad config
+        cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}]
+        fds, forks, fork = open_fds(), [], os.fork
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            forks.append(fork())
+            return forks[-1]
+        monkeypatch.setattr(os, "fork", fork_once)
+        code, _, err = run(capsys, "study", "--config", write_config(tmp_path, cases),
+                           "--jobs", "2")
+        assert code == 3
+        assert err.startswith("error: WorkerLost:")
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
+
+    def test_worker_outcomes_are_small_plain_values(self, capsys, tmp_path, monkeypatch):
+        # a worker sends back each case's row and no solution vector
+        spectral = {"backend": "spectral", "s": 0.3, "gamma": 1.0, "p": 0.5, "n": 4096}
+        fork_map, outcomes = cli._fork_map, []
+
+        def spy(fn, tasks, jobs):
+            results = fork_map(fn, tasks, jobs)
+            outcomes.extend(outcome for group in results for outcome in group)
+            return results
+        monkeypatch.setattr(cli, "_fork_map", spy)
+        assert len(study_rows(capsys, tmp_path, [SMALL_CASE, spectral], "--jobs", "2")) == 2
+        assert len(outcomes) == 2
+        for row, failure in outcomes:
+            assert failure is None
+            assert {type(value) for value in row.values()} <= {int, float, str, type(None)}
+        assert max(len(pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL))
+                   for outcome in outcomes) < 1024
+
     def test_other_worker_error_propagates(self, tmp_path, monkeypatch):
         cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "s": 0.15}]
         solve, fds = cli._run, open_fds()
 
-        def bug_on_one(case, op, start):
+        def bug_on_one(case, op):
             if case.params.s == 0.3:
                 raise TypeError("a bug")
-            return solve(case, op, start)
+            return solve(case, op)
         monkeypatch.setattr(cli, "_run", bug_on_one)
         with pytest.raises(TypeError, match="a bug") as raised:
             main(["study", "--config", write_config(tmp_path, cases), "--jobs", "2"])
@@ -715,12 +783,12 @@ class TestStudy:
         cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "s": 0.15}]
         solve = cli._run
 
-        def stall_one_and_fail_one(case, op, start):
+        def stall_one_and_fail_one(case, op):
             if case.params.s == 0.15:
                 time.sleep(60)
             if case.params.s == 0.3:
                 raise TypeError("a bug")
-            return solve(case, op, start)
+            return solve(case, op)
         monkeypatch.setattr(cli, "_run", stall_one_and_fail_one)
         start = time.perf_counter()
         with pytest.raises(TypeError, match="a bug"):
@@ -734,8 +802,9 @@ class TestStudy:
         cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "s": 0.15}]
         solve, held = cli._run, []
 
-        def count_fds(case, op, start):
-            return {**solve(case, op, start), "_fds": len(open_fds())}
+        def count_fds(case, op):
+            row, sol = solve(case, op)
+            return {**row, "_fds": len(open_fds())}, sol
         monkeypatch.setattr(cli, "_run", count_fds)
         fork_map = cli._fork_map
 
@@ -790,10 +859,10 @@ class TestStudy:
         full = (tmp_path / "study.csv").read_text().splitlines()
         solve = cli._run
 
-        def fail_one(case, op, start):  # the forked workers inherit the patch
+        def fail_one(case, op):  # the forked workers inherit the patch
             if case.params.s == 0.3:
                 raise ConvergenceError("did not converge", 1.0)
-            return solve(case, op, start)
+            return solve(case, op)
         monkeypatch.setattr(cli, "_run", fail_one)
         code, out, err = run(capsys, "study", "--config", cfg, "--jobs", jobs)
         assert code == 3
@@ -803,6 +872,27 @@ class TestStudy:
         assert summary["errors"] == [{"case": 1, "error": "ConvergenceError: did not converge"}]
         assert summary["n_cases"] == 3
         assert (tmp_path / "study.csv").read_text().splitlines() == [full[0], full[1], full[3]]
+
+
+class TestReadme:
+    def test_study_columns_are_listed(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"`study.csv` has one row per finished case, with the columns(.*?)\.",
+                           readme, re.S).group(1)
+        assert re.findall(r"`(\w+)`", listed) == list(STUDY_COLUMNS)
+
+    def test_command_line_examples_run(self, tmp_path, monkeypatch):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("nonlocal-sharp ")]
+        assert len(commands) == 7
+        (tmp_path / "configs").symlink_to(ROOT / "configs")  # the study example's config
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            if "--out-dir" in argv:
+                argv[argv.index("--out-dir") + 1] = str(tmp_path / "out")
+            assert main(argv[1:]) == 0, argv
 
 
 class TestAtomicWrite:
