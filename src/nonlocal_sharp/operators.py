@@ -1,40 +1,19 @@
-"""Green operators: synthetic kernel, folded assembly, matrix transfer, bound checks.
+"""Green operators: synthetic kernel, folded tiled assembly, matrix transfer, bound checks.
 
-The synthetic backend takes the matching two-sided envelope
+The synthetic backend takes the two-sided envelope
 
     G(x, y) = |x-y|^{2s-N} (delta(x)^gamma / |x-y|^gamma ^ 1)
                             (delta(y)^gamma / |x-y|^gamma ^ 1)
 
-as the kernel itself, with constants 1 and the eigenfunction profile
-replaced by delta^gamma.  All boundary-behaviour theory consumes only the
-envelope bounds, so this one backend probes every (s, gamma) regime:
-gamma = s (restricted), gamma = s - 1/2 (censored-like), gamma = 1
-(spectral).
-
-The integral operator u -> int G(., y) u(y) dy is collocated at grid nodes
-with cell quadrature: A_ij ~ int_{cell_j} G(x_i, y) dy.  The envelope at the
-nodes (the midpoint rule) gives every entry; the entries it misses are then
-written from one dense band per row: the singular diagonal cell, integrated
-in closed form through the |x - y|^{2s-1} envelope, whose min-factors are 1
-on every cell because the exactly mirrored grid has half-width <= delta, and
-the Gauss-refined cells around it.  The grid and the synthetic kernel are
-symmetric under x -> 1 - x, so the operator is folded into two (n/2, n/2)
-blocks, its actions on the left halves of mirror-even and mirror-odd vectors
-(the two sectors), each stored once as the upper slabs of a symmetric matrix
-of kernel values (`GreenOperator`); the odd one is built when first read.
-The spectral backend is the matrix transfer of the second-difference
-Dirichlet Laplacian, whose eigenvectors on the uniform midpoint grid are the
-DST-II sine modes, so it stores only its n eigenvalues (the symbol).
-Extended oddly to 2n points, a grid function sees that Laplacian as the
-2n-point periodic one, a circulant whose Fourier modes are the sine modes,
-so `apply` runs it by numpy's real FFT in O(n log n), in long double (80-bit
-extended on x86-64 Linux): FFT rounding is absolute, and in float64 it is
-large enough relative to the small boundary values of u to break the
-solver's nesting certificate.  `apply_sector`, each backend's one matvec on
-a sector, is what the solvers call; `apply` takes one full vector; both run
-on numpy alone.  `entries` evaluates single matrix entries by the rule that
-defines them, the envelope and its correction band, or the spectral closed
-form, never from stored blocks; `check_kernel_bounds` samples operators so.
+as the kernel itself, collocated with cell quadrature, A_ij ~
+int_{cell_j} G(x_i, y) dy, plus one band per row for the diagonal and the
+Gauss-refined cells.  It is folded by x -> 1 - x into two (n/2, n/2)
+blocks, one per mirror sector, each stored as tiled slabs (`_tiles`).  The
+spectral backend stores the n eigenvalues of the matrix transfer and
+applies them by a long-double FFT of the odd extension (float64 rounding
+breaks the solver's nesting certificate).  `apply_sector` is each
+backend's matvec on a sector; `entries` evaluates entries by the rule that
+defines them, never from stored blocks.
 """
 
 from __future__ import annotations
@@ -84,20 +63,12 @@ def synthetic_k5(params: ProblemParams) -> GreenKernel:
 def _envelope(r, dx, dy, params: ProblemParams, out=None, scratch=None):
     """r^{2s-1} min(dx^gamma/r^gamma, 1) min(dy^gamma/r^gamma, 1), in product form.
 
-    The one place the two-sided envelope is written out: the synthetic
-    kernel, the folded assembly, the q-norms and the bound checks all
-    evaluate it here.  It is computed as the equal product
-    r^{2s-1-2gamma} min(dx^gamma, r^gamma) min(dy^gamma, r^gamma), which
-    needs no divide: the assembly is bound by full passes over its row
-    blocks, and the quotient form costs two more (one divide per factor).
-    At r = 2.5e-10, the smallest distance on graded_mesh(4000, 3), and the
-    most negative exponent 2s - 1 - 2gamma > -3, the power stays below
-    1e29, far from overflow.  r has the shape of the result.  Called with
-    r alone, it returns a new array and leaves r as it was.  The assembly
-    also passes `out` and `scratch`, float arrays of r's shape, and a float
-    r that may be overwritten (scratch ends up holding r^{2s-1-2gamma}),
-    so no array of that shape is allocated.  Both ways run the same
-    operations in the same order and give the same bits.
+    The one place the envelope is written out, as the equal product
+    r^{2s-1-2gamma} min(dx^gamma, r^gamma) min(dy^gamma, r^gamma), with no
+    divide.  At r = 2.5e-10, the smallest distance on graded_mesh(4000, 3),
+    the power stays below 1e29.  Called with r alone, it returns a new
+    array.  The assembly also passes `out` and `scratch`, float arrays of
+    r's shape, and an r it may overwrite; both ways give the same bits.
     """
     if out is None:
         r = np.array(r, dtype=float)
@@ -116,40 +87,31 @@ def _envelope(r, dx, dy, params: ProblemParams, out=None, scratch=None):
 class GreenOperator:
     """Mirror-symmetric operator stored as its even and odd halves.
 
-    The collocation matrix A has A_ij ~ int_{cell_j} G(x_i, y) dy, i.e. it
-    includes the quadrature weights; the underlying kernel values A_ij / w_j
-    form a symmetric matrix, so A is self-adjoint in the quadrature inner
-    product <u, v>_w = sum_i w_i u_i v_i (the discrete L^2 pairing).  The
-    grid and the kernel are symmetric under x -> 1 - x, so A commutes with
-    the flip and is fixed by its left rows [A_LL, A_LR].  With J the flip of
-    n/2 entries it acts through two (n/2, n/2) blocks,
+    A_ij / w_j is symmetric, so A is self-adjoint in <u, v>_w.  With J the
+    flip of n/2 entries, A acts through two (n/2, n/2) blocks,
 
         A_LL + A_LR J = S_even diag(w_L),    A_LL - A_LR J = S_odd diag(w_L),
 
-    on the mirror-even and mirror-odd parts of a vector; the right-half
-    weights are exact copies of the left ones, w_L.  `even` and `odd` hold
-    the kernel-value matrices S_even and S_odd, each packed once as its
-    upper slabs (`_slabs`: slab [r0, r1) holds S[r0:r1, r0:], its diagonal
-    square in full), in one flat float64 array of about n^2/8 + 32 n
-    entries, each applied by `apply_sector` to a left half.  Only `even` is
-    stored up front: `odd` is made by the zero-argument `build_odd` the first
-    time it is read, and kept, so the mirror-even sector never builds it.
-    `band` is the (band, inside) of `_corrected_band`, evaluated once by
-    `assemble` for both folds and kept for `entries`; None on an operator
-    made from given blocks, which `entries` cannot read.
+    on mirror-even and mirror-odd vectors.  `even` and `odd` hold S_even
+    and S_odd, laid out by `tiles`; `odd` is built when first read, so the
+    even sector never builds it.  `band` is kept for `entries`.  An
+    operator made from given blocks has no band, and all-dense tiles.
     """
 
     grid: Grid
     even: np.ndarray
     build_odd: Callable[[], np.ndarray]
     params: ProblemParams
-    band: tuple[np.ndarray, np.ndarray] | None = None
+    band: np.ndarray | None = None
+    tiles: tuple | None = None
 
     def __post_init__(self):
+        if self.tiles is None:
+            object.__setattr__(self, "tiles", _tiles(self.grid, far=False))
         self._check(self.even)
 
-    def _check(self, packed: np.ndarray):
-        if packed.shape != (_slabs(self.grid.n // 2)[-1][3],):
+    def _check(self, block: np.ndarray):
+        if block.shape != (self.tiles[-1][4][-1][3],):
             raise ValueError("block shapes do not match grid")
 
     @cached_property
@@ -158,109 +120,170 @@ class GreenOperator:
         self._check(odd)
         return odd
 
+    @property
+    def nbytes(self) -> int:
+        """The bytes of its top-level arrays: band, even, and odd once built."""
+        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
+
 
 _BLOCK_ENTRIES = 2 ** 16  # matrix entries per row block of the assembly
-_SLAB_ROWS = 128  # rows per stored slab of a folded block
+_SLAB_ROWS = 256  # rows per slab of a folded block
+_SEPARATION = 2.0  # a column nearer a slab than this many slab widths is stored dense
+_FAR_GAIN = 1e17  # k Chebyshev points make rho^-k at most 1e-14 / 1e3
 
 
 def _slabs(half: int):
-    """(r0, r1, start, stop) of each stored slab of a folded block with `half` rows.
+    """(r0, r1) of each slab of a folded block with `half` rows.
 
-    Slab [r0, r1) holds S[r0:r1, r0:half], C-order, as packed[start:stop].
-    The slabs are _SLAB_ROWS rows tall, except the last, which takes the
-    remainder and always holds the last _NEAR_BAND rows (up to
-    _SLAB_ROWS + _NEAR_BAND - 1 rows), so their pairs sit in one stored
-    square.  A block of at most _SLAB_ROWS rows is one slab: the whole square.
+    The last always holds the last _NEAR_BAND rows: near x = 1/2 the
+    stored-node kernel is asymmetric in its last bits, and a slab's square
+    is never mirrored.
     """
     firsts = range(0, max(1, half - _NEAR_BAND + 1), _SLAB_ROWS)
-    slabs, start = [], 0
-    for r0, r1 in zip(firsts, [*firsts[1:], half]):
-        stop = start + (r1 - r0) * (half - r0)
-        slabs.append((r0, r1, start, stop))
-        start = stop
-    return slabs
+    return list(zip(firsts, [*firsts[1:], half]))
+
+
+def _tiles(grid: Grid, far: bool = True):
+    """The layout of a folded block: (r0, r1, k, at, parts) per slab.
+
+    Slab [r0, r1) stores S[r0:r1, r0:] as runs of columns (c0, c1, start,
+    stop, low), each a matrix in block[start:stop]: S[r0:r1, c0:c1], or if
+    low V[q, j] = S(xi_q, y_j) / xi_q^gamma at the k Chebyshev points of
+    the slab's cells [lo, hi], with S = U V for the slab's one
+    U[i, q] = x_i^gamma l_q(x_i) in block[at:].  Column j is far when y_j
+    and xr = fl(1 - y_j), the kernel's singularities, lie _SEPARATION
+    widths beyond the slab and no min-factor kink (x = y/2, xr/2, xr - y)
+    crosses [lo, hi]: one branch holds, analytic but at y, xr and, once
+    x > y/2 or xr/2, at 0 (x^gamma itself is not).  k is the least with
+    rho^k >= _FAR_GAIN, rho the Bernstein ellipse of the nearest
+    singularity.  A slab whose k reaches its rows, or any if not far, is
+    all dense.
+    """
+    x, b, n = grid.nodes, grid.boundaries, grid.n
+    half = n // 2
+    tiles, at = [], 0
+    for r0, r1 in _slabs(half):
+        j = np.arange(r0, half)
+        lo, hi = b[r0], b[r1]
+        y, xr = x[j], x[n - 1 - j]
+        low = far & (j >= r1 + _NEAR_BAND) & (np.minimum(y, xr) - hi >= _SEPARATION * (hi - lo))
+        for kink in (y / 2, xr / 2, xr - y):
+            low &= (kink < lo) | (kink > hi)
+        u = (2 * np.minimum(y, xr) - lo - hi) / (hi - lo)  # the singularity on [-1, 1]
+        u = np.where((lo > y / 2) | (lo > xr / 2), np.minimum(u, (lo + hi) / (hi - lo)), u)
+        u = np.min(u[low], initial=np.inf)
+        k = 0 if u == np.inf else int(np.ceil(np.log(_FAR_GAIN) / np.log(u + np.sqrt(u * u - 1))))
+        if k >= r1 - r0:
+            low[:], k = False, 0
+        edges = [0, *(np.flatnonzero(np.diff(low)) + 1).tolist(), j.size]
+        parts, start = [], at + (r1 - r0) * k
+        for c0, c1 in zip(edges, edges[1:]):
+            stop = start + (k if low[c0] else r1 - r0) * (c1 - c0)
+            parts.append((r0 + c0, r0 + c1, start, stop, bool(low[c0])))
+            start = stop
+        tiles.append((r0, r1, k, at, tuple(parts)))
+        at = start
+    return tuple(tiles)
+
+
+def _chebyshev(grid: Grid, r0: int, r1: int, k: int, scale, out) -> np.ndarray:
+    """The k Chebyshev points xi on the cells of rows [r0, r1); writes
+    U[i, q] = scale_i l_q(x_i) into out, with l_q their barycentric Lagrange basis."""
+    lo, hi = grid.boundaries[r0], grid.boundaries[r1]
+    theta = np.pi * (np.arange(k) + 0.5) / k
+    xi = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
+    q = grid.nodes[r0:r1, None] - xi  # then in place
+    hit = q == 0.0
+    q[hit] = 1.0
+    np.divide(np.sin(theta) * (-1.0) ** np.arange(k), q, out=q)
+    q /= q.sum(axis=1, keepdims=True)
+    on = hit.any(axis=1)  # a node on a point
+    q[on] = hit[on]
+    np.multiply(scale[:, None], q, out=out.reshape(r1 - r0, k))
+    return xi
 
 
 def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
     """Assemble the folded operator of the synthetic kernel.
 
-    Builds `even` now and leaves `odd` to the same fold with np.subtract,
-    run the first time a mirror-odd input reads it; both read the one
-    correction band, which the operator keeps.
+    Builds `even` now and leaves `odd` to the same fold with np.subtract;
+    both read the one band and the one layout, which the operator keeps.
     """
-    band = _corrected_band(kernel.params, grid)
-    return GreenOperator(grid=grid, even=_fold(kernel, grid, np.add, band),
-                         build_odd=partial(_fold, kernel, grid, np.subtract, band),
-                         params=kernel.params, band=band)
+    band, tiles = _corrected_band(kernel.params, grid), _tiles(grid)
+    return GreenOperator(grid=grid, even=_fold(kernel, grid, np.add, band, tiles),
+                         build_odd=partial(_fold, kernel, grid, np.subtract, band, tiles),
+                         params=kernel.params, band=band, tiles=tiles)
 
 
-def _fold(kernel: GreenKernel, grid: Grid, combine, corrections) -> np.ndarray:
-    """The packed slabs of S = combine(K_LL, K_LR J), the kernel values of a block.
+def _fold(kernel: GreenKernel, grid: Grid, combine, band, tiles) -> np.ndarray:
+    """The block S = combine(K_LL, K_LR J) of kernel values, laid out by `tiles`.
 
-    The right-half weights are exact copies of the left ones, so the block
-    combine(A_LL, A_LR J) is S diag(w_L), and S is symmetric, as K is; it
-    is stored as its upper slabs (`_slabs`), which `_slab_apply` reads.
-    Each slab [r0, r1) is written directly, in row blocks of about
-    _BLOCK_ENTRIES entries.  Row block [b0, b1) evaluates the envelope at
-    the nodes on the columns r0 .. n-1-r0, plus a margin of _NEAR_BAND
-    columns on each side that holds its rows' band of the kernel values the
-    envelope misses (`corrections`, the (band, inside) of `_corrected_band`);
-    it writes the band's in-grid entries, each at its offset j - i, and
-    folds the columns r0 .. n-1-r0 into S[b0:b1, r0:], its rows of the
-    slab.  Off the band r_ij = |x_i - x_j| > 0; on it r is set to 1, so
-    r = 0 never reaches the envelope.  So every slab's diagonal square is
-    evaluated in full, never copied from its transpose: the last slab holds
-    the last _NEAR_BAND rows, and stored right-half nodes are fl(1 - x), so
-    near x_i + x_k = 1, for pairs of those rows, the stored-node kernel is
-    itself asymmetric in its last bits.  The row-block buffers are allocated
-    once per call and reused by every block, and every step is written in
-    place.
+    Each part evaluates the envelope at its rows (nodes, or Chebyshev
+    points) against its columns, then their mirrors, in row blocks that
+    reuse one set of buffers, and combines the halves.  A dense part takes
+    the band's entries by offset j - i, with r = 1 there first.
     """
-    x = grid.nodes
-    d = grid.delta
-    n = grid.n
-    half = n // 2
-    band, inside = corrections
-    slabs = _slabs(half)
-    packed = np.empty(slabs[-1][3])
-    rows = max(1, _BLOCK_ENTRIES // n)
-    buffers = np.empty((3, rows * n))
-    for r0, r1, start, stop in slabs:
-        slab = packed[start:stop].reshape(r1 - r0, half - r0)
-        e = max(0, r0 - _NEAR_BAND)  # it folds the columns r0 .. n-1-r0, evaluates e .. n-1-e
-        m = n - 2 * e
-        # entry (b0 + t, b0 + t + off) of row block b0 lies at flat index t (m + 1) + b0 - e + off
-        band_at = np.arange(rows)[:, None] * (m + 1) + np.arange(-_NEAR_BAND, _NEAR_BAND + 1) - e
-        for b0 in range(r0, r1, rows):
-            b1 = min(b0 + rows, r1)
-            r, G, scratch = (b[:(b1 - b0) * m].reshape(b1 - b0, m) for b in buffers)
-            at = band_at[:b1 - b0][inside[b0:b1]] + b0
-            np.subtract(x[b0:b1, None], x[None, e:n - e], out=r)
-            np.abs(r, out=r)
-            r.put(at, 1.0)  # placeholders, overwritten below
-            _envelope(r, d[b0:b1, None], d[None, e:n - e], kernel.params, out=G, scratch=scratch)
-            G.put(at, band[b0:b1][inside[b0:b1]])
-            # G's column j is the grid's column e + j; the margin is left out of the fold
-            combine(G[:, r0 - e:half - e], G[:, half - e:n - r0 - e][:, ::-1],
-                    out=slab[b0 - r0:b1 - r0])
-    return packed
+    x, d, n = grid.nodes, grid.delta, grid.n
+    g = kernel.params.gamma
+    block = np.empty(tiles[-1][4][-1][3])  # up to the last part's stop
+    cap = max(1, _BLOCK_ENTRIES // n) * n  # entries per row block: whole rows of the grid
+    buffers = np.empty((3, cap))
+    offsets = np.arange(-_NEAR_BAND, _NEAR_BAND + 1)
+    for r0, r1, k, at, parts in tiles:
+        xi = _chebyshev(grid, r0, r1, k, d[r0:r1] ** g, block[at:at + (r1 - r0) * k])
+        for c0, c1, start, stop, low in parts:
+            w = c1 - c0
+            # the columns, then their mirror columns n-1-j
+            xc, dc = (np.stack([a[c0:c1], a[n - c1:n - c0][::-1]])[:, None] for a in (x, d))
+            xs, ds = (xi, xi) if low else (x[r0:r1], d[r0:r1])  # delta(xi) = xi <= 1/2
+            out = block[start:stop].reshape(-1, w)
+            rows = cap // (2 * w)
+            banded = not low and c0 < r1 + _NEAR_BAND  # else no band column is in it
+            for t0 in range(0, xs.size, rows):
+                t1 = min(t0 + rows, xs.size)
+                r, G, scratch = (b[:(t1 - t0) * 2 * w].reshape(2, t1 - t0, w) for b in buffers)
+                np.subtract(xs[t0:t1, None], xc, out=r)
+                np.abs(r, out=r)
+                if banded:  # the band's columns, then their places in r
+                    j = np.arange(r0 + t0, r0 + t1)[:, None] + offsets
+                    mirror, on = j >= n // 2, (j >= 0) & (j < n)
+                    np.subtract(n - 1, j, out=j, where=mirror)
+                    on &= (j >= c0) & (j < c1)
+                    j += np.arange(t1 - t0)[:, None] * w - c0 + mirror * ((t1 - t0) * w)
+                    at_band = j[on]
+                    r.put(at_band, 1.0)  # placeholders, overwritten below
+                _envelope(r, ds[t0:t1, None], dc, kernel.params, out=G, scratch=scratch)
+                if banded:
+                    G.put(at_band, band[r0 + t0:r0 + t1][on])
+                combine(G[0], G[1], out=out[t0:t1])
+            if low:
+                out /= xi[:, None] ** g
+    return block
 
 
-def _slab_apply(packed: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """S diag(w) v for the S stored as `packed` slabs and a vector v of shape (half,).
+def _block_apply(op: GreenOperator, block: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """S diag(w) v for the block S laid out by op.tiles and a vector v of shape (half,).
 
-    v is scaled by w once.  Slab [r0, r1) adds its rows, P v[r0:], to
-    out[r0:r1] and its mirror below the square, P[:, r1-r0:]^T v[r0:r1], to
-    out[r1:].  Its diagonal square is applied as stored, never mirrored,
-    so a block smaller than one slab acts exactly as given.
+    A dense part adds P v[c0:c1] to out[r0:r1] and, right of the slab's
+    square, P^T v[r0:r1] to out[c0:]; a far field adds U V v[c0:c1] and
+    V^T U^T v[r0:r1].  A square acts as stored, never mirrored.
     """
-    half = w.size
-    v = w * v
+    v = op.grid.weights[:v.size] * v
     out = np.zeros_like(v)
-    for r0, r1, start, stop in _slabs(half):
-        slab = packed[start:stop].reshape(r1 - r0, half - r0)
-        out[r0:r1] += slab @ v[r0:]
-        out[r1:] += slab[:, r1 - r0:].T @ v[r0:r1]
+    for r0, r1, k, at, parts in op.tiles:
+        x = v[r0:r1]
+        U = block[at:at + (r1 - r0) * k].reshape(r1 - r0, k)
+        ux, far = U.T @ x, np.zeros(k)
+        for c0, c1, start, stop, low in parts:
+            P = block[start:stop].reshape(-1, c1 - c0)
+            if low:
+                far += P @ v[c0:c1]
+                out[c0:c1] += P.T @ ux
+            else:
+                out[r0:r1] += P @ v[c0:c1]
+                lo = max(c0, r1)
+                out[lo:c1] += P[:, lo - c0:].T @ x
+        out[r0:r1] += U @ far
     return out
 
 
@@ -273,53 +296,51 @@ _NEAR_BAND = 8        # off-diagonal band refined by Gauss quadrature
 _GAUSS_NODES = 8
 
 def _corrected_band(params: ProblemParams, grid: Grid):
-    """(band, inside): the kernel values in rows < n/2 that the envelope misses.
+    """The (n/2, 2 _NEAR_BAND + 1) kernel values in rows < n/2 that the envelope misses.
 
     band[i, k + off] is the kernel value at (i, i + off), |off| <= k =
     _NEAR_BAND: the entry divided by its weight w_j, which `_fold` and
-    `entries` multiply back in.  inside marks the offsets whose column lies
-    in the grid, 0 <= i + off < n; the other positions hold no value.  The
-    diagonal cell integral is the closed form int |x_i - y|^{2s-1} dy over
-    the cell with min-factors 1, exact because every cell's half-width is at
-    most delta(x_i).  Within _NEAR_BAND cells of the singularity the
-    kernel's curvature makes the midpoint rule only first-order accurate,
-    which dominates the global assembly error; an 8-point Gauss rule on
-    those cells removes it.  The two one-sided cell averages are combined at
-    the kernel level, Ghat_ij = (I_ij/w_j + I_ji/w_i)/2, so the kernel
-    values stay exactly symmetric and every row a consistent quadrature
-    (entrywise averaging (A+A^T)/2 would inject an O(h) bulk bias on graded
-    meshes where w_i != w_j).
+    `entries` multiply back in; a column outside the grid holds 0.  The
+    diagonal cell is the closed form of int |x_i - y|^{2s-1} dy, exact as
+    every cell's half-width is at most delta(x_i).  Within _NEAR_BAND cells
+    an 8-point Gauss rule replaces the first-order midpoint rule, and the
+    one-sided averages are combined as Ghat_ij = (I_ij/w_j + I_ji/w_i)/2,
+    so the kernel values stay exactly symmetric.  Both directions' Gauss
+    points go through the envelope together, in blocks of cells.
     """
     gx, gw = np.polynomial.legendre.leggauss(_GAUSS_NODES)
-    x = grid.nodes
-    w = grid.weights
-    n = grid.n
-
-    def cell_average(i0, j0):
-        # (1/w_j) int_{cell_j} G(x_i, y) dy
-        lo, hi = grid.boundaries[j0], grid.boundaries[j0 + 1]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        y = mid[:, None] + half[:, None] * gx[None, :]
-        xi = x[i0][:, None]
-        # Gauss points lie inside their cells, so r > 0 and every point is in [0, 1]
-        vals = _envelope(np.abs(xi - y), np.minimum(xi, 1.0 - xi), np.minimum(y, 1.0 - y),
-                         params)
-        return half * (vals @ gw) / w[j0]
-
+    x, w, n = grid.nodes, grid.weights, grid.n
     k = _NEAR_BAND
+    # means[c, m] = (1/w_c) int_{cell_c} G(x_i, y) dy at the rows i = c + offsets[m] around cell c;
+    # rows outside the grid are clipped to it and their values never read
+    cells = np.arange(min(n // 2 + k, n))
+    offsets = np.r_[-k:0, 1:k + 1]
+    lo, hi = grid.boundaries[cells], grid.boundaries[cells + 1]
+    y = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * gx
+    xi = x[np.clip(cells[:, None] + offsets, 0, n - 1)][:, :, None]
+    dx, dy = np.minimum(xi, 1.0 - xi), np.minimum(y, 1.0 - y)[:, None]
+    step = max(1, _BLOCK_ENTRIES // (offsets.size * _GAUSS_NODES))  # cells per envelope call
+    buffers = np.empty((3, step, offsets.size, _GAUSS_NODES))
+    means = np.empty((cells.size, offsets.size))
+    for c0 in range(0, cells.size, step):
+        c1 = min(c0 + step, cells.size)
+        r, out, scratch = buffers[:, :c1 - c0]
+        # Gauss points lie inside their cells, so r > 0 and every point is in [0, 1]
+        np.abs(np.subtract(xi[c0:c1], y[c0:c1, None], out=r), out=r)
+        _envelope(r, dx[c0:c1], dy[c0:c1], params, out=out, scratch=scratch)
+        means[c0:c1] = out @ gw
+    means = (0.5 * (hi - lo))[:, None] * means / w[cells, None]
+    i0, off = np.nonzero(np.arange(n // 2)[:, None] + np.arange(1, k + 1) < n)
+    off += 1  # the pairs (i0, j0 = i0 + off) that lie in the grid
+    j0 = i0 + off
+    avg = 0.5 * (means[j0, k - off] + means[i0, k - 1 + off])
+    band = np.zeros((n // 2, 2 * k + 1))  # row i holds the columns i - k .. i + k
     i = np.arange(n // 2)
-    band = np.empty((n // 2, 2 * k + 1))  # row i holds the columns i - k .. i + k
     band[:, k] = _own_cell_integral(0.5 * w, 2.0 * params.s)[i] / w[i]
-    for off in range(1, min(k, n - 1) + 1):
-        i0 = i[:n - off]  # rows whose pair (i, i + off) lies in the grid
-        j0 = i0 + off
-        avg = 0.5 * (cell_average(i0, j0) + cell_average(j0, i0))
-        band[i0, k + off] = avg
-        left = j0 < n // 2  # pairs whose mirror entry (j0, i0) is in a left row too
-        band[j0[left], k - off] = avg[left]
-    cols = i[:, None] + np.arange(-k, k + 1)
-    return band, (cols >= 0) & (cols < n)
+    band[i0, k + off] = avg
+    left = j0 < n // 2  # pairs whose mirror entry (j0, i0) is in a left row too
+    band[j0[left], k - off[left]] = avg[left]
+    return band
 
 
 @dataclass(frozen=True)
@@ -361,7 +382,7 @@ def apply_sector(op: Operator, v: np.ndarray, odd: bool = False) -> np.ndarray:
         raise ValueError("v must have shape (n/2,), one value per left-half node")
     if isinstance(op, SpectralOperator):
         return apply(op, _mirror(v, odd))[:half]
-    return _slab_apply(op.odd if odd else op.even, op.grid.weights[:half], v)
+    return _block_apply(op, op.odd if odd else op.even, v)
 
 
 def apply(op: Operator, v: np.ndarray) -> np.ndarray:
@@ -392,15 +413,11 @@ def apply(op: Operator, v: np.ndarray) -> np.ndarray:
 def entries(op: Operator, i, j) -> np.ndarray:
     """The matrix entries A[i, j] at index arrays i, j, from the rule that defines them.
 
-    No column is applied and no stored block is read.  A folded operator
-    commutes with the flip, so a right-half row i is read as the entry
-    (n-1-i, n-1-j).  A left-row entry is w_j times its kernel value: the
-    value band[i, j - i + _NEAR_BAND] of the operator's `band` (the diagonal
-    cell and the Gauss cells) when |j - i| <= _NEAR_BAND, or else the
-    envelope at the nodes, with r = 1 placed at the band's positions, as
-    `_fold` does, so r = 0 never reaches the envelope.  These are the
-    values `_fold` combines into its blocks, to within a few ulps: numpy's
-    pow can round differently at another array position.  The spectral
+    No stored block is read.  A right-half row i is read as the entry
+    (n-1-i, n-1-j).  A left-row entry is w_j times band[i, j - i + k] when
+    |j - i| <= k = _NEAR_BAND, else times the envelope at the nodes.  A
+    dense part holds these to a few ulps (numpy's pow can round differently
+    at another array position), a far field to about 1e-15.  The spectral
     operator is `apply`'s 2n-point circulant restricted to the first n
     points, Toeplitz minus Hankel: A[i, j] = c[|i - j|] - c[i + j + 1],
     with c the circulant's first column, the long-double irfft of
@@ -414,12 +431,12 @@ def entries(op: Operator, i, j) -> np.ndarray:
     i, j = np.where(flip, n - 1 - i, i), np.where(flip, n - 1 - j, j)
     if op.band is None:
         raise ValueError("an operator made from given blocks has no rule to read entries by")
-    band, _ = op.band
     k = _NEAR_BAND
     near = np.abs(j - i) <= k  # j lies in the grid, so the band holds (i, j)
     x, d = op.grid.nodes, op.grid.delta
     r = np.where(near, 1.0, np.abs(x[i] - x[j]))
-    g = np.where(near, band[i, np.clip(j - i + k, 0, 2 * k)], _envelope(r, d[i], d[j], op.params))
+    g = np.where(near, op.band[i, np.clip(j - i + k, 0, 2 * k)],
+                 _envelope(r, d[i], d[j], op.params))
     return g * op.grid.weights[j]
 
 
@@ -427,11 +444,9 @@ def spectral_mt_operator(s: float, grid: Grid) -> SpectralOperator:
     """Matrix-transfer realization of the inverse spectral fractional operator.
 
     The -s power of the second-difference Dirichlet Laplacian on a uniform
-    midpoint grid: eigenvalues lambda_k(h)^{-s} with
-    lambda_k(h) = (4/h^2) sin^2(k pi h / 2) and discrete sine eigenvectors,
-    which are exact for this stencil under antisymmetric ghost reflection.
-    Only the n eigenvalues are stored; `apply` supplies the eigenvectors
-    through the FFT of the odd extension.
+    midpoint grid: eigenvalues lambda_k(h)^{-s}, lambda_k(h) = (4/h^2)
+    sin^2(k pi h / 2), with the discrete sine modes as eigenvectors (exact
+    under antisymmetric ghost reflection), which `apply` supplies by FFT.
     """
     params = ProblemParams(s=s, gamma=1.0)
     if not grid.is_uniform:
@@ -509,12 +524,10 @@ def check_kernel_bounds(kernel_or_op, n_samples: int = 10_000, seed: int = 0) ->
     """Sample kernel values and report envelope constants.
 
     Accepts either a pointwise GreenKernel (pairs drawn uniformly in the
-    square; acceptance criterion 11 checks the synthetic kernel so) or an
-    operator, whose entries divided by the quadrature weights estimate
-    kernel values at node pairs (`verify-kernel`, on either backend).  The
-    sampled entries are evaluated by `entries` from the rule that defines
-    them, in O(n_samples + n) memory, without applying the operator or
-    reading its stored blocks.
+    square; acceptance criterion 11) or an operator, whose entries over the
+    weights estimate kernel values at node pairs (`verify-kernel`).  They
+    are evaluated by `entries`, in O(n_samples + n) memory, without
+    applying the operator or reading its stored blocks.
     """
     _check_samples(n_samples)
     rng = np.random.default_rng(seed)

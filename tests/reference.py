@@ -26,7 +26,7 @@ operator, which takes one vector at a time, to the columns of a matrix.
 import numpy as np
 
 from nonlocal_sharp.grids import boundary_distance
-from nonlocal_sharp.operators import _own_cell_integral, _slabs, apply
+from nonlocal_sharp.operators import _own_cell_integral, _tiles, apply
 
 
 def quotient_envelope(r, dx, dy, params):
@@ -99,15 +99,17 @@ def dense_synthetic_assembly(kernel, grid, near_band=8, gauss_nodes=8):
 
 
 def pack_block(block, grid):
-    """The storage of a folded (n/2, n/2) block: its kernel values block / w_L, packed.
+    """The storage of a folded (n/2, n/2) block given by hand: its kernel values block / w_L.
 
-    Row by row, the upper slabs S[r0:r1, r0:] of S = block diag(w_L)^{-1},
-    as the library stores them; a block of at most one slab is stored
-    whole, never mirrored, so a non-symmetric one keeps its lower triangle.
+    An operator made from given blocks lays each out all dense (`_tiles`
+    with far=False): one part per slab, its rows S[r0:r1, r0:], row by row.
+    A block of at most one slab is stored whole, never mirrored, so a
+    non-symmetric one keeps its lower triangle.
     """
-    half = grid.n // 2
-    S = np.asarray(block, dtype=float) / grid.weights[:half]
-    return np.concatenate([S[r0:r1, r0:].ravel() for r0, r1, _, _ in _slabs(half)])
+    S = np.asarray(block, dtype=float) / grid.weights[:grid.n // 2]
+    tiles = _tiles(grid, far=False)
+    return np.concatenate([S[r0:r1, c0:c1].ravel() for r0, r1, _, _, parts in tiles
+                           for c0, c1, *_ in parts])
 
 
 def curve_fit_offset(t, y, k0):

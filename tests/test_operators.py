@@ -47,9 +47,10 @@ def two_cell_grid():
 def traced_assembly(n):
     """(stored bytes, tracemalloc peak) of a fresh synthetic assembly on n nodes.
 
-    The stored bytes are read before anything touches the odd block, which
-    reading would build.  numpy.polynomial, which the Gauss rule imports on
-    first use, is loaded before tracing starts: tracemalloc would count it.
+    The stored bytes, `nbytes`, are read before anything touches the odd
+    block, which reading would build.  numpy.polynomial, which the Gauss
+    rule imports on first use, is loaded before tracing starts: tracemalloc
+    would count it.
     """
     kernel = synthetic_k5(ProblemParams(s=0.2, gamma=1.0))
     grid = graded_mesh(n, 3.0)
@@ -60,7 +61,7 @@ def traced_assembly(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return op.even.nbytes, peak
+    return op.nbytes, peak
 
 
 class TestAssemble:
@@ -108,7 +109,9 @@ class TestAssemble:
         # pairs of the centre rows would be read across a slab from the other triangle
         kernel = synthetic_k5(ProblemParams(s=0.484375, gamma=1.0))
         grid = graded_mesh(2 * n_half, 1.0)
-        op = assemble(kernel, grid)
+        with mock.patch.object(operators, "_SLAB_ROWS", 128):
+            op = assemble(kernel, grid)
+        assert [r0 for r0, *_ in op.tiles] == [0]
         top = apply_columns(op, np.eye(grid.n))[:n_half]  # not mirror-even: builds the odd block
         ref = dense_synthetic_assembly(kernel, grid)
         assert np.max(np.abs(top - ref[:n_half])) <= 1e-14 * np.max(np.abs(ref))
@@ -134,25 +137,40 @@ class TestAssemble:
                            build_odd=lambda: np.eye(4), params=params)  # square, not packed
         with pytest.raises(ValueError, match="block shapes"):
             op.odd
+        # a tiled block without its tiles: given blocks are laid out all dense
+        with mock.patch.object(operators, "_SLAB_ROWS", 32):
+            tiled = assemble(synthetic_k5(params), graded_mesh(400, 3.0))
+        assert any(low for *_, parts in tiled.tiles for *_, low in parts)
+        with pytest.raises(ValueError, match="block shapes"):
+            GreenOperator(grid=tiled.grid, even=tiled.even, build_odd=lambda: tiled.even,
+                          params=params)
 
     def test_stores_only_its_halves(self):
-        op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(600, 3.0))
+        op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(1200, 3.0))
 
         def stored_shapes():
             return [a.shape for a in vars(op).values() if isinstance(a, np.ndarray)]
-        # the upper slabs of each (300, 300) block: rows 0-127, 128-255 and 256-299
-        packed = (128 * 300 + 128 * 172 + 44 * 44,)
-        apply_sector(op, np.ones(300))  # the mirror-even sector: the even block alone
-        assert stored_shapes() == [packed]
-        apply(op, np.arange(600.0))  # mirror-odd part: builds and keeps the odd block
-        assert stored_shapes() == [packed, packed]
+        # each (600, 600) block: slab 0-255 stores U, its 256 x 18 Chebyshev basis, its
+        # dense columns 0-368 and 592-599, and 18 Chebyshev rows of its far columns 369-591;
+        # slabs 256-511 and 512-599 store their upper rows dense
+        parts = [[(c0, c1, low) for c0, c1, _, _, low in p] for *_, p in op.tiles]
+        assert [r0 for r0, *_ in op.tiles] == [0, 256, 512]
+        assert parts == [[(0, 369, False), (369, 592, True), (592, 600, False)],
+                         [(256, 600, False)], [(512, 600, False)]]
+        block = (256 * 18 + 256 * 369 + 18 * 223 + 256 * 8 + 256 * 344 + 88 * 88,)
+        band = (600, 17)  # the correction band, kept for `entries`
+        apply_sector(op, np.ones(600))  # the mirror-even sector: the even block alone
+        assert stored_shapes() == [block, band]
+        assert op.nbytes == 8 * (block[0] + 600 * 17)
+        apply(op, np.arange(1200.0))  # mirror-odd part: builds and keeps the odd block
+        assert stored_shapes() == [block, band, block]
 
     def test_odd_block_is_built_once_on_first_mirror_odd_apply(self, monkeypatch):
         folds, fold = [], operators._fold
 
-        def spy(kernel, grid, combine, corrections):
+        def spy(kernel, grid, combine, *layout):
             folds.append(combine)
-            return fold(kernel, grid, combine, corrections)
+            return fold(kernel, grid, combine, *layout)
         monkeypatch.setattr(operators, "_fold", spy)
         kernel = synthetic_k5(ProblemParams(s=0.3, gamma=0.7))
         grid = graded_mesh(128, 3.0)
@@ -188,7 +206,9 @@ class TestAssemble:
             operators.entries(op, np.array([0]), np.array([1]))
 
     def test_each_block_evaluates_the_envelope_on_its_upper_trapezoid(self, monkeypatch):
-        # the full left rows are n^2 / 2 entries; the trapezoid is about half of them
+        # the full left rows are n^2 / 2 entries; a block evaluates its dense parts and
+        # their mirror columns, its far fields at the Chebyshev points, and the even
+        # build the Gauss band too: 0.302 and 0.270 of them at n = 4000
         sizes, envelope = [], operators._envelope
 
         def spy(r, *args, **kwargs):
@@ -197,18 +217,19 @@ class TestAssemble:
         monkeypatch.setattr(operators, "_envelope", spy)
         n = 4000
         op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(n, 3.0))
-        assert sum(sizes) <= 0.6 * n ** 2 / 2
+        assert sum(sizes) <= 0.32 * n ** 2 / 2
         sizes.clear()
         apply(op, np.arange(n, dtype=float))  # mirror-odd part: builds the odd block
-        assert sum(sizes) <= 0.6 * n ** 2 / 2
+        assert sum(sizes) <= 0.32 * n ** 2 / 2
 
     def test_assembly_peak_memory_within_twice_stored_bytes(self):
-        # at n = 1000 the row-block buffers, about 1.6 MB for any n, outweigh the 1.25 MB
-        # packed block; at n = 4000 the block dominates, as in every acceptance case
+        # at n = 1000 the row-block buffers, about 1.5 MB for any n, outweigh the 1.4 MB
+        # block; at n = 4000 the block dominates, as in every acceptance case
         n = 4000
         stored, peak = traced_assembly(n)
-        # the upper slabs of the (2000, 2000) block: 15 slabs of 128 rows, then one of 80
-        assert stored == (sum(128 * (2000 - r0) for r0 in range(0, 1920, 128)) + 80 * 80) * 8
+        # the tiled (2000, 2000) block and the band: 9.12 MB, where the block stored
+        # dense as its upper slabs took 17.0 MB
+        assert stored <= 9.5e6
         assert peak <= 2 * stored, peak / stored
         assert peak < (n // 2) ** 2 * 8  # never the square block, not even for a moment
 
@@ -398,8 +419,22 @@ def reference_entries(kernel, grid):
     return np.concatenate([ref, ref[::-1, ::-1]])
 
 
+def assert_sectors_match_entries(op):
+    """Each unit-column apply of both sectors is within 1e-14 of the rule, `entries`.
+
+    Sector column j combines the entries (i, j) and (i, n-1-j), so it is
+    measured relative to their sum; the entries are nonnegative.
+    """
+    n = op.grid.n
+    i, j = np.indices((n // 2, n // 2))
+    left, right = operators.entries(op, i, j), operators.entries(op, i, n - 1 - j)
+    for odd, rule in ((False, left + right), (True, left - right)):
+        got = np.stack([apply_sector(op, e, odd) for e in np.eye(n // 2)], axis=1)
+        assert np.all(np.abs(got - rule) <= 1e-14 * (left + right))
+
+
 class TestEntries:
-    @pytest.mark.parametrize("n", [16, 200, 600])  # one slab, one slab, three slabs
+    @pytest.mark.parametrize("n", [16, 200, 600])  # one slab, one slab, two slabs
     def test_folded_entries_are_the_unit_column_applies(self, n):
         # every (i, j) covers the four mirror quadrants of the n x n matrix; the stored
         # blocks hold A_LL +- A_LR J, so an apply rounds an entry absolutely, at the
@@ -436,18 +471,46 @@ class TestEntries:
         assert np.all(np.abs(got - ref) <= 1e-14 * ref)
 
     def test_folded_blocks_fill_every_slab(self):
-        # three slabs per block, rows 0-127, 128-255 and 256-299, each holding its
-        # diagonal square and the columns right of it
+        # slabs of 32 rows at n = 600: each slab's parts run over its columns r0 .. 299,
+        # dense or far field, and each holds its rows of the reference block
         kernel = synthetic_k5(ProblemParams(s=0.2, gamma=1.0))
         grid = graded_mesh(600, 3.0)
         half = grid.n // 2
-        op = assemble(kernel, grid)
-        ref = dense_synthetic_assembly(kernel, grid)[:half]
+        with mock.patch.object(operators, "_SLAB_ROWS", 32):
+            op = assemble(kernel, grid)
+        ref = dense_synthetic_assembly(kernel, grid)[:half] / grid.weights
         left, right = ref[:, :half], ref[:, half:][:, ::-1]
-        even, odd = pack_block(left + right, grid), pack_block(left - right, grid)
         # the odd block cancels, so it is as precise as the even one, absolutely
-        assert np.all(np.abs(op.even - even) <= 1e-14 * even)
-        assert np.all(np.abs(op.odd - odd) <= 1e-14 * even)
+        for block, S in ((op.even, left + right), (op.odd, left - right)):
+            end = 0
+            for r0, r1, k, at, parts in op.tiles:
+                assert at == end and parts[0][0] == r0 and parts[-1][1] == half
+                U = block[at:at + (r1 - r0) * k].reshape(r1 - r0, k)
+                end = at + U.size
+                for c0, c1, start, stop, low in parts:
+                    assert start == end and (c0 == r0 or c0 == prev)
+                    P = block[start:stop].reshape(k if low else r1 - r0, c1 - c0)
+                    got = U @ P if low else P
+                    scale = (left + right)[r0:r1, c0:c1]
+                    assert np.all(np.abs(got - S[r0:r1, c0:c1]) <= 1e-14 * scale)
+                    end, prev = stop, c1
+            assert end == block.size
+        assert sum(low for *_, parts in op.tiles for *_, low in parts) == 10
+
+    @settings(max_examples=25, deadline=None)
+    @given(s=st.floats(0.01, 0.49), gamma=st.floats(0.05, 1.0), beta=st.floats(1.0, 4.0),
+           n_half=st.integers(150, 300))
+    def test_tiled_sectors_match_the_rule(self, s, gamma, beta, n_half):
+        # slabs of 32 rows: far fields of at most 18 Chebyshev points pay at these n
+        with mock.patch.object(operators, "_SLAB_ROWS", 32):
+            op = assemble(synthetic_k5(ProblemParams(s, gamma)), graded_mesh(2 * n_half, beta))
+        assert any(k for _, _, k, *_ in op.tiles)
+        assert_sectors_match_entries(op)
+
+    def test_tiled_sectors_match_the_rule_at_the_shipped_slab_height(self):
+        op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(2400, 3.0))
+        assert [k for _, _, k, *_ in op.tiles] == [18, 18, 18, 0, 0]
+        assert_sectors_match_entries(op)
 
     @pytest.mark.parametrize("n", [200, 1000])
     def test_spectral_entries_match_the_unit_column_applies(self, n):
