@@ -267,120 +267,99 @@ def _group_outcomes(group: list[_Case]) -> list[tuple]:
 
 
 class WorkerLost(RuntimeError):
-    """A study worker could not be started, died, or sent a result cut short: exit 3."""
+    """A study worker could not be started, died, or exited with a status other than 0: exit 3."""
 
 
 class _WorkerTraceback(Exception):
     """The traceback, as text, of an exception a study worker raised: its cause."""
 
 
-def _read_result(reader) -> tuple:
-    """The next (ok, outcome) a worker sent: an 8-byte length, then its pickle."""
-    head = reader.read(8)
-    size = int.from_bytes(head, "little")
-    data = reader.read(size) if len(head) == 8 else b""
-    if not 0 < len(data) == size:
-        raise WorkerLost("a study worker exited before it sent a whole result")
-    return pickle.loads(data)
-
-
-def _serve(fn: Callable, tasks: list, inbox, outbox) -> None:
-    """A worker's loop: run tasks[i] for each 4-byte index i until the inbox closes."""
-    while index := inbox.read(4):
-        try:
-            outcome = True, fn(tasks[int.from_bytes(index, "little")])
-        except Exception as exc:  # a bug: the parent raises it, caused by this traceback
-            import traceback
-
-            outcome = False, (exc, traceback.format_exc())
-        data = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-        outbox.write(len(data).to_bytes(8, "little") + data)
-        outbox.flush()
-
-
 def _fork_map(fn: Callable, tasks: list, jobs: int) -> list:
     """[fn(task) for task in tasks], run in min(jobs, len(tasks)) forked workers.
 
-    Each worker has its own task pipe and result pipe.  The parent hands out
-    task indices one at a time, in order, to whichever worker is idle, and
-    runs no task itself, so the study process never holds an operator.
-    A worker sends back each (ok, outcome) as soon as it has it, and leaves
-    by os._exit when its task pipe closes, so no atexit handler or buffered
-    output of the parent runs twice.  An exception a task raised is
-    re-raised here; a worker that cannot be started (os.pipe or os.fork
-    failed), dies, or sends a result cut short raises WorkerLost.  On any
+    The workers share one task pipe.  The parent writes every task index
+    into it, in order, then closes it, and runs no task itself, so the
+    study process never holds an operator; an idle worker reads the next
+    index.  An index is 4 bytes, below PIPE_BUF, so each write is atomic
+    and each read takes one whole index.  At end of file a worker sends
+    (True, [(index, outcome), ...]) once through its own result pipe and
+    leaves by os._exit, so no atexit handler or buffered output of the
+    parent runs twice; a task that raised is sent at once, as (False,
+    (exception, traceback text)), and re-raised here.  A worker that cannot
+    be started (os.pipe or os.fork failed), dies, or exits with a status
+    other than 0, as when its outcomes do not pickle, raises WorkerLost; so
+    does a task index that no live worker is left to take.  On any
     exception every worker is killed and reaped.
     """
     import select
     import signal
 
     results = [None] * len(tasks)
-    workers = {}  # result pipe's read end -> (pid, task pipe's write end, reader)
+    workers = {}  # result pipe's read end -> pid
+    ends = []  # the task pipe's ends and a new result pipe's, while the parent holds them
     try:
-        for _ in range(min(jobs, len(tasks))):
-            ends = []  # an OSError here is no validation error: the study has begun
-            try:
-                ends += os.pipe()
+        try:  # an OSError here is no validation error: the study has begun
+            ends += os.pipe()
+            for _ in range(min(jobs, len(tasks))):
                 ends += os.pipe()
                 pid = os.fork()
-            except OSError as exc:
-                for fd in ends:
-                    os.close(fd)
-                raise WorkerLost(f"a study worker could not be started: {exc}") from exc
-            task_r, task_w, result_r, result_w = ends
-            if pid == 0:  # the worker: close every end that is not its own, and serve
-                code = 1
-                try:
-                    os.close(task_w)
-                    os.close(result_r)
-                    for _, other_w, reader in workers.values():
-                        os.close(other_w)
-                        reader.close()
-                    with open(task_r, "rb") as inbox, open(result_w, "wb") as outbox:
-                        _serve(fn, tasks, inbox, outbox)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(task_r)
-            os.close(result_w)
-            workers[result_r] = pid, task_w, open(result_r, "rb")
-        pending, busy, poll = iter(range(len(tasks))), {}, select.poll()
+                task_r, task_w, result_r, result_w = ends
+                if pid == 0:  # the worker: keep the shared task end and its own result end
+                    code = 1
+                    try:
+                        for fd in (task_w, result_r, *workers):
+                            os.close(fd)
+                        sent = True, []
+                        while index := os.read(task_r, 4):
+                            i = int.from_bytes(index, "little")
+                            try:
+                                sent[1].append((i, fn(tasks[i])))
+                            except Exception as exc:  # a bug: the parent raises it
+                                import traceback
 
-        def hand_out(fd):
-            """Send the worker at this result pipe the next task, or close its inbox."""
-            pid, task_w, reader = workers[fd]
-            i = next(pending, None)
-            if i is None:  # the worker reads the end of its inbox and exits
-                poll.unregister(fd)
-                os.close(task_w)
-                workers[fd] = pid, None, reader
-                return
-            try:
-                os.write(task_w, i.to_bytes(4, "little"))
-            except BrokenPipeError as exc:
-                raise WorkerLost("a study worker exited before it took its task") from exc
-            busy[fd] = i
-
+                                sent = False, (exc, traceback.format_exc())
+                                break
+                        with open(result_w, "wb") as outbox:
+                            pickle.dump(sent, outbox, protocol=pickle.HIGHEST_PROTOCOL)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(ends.pop())
+                workers[ends.pop()] = pid
+        except OSError as exc:
+            raise WorkerLost(f"a study worker could not be started: {exc}") from exc
+        os.close(ends.pop(0))  # now a write that no live worker can read fails
+        try:
+            for i in range(len(tasks)):
+                os.write(ends[0], i.to_bytes(4, "little"))
+        except BrokenPipeError as exc:
+            raise WorkerLost("every study worker exited before the tasks ran out") from exc
+        os.close(ends.pop())  # each worker reads the end of file once the tasks run out
+        poll = select.poll()
         for fd in workers:
             poll.register(fd, select.POLLIN)
-            hand_out(fd)
-        while busy:
+        while workers:
             for fd, _ in poll.poll():
-                ok, outcome = _read_result(workers[fd][2])
+                data = b"".join(iter(partial(os.read, fd, 1 << 16), b""))  # to end of file
+                poll.unregister(fd)
+                os.close(fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(workers.pop(fd), 0)[1])
+                if code != 0:  # below 0: the negated number of the signal that killed it
+                    raise WorkerLost(f"a study worker died or sent no result (exit code {code})")
+                ok, outcome = pickle.loads(data)
                 if not ok:
                     exc, text = outcome
                     raise exc from _WorkerTraceback(text)
-                results[busy.pop(fd)] = outcome
-                hand_out(fd)
+                for i, result in outcome:
+                    results[i] = result
     except BaseException:
-        for pid, _, _ in workers.values():
+        for pid in workers.values():
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, task_w, reader in workers.values():
-            if task_w is not None:
-                os.close(task_w)
-            reader.close()
+        for fd in (*ends, *workers):
+            os.close(fd)
+        for pid in workers.values():
             os.waitpid(pid, 0)
     return results
 

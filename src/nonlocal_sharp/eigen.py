@@ -91,6 +91,15 @@ _DELTA_MAX = 0.2  # boundary layer of the ratios
 
 @dataclass(frozen=True)
 class BoundaryRatio:
+    """An eigenfunction's boundary ratios, only as accurate as its entries near x = 0.
+
+    ARPACK's tol bounds the eigenpair's residual, not the relative error of
+    the tiny entries next to the boundary that these ratios divide by
+    delta^gamma.  On the synthetic backend at s = 0.2, n = 4000, inf_ratio
+    moved by 4.4e-9 (relative) from tol 1e-10 to 1e-12; sup_ratio agreed to
+    15 digits.
+    """
+
     index: int
     sup_ratio: float            # sup |phi| / delta^gamma over the window
     inf_ratio: float | None     # inf phi / delta^gamma, first pair only

@@ -1,5 +1,4 @@
 import errno
-import io
 import json
 import os
 import pickle
@@ -11,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -71,6 +71,30 @@ def assemble_all_but_s_03(kernel, grid):
     if kernel.params.s == 0.3:
         raise MemoryError("no room")
     return operators.assemble(kernel, grid)
+
+
+GROUP_OUTCOMES, RUN = cli._group_outcomes, cli._run
+
+
+def log_group_outcomes(path, task):
+    """cli._group_outcomes, after appending the group's s to the file at path in one write."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        os.write(fd, f"{task[0].params.s!r}\n".encode())
+    finally:
+        os.close(fd)
+    return GROUP_OUTCOMES(task)
+
+
+def run_with_unpicklable_row(case, op):
+    """cli._run, but the s = 0.3 row holds a lambda, which its worker cannot pickle."""
+    row, sol = RUN(case, op)
+    return ({**row, "f": lambda: None} if case.params.s == 0.3 else row), sol
+
+
+def write_to_a_broken_pipe(fd, data):
+    """os.write as if no process held the pipe's read end."""
+    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
 
 def spy_fork_map(monkeypatch):
@@ -779,7 +803,7 @@ class TestStudy:
         assert open_fds() == fds
 
     def test_a_failure_kills_the_busy_workers(self, tmp_path, monkeypatch):
-        # closing its inbox would stop the sleeping worker only after its 60 s task
+        # the sleeping worker would read the task pipe's end of file only after its 60 s task
         cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "s": 0.15}]
         solve = cli._run
 
@@ -814,7 +838,8 @@ class TestStudy:
             return results
         monkeypatch.setattr(cli, "_fork_map", spy)
         assert len(study_rows(capsys, tmp_path, cases, "--jobs", "3")) == 3
-        # each its two ends beside what the study process held
+        # the shared task pipe's read end and its own result pipe's write end, beside what the
+        # study process held
         assert held == [len(open_fds()) + 2] * 3
 
     def test_workers_leave_the_parents_output_alone(self, tmp_path):
@@ -828,12 +853,36 @@ class TestStudy:
         assert out.stdout.count("before") == 1
         assert out.stdout.count("n_cases") == 1
 
-    @pytest.mark.parametrize("sent", [b"", b"\x05\x00", (9).to_bytes(8, "little") + b"abc",
-                                      (0).to_bytes(8, "little")],
-                             ids=["nothing", "half-a-length", "part-of-a-pickle", "no-pickle"])
-    def test_result_cut_short_raises_worker_lost(self, sent):
-        with pytest.raises(cli.WorkerLost):
-            cli._read_result(io.BytesIO(sent))
+    @pytest.mark.parametrize("target, name, patch", [(cli, "_run", run_with_unpicklable_row),
+                                                     (os, "write", write_to_a_broken_pipe)],
+                             ids=["outcome-does-not-pickle", "no-worker-reads-the-tasks"])
+    def test_lost_worker_exits_3_and_leaves_no_process(self, capsys, tmp_path, monkeypatch,
+                                                       target, name, patch):
+        # a worker that cannot pickle its outcomes exits 1; a broken task pipe is an OSError
+        # that must not read as a config error (exit 2)
+        cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3}, {**SMALL_CASE, "s": 0.15}]
+        fds = open_fds()
+        monkeypatch.setattr(target, name, patch)
+        code, _, err = run(capsys, "study", "--config", write_config(tmp_path, cases),
+                           "--jobs", "2")
+        assert code == 3
+        assert err.startswith("error: WorkerLost:")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
+
+    def test_each_group_runs_exactly_once(self, capsys, tmp_path, monkeypatch):
+        # three workers take twelve groups from one task pipe: none is lost or taken twice
+        s_values = [round(0.05 + 0.03 * k, 2) for k in range(12)]  # none is critical, s = 0.25
+        cfg = write_config(tmp_path, [{**SMALL_CASE, "s": s} for s in s_values])
+        assert main(["study", "--config", cfg, "--jobs", "1"]) == 0
+        serial = (tmp_path / "study.csv").read_text()
+        ran = tmp_path / "ran"
+        monkeypatch.setattr(cli, "_group_outcomes", partial(log_group_outcomes, ran))
+        assert main(["study", "--config", cfg, "--jobs", "3"]) == 0
+        capsys.readouterr()
+        assert sorted(float(line) for line in ran.read_text().splitlines()) == s_values
+        assert (tmp_path / "study.csv").read_text() == serial
 
     def test_synthetic_case_never_builds_the_odd_block(self, monkeypatch):
         # every Picard iterate is mirror-even, so the solve reads the even block alone
