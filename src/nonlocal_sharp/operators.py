@@ -95,19 +95,17 @@ class GreenOperator:
     on mirror-even and mirror-odd vectors.  `even` and `odd` hold S_even
     and S_odd, laid out by `tiles`; `odd` is built when first read, so the
     even sector never builds it.  `band` is kept for `entries`.  An
-    operator made from given blocks has no band, and all-dense tiles.
+    operator made from given blocks passes its own layout, and no band.
     """
 
     grid: Grid
     even: np.ndarray
     build_odd: Callable[[], np.ndarray]
     params: ProblemParams
-    band: np.ndarray | None = None
-    tiles: tuple | None = None
+    band: np.ndarray | None
+    tiles: tuple
 
     def __post_init__(self):
-        if self.tiles is None:
-            object.__setattr__(self, "tiles", _tiles(self.grid, far=False))
         self._check(self.even)
 
     def _check(self, block: np.ndarray):
@@ -126,55 +124,49 @@ class GreenOperator:
         return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
 
 
+# Row blocks stay small: a study worker's glibc mmap threshold rises to the first operator block
+# it frees, so later transients come from the heap and stay resident (43.0 vs 39.1 MB blocked).
 _BLOCK_ENTRIES = 2 ** 16  # matrix entries per row block of the assembly
 _SLAB_ROWS = 256  # rows per slab of a folded block
 _SEPARATION = 2.0  # a column nearer a slab than this many slab widths is stored dense
 _FAR_GAIN = 1e17  # k Chebyshev points make rho^-k at most 1e-14 / 1e3
 
 
-def _slabs(half: int):
-    """(r0, r1) of each slab of a folded block with `half` rows.
-
-    The last always holds the last _NEAR_BAND rows: near x = 1/2 the
-    stored-node kernel is asymmetric in its last bits, and a slab's square
-    is never mirrored.
-    """
-    firsts = range(0, max(1, half - _NEAR_BAND + 1), _SLAB_ROWS)
-    return list(zip(firsts, [*firsts[1:], half]))
-
-
-def _tiles(grid: Grid, far: bool = True):
+def _tiles(grid: Grid):
     """The layout of a folded block: (r0, r1, k, at, parts) per slab.
 
-    Slab [r0, r1) stores S[r0:r1, r0:] as runs of columns (c0, c1, start,
-    stop, low), each a matrix in block[start:stop]: S[r0:r1, c0:c1], or if
-    low V[q, j] = S(xi_q, y_j) / xi_q^gamma at the k Chebyshev points of
-    the slab's cells [lo, hi], with S = U V for the slab's one
-    U[i, q] = x_i^gamma l_q(x_i) in block[at:].  Column j is far when y_j
-    and xr = fl(1 - y_j), the kernel's singularities, lie _SEPARATION
-    widths beyond the slab and no min-factor kink (x = y/2, xr/2, xr - y)
-    crosses [lo, hi]: one branch holds, analytic but at y, xr and, once
-    x > y/2 or xr/2, at 0 (x^gamma itself is not).  k is the least with
-    rho^k >= _FAR_GAIN, rho the Bernstein ellipse of the nearest
-    singularity.  A slab whose k reaches its rows, or any if not far, is
-    all dense.
+    Slabs hold _SLAB_ROWS rows, the last the rest and always the last
+    _NEAR_BAND: near x = 1/2 the stored-node kernel is asymmetric in its
+    last bits, and a slab's square is never mirrored.  Slab [r0, r1) stores
+    S[r0:r1, r0:] as runs of columns (c0, c1, start, stop, low), each a
+    matrix in block[start:stop]: S[r0:r1, c0:c1], or if low V[q, j] =
+    S(xi_q, y_j) / xi_q^gamma at the k Chebyshev points of the slab's cells
+    [lo, hi], with S = U V for the slab's one U[i, q] = x_i^gamma l_q(x_i)
+    in block[at:].  Column j is far when y_j and xr = fl(1 - y_j), the
+    kernel's singularities, lie _SEPARATION widths beyond the slab and no
+    min-factor kink (x = y/2, xr/2, xr - y) crosses [lo, hi]: one branch
+    holds, analytic but at y, xr and, once x > y/2 or xr/2, at 0 (x^gamma
+    itself is not).  k is the least with rho^k >= _FAR_GAIN, rho the
+    Bernstein ellipse of the nearest singularity u on [-1, 1].  The
+    separation puts y and xr at u >= 5, and 0 counts only if min(y, xr) <
+    2 lo, so hi < 4 lo / 3 and 0 is at u > 7: rho >= 5 + sqrt(24), k <= 18.
+    A far column lies past the slab's band, below n/2, so never in the last
+    slab, and k < r1 - r0 (were it not, the far field would only be larger).
     """
-    x, b, n = grid.nodes, grid.boundaries, grid.n
-    half = n // 2
+    x, b, n, half = grid.nodes, grid.boundaries, grid.n, grid.n // 2
+    firsts = range(0, max(1, half - _NEAR_BAND + 1), _SLAB_ROWS)
     tiles, at = [], 0
-    for r0, r1 in _slabs(half):
+    for r0, r1 in zip(firsts, [*firsts[1:], half]):
         j = np.arange(r0, half)
         lo, hi = b[r0], b[r1]
         y, xr = x[j], x[n - 1 - j]
-        low = far & (j >= r1 + _NEAR_BAND) & (np.minimum(y, xr) - hi >= _SEPARATION * (hi - lo))
+        low = (j >= r1 + _NEAR_BAND) & (np.minimum(y, xr) - hi >= _SEPARATION * (hi - lo))
         for kink in (y / 2, xr / 2, xr - y):
             low &= (kink < lo) | (kink > hi)
         u = (2 * np.minimum(y, xr) - lo - hi) / (hi - lo)  # the singularity on [-1, 1]
         u = np.where((lo > y / 2) | (lo > xr / 2), np.minimum(u, (lo + hi) / (hi - lo)), u)
         u = np.min(u[low], initial=np.inf)
         k = 0 if u == np.inf else int(np.ceil(np.log(_FAR_GAIN) / np.log(u + np.sqrt(u * u - 1))))
-        if k >= r1 - r0:
-            low[:], k = False, 0
         edges = [0, *(np.flatnonzero(np.diff(low)) + 1).tolist(), j.size]
         parts, start = [], at + (r1 - r0) * k
         for c0, c1 in zip(edges, edges[1:]):
@@ -306,14 +298,15 @@ def _corrected_band(params: ProblemParams, grid: Grid):
     an 8-point Gauss rule replaces the first-order midpoint rule, and the
     one-sided averages are combined as Ghat_ij = (I_ij/w_j + I_ji/w_i)/2,
     so the kernel values stay exactly symmetric.  Both directions' Gauss
-    points go through the envelope together, in blocks of cells.
+    points go through the envelope together, in blocks of cells: a larger
+    scratch would stay resident in a study worker (see _BLOCK_ENTRIES).
     """
     gx, gw = np.polynomial.legendre.leggauss(_GAUSS_NODES)
-    x, w, n = grid.nodes, grid.weights, grid.n
+    x, w, n, half = grid.nodes, grid.weights, grid.n, grid.n // 2
     k = _NEAR_BAND
     # means[c, m] = (1/w_c) int_{cell_c} G(x_i, y) dy at the rows i = c + offsets[m] around cell c;
     # rows outside the grid are clipped to it and their values never read
-    cells = np.arange(min(n // 2 + k, n))
+    cells = np.arange(min(half + k, n))
     offsets = np.r_[-k:0, 1:k + 1]
     lo, hi = grid.boundaries[cells], grid.boundaries[cells + 1]
     y = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * gx
@@ -330,16 +323,13 @@ def _corrected_band(params: ProblemParams, grid: Grid):
         _envelope(r, dx[c0:c1], dy[c0:c1], params, out=out, scratch=scratch)
         means[c0:c1] = out @ gw
     means = (0.5 * (hi - lo))[:, None] * means / w[cells, None]
-    i0, off = np.nonzero(np.arange(n // 2)[:, None] + np.arange(1, k + 1) < n)
-    off += 1  # the pairs (i0, j0 = i0 + off) that lie in the grid
-    j0 = i0 + off
-    avg = 0.5 * (means[j0, k - off] + means[i0, k - 1 + off])
-    band = np.zeros((n // 2, 2 * k + 1))  # row i holds the columns i - k .. i + k
-    i = np.arange(n // 2)
-    band[:, k] = _own_cell_integral(0.5 * w, 2.0 * params.s)[i] / w[i]
-    band[i0, k + off] = avg
-    left = j0 < n // 2  # pairs whose mirror entry (j0, i0) is in a left row too
-    band[j0[left], k - off[left]] = avg[left]
+    band = np.zeros((half, 2 * k + 1))  # row i holds the columns i - k .. i + k
+    band[:, k] = _own_cell_integral(0.5 * w, 2.0 * params.s)[:half] / w[:half]
+    for off in range(1, min(k + 1, n)):
+        m = min(half, n - off)  # the pairs (i, i + off) in the grid, i < m
+        avg = 0.5 * (means[off:off + m, k - off] + means[:m, k - 1 + off])
+        band[:m, k + off] = avg
+        band[off:, k - off] = avg[:max(0, half - off)]  # their mirrors (i + off, i) in left rows
     return band
 
 

@@ -17,16 +17,17 @@ eigenfunction ratios and the q-norm profile each used to select their
 boundary nodes with their own rule; the rules are kept as they were
 written, for the values in use, so that the one `Grid.boundary_window`
 can be shown to select the same nodes.  All are kept here only as the
-independent references the library is tested against.  `pack_block`
-stores a plain (n/2, n/2) block the way the library stores a folded one,
-so that tests can build operators by hand, and `apply_columns` applies an
-operator, which takes one vector at a time, to the columns of a matrix.
+independent references the library is tested against.  Tests build
+operators by hand from a plain (n/2, n/2) block: `pack_block` stores it
+whole, row by row, and `whole_square` is the layout that stores it so, one
+slab of one dense part.  `apply_columns` applies an operator, which takes
+one vector at a time, to the columns of a matrix.
 """
 
 import numpy as np
 
 from nonlocal_sharp.grids import boundary_distance
-from nonlocal_sharp.operators import _own_cell_integral, _tiles, apply
+from nonlocal_sharp.operators import _own_cell_integral, apply
 
 
 def quotient_envelope(r, dx, dy, params):
@@ -101,15 +102,19 @@ def dense_synthetic_assembly(kernel, grid, near_band=8, gauss_nodes=8):
 def pack_block(block, grid):
     """The storage of a folded (n/2, n/2) block given by hand: its kernel values block / w_L.
 
-    An operator made from given blocks lays each out all dense (`_tiles`
-    with far=False): one part per slab, its rows S[r0:r1, r0:], row by row.
-    A block of at most one slab is stored whole, never mirrored, so a
-    non-symmetric one keeps its lower triangle.
+    Stored whole, row by row, as `whole_square(grid)` lays it out.
     """
-    S = np.asarray(block, dtype=float) / grid.weights[:grid.n // 2]
-    tiles = _tiles(grid, far=False)
-    return np.concatenate([S[r0:r1, c0:c1].ravel() for r0, r1, _, _, parts in tiles
-                           for c0, c1, *_ in parts])
+    return (np.asarray(block, dtype=float) / grid.weights[:grid.n // 2]).ravel()
+
+
+def whole_square(grid):
+    """The layout of a block stored whole: one slab of every row, one dense part of every column.
+
+    A slab's square acts as stored, never mirrored, so a non-symmetric
+    block keeps its lower triangle.
+    """
+    half = grid.n // 2
+    return ((0, half, 0, 0, ((0, half, 0, half * half, False),)),)
 
 
 def curve_fit_offset(t, y, k0):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from reference import pack_block
+from reference import pack_block, whole_square
 
 from nonlocal_sharp import (
     ConvergenceError,
@@ -117,7 +117,8 @@ class TestSyntheticEigenpairs:
         mus = np.linspace(1.0, 2.0, grid.n)  # every other one to each block
         op = GreenOperator(grid=grid, even=pack_block(np.diag(mus[1::2]), grid),
                            build_odd=lambda: pack_block(np.diag(mus[::2]), grid),
-                           params=ProblemParams(s=0.3, gamma=1.0))
+                           params=ProblemParams(s=0.3, gamma=1.0), band=None,
+                           tiles=whole_square(grid))
         monkeypatch.setattr(eigen, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="ARPACK did not converge") as exc:
             leading_eigenpairs(op, n_eigs=1)
@@ -128,7 +129,8 @@ class TestSyntheticEigenpairs:
         grid = graded_mesh(16, 1.0)
         upper = pack_block(np.triu(np.ones((grid.n // 2, grid.n // 2))), grid)
         op = GreenOperator(grid=grid, even=upper, build_odd=lambda: upper,
-                           params=ProblemParams(s=0.3, gamma=1.0))
+                           params=ProblemParams(s=0.3, gamma=1.0), band=None,
+                           tiles=whole_square(grid))
         with pytest.raises(ConvergenceError, match="eigenpair 1 residual") as exc:
             leading_eigenpairs(op, n_eigs=1)
         assert exc.value.residual > 1.0

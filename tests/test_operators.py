@@ -16,6 +16,7 @@ from reference import (
     dense_synthetic_assembly,
     dst_matrix_transfer,
     pack_block,
+    whole_square,
 )
 
 import nonlocal_sharp
@@ -132,18 +133,19 @@ class TestAssemble:
         params = ProblemParams(s=0.2, gamma=1.0)
         with pytest.raises(ValueError, match="block shapes"):
             GreenOperator(grid=grid, even=np.eye(3), build_odd=lambda: np.eye(4),
-                          params=params)
+                          params=params, band=None, tiles=whole_square(grid))
         op = GreenOperator(grid=grid, even=pack_block(np.eye(4), grid),
-                           build_odd=lambda: np.eye(4), params=params)  # square, not packed
+                           build_odd=lambda: np.eye(4), params=params,  # square, not packed
+                           band=None, tiles=whole_square(grid))
         with pytest.raises(ValueError, match="block shapes"):
             op.odd
-        # a tiled block without its tiles: given blocks are laid out all dense
+        # a tiled block under the layout of a whole square
         with mock.patch.object(operators, "_SLAB_ROWS", 32):
             tiled = assemble(synthetic_k5(params), graded_mesh(400, 3.0))
         assert any(low for *_, parts in tiled.tiles for *_, low in parts)
         with pytest.raises(ValueError, match="block shapes"):
             GreenOperator(grid=tiled.grid, even=tiled.even, build_odd=lambda: tiled.even,
-                          params=params)
+                          params=params, band=None, tiles=whole_square(tiled.grid))
 
     def test_stores_only_its_halves(self):
         op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(1200, 3.0))
@@ -201,7 +203,8 @@ class TestAssemble:
         grid = graded_mesh(8, 1.0)
         block = pack_block(np.eye(4), grid)
         op = GreenOperator(grid=grid, even=block, build_odd=lambda: block,
-                           params=ProblemParams(s=0.2, gamma=1.0))
+                           params=ProblemParams(s=0.2, gamma=1.0), band=None,
+                           tiles=whole_square(grid))
         with pytest.raises(ValueError, match="given blocks"):
             operators.entries(op, np.array([0]), np.array([1]))
 
@@ -295,7 +298,7 @@ class TestApply:
         # an odd block of NaN would poison any result that read it
         blind = GreenOperator(grid=op.grid, even=op.even,
                               build_odd=lambda: np.full(op.even.shape, np.nan),
-                              params=op.params)
+                              params=op.params, band=op.band, tiles=op.tiles)
         sol = picard_solve(blind, SolverConfig(p=0.5))
         assert np.all(np.isfinite(sol.u)) and sol.residual <= 1e-10
         [pair] = leading_eigenpairs(blind, n_eigs=1)
@@ -419,6 +422,13 @@ def reference_entries(kernel, grid):
     return np.concatenate([ref, ref[::-1, ::-1]])
 
 
+def assert_far_fields_fit(tiles):
+    """Some slab has a far field; each such slab is _SLAB_ROWS high with 1 <= k <= 18, not the last."""
+    far = [(r1 - r0, k) for r0, r1, k, _, parts in tiles if any(low for *_, low in parts)]
+    assert far and all(rows == operators._SLAB_ROWS and 1 <= k <= 18 for rows, k in far)
+    assert not any(low for *_, low in tiles[-1][4])
+
+
 def assert_sectors_match_entries(op):
     """Each unit-column apply of both sectors is within 1e-14 of the rule, `entries`.
 
@@ -504,8 +514,13 @@ class TestEntries:
         # slabs of 32 rows: far fields of at most 18 Chebyshev points pay at these n
         with mock.patch.object(operators, "_SLAB_ROWS", 32):
             op = assemble(synthetic_k5(ProblemParams(s, gamma)), graded_mesh(2 * n_half, beta))
-        assert any(k for _, _, k, *_ in op.tiles)
+            assert_far_fields_fit(op.tiles)
         assert_sectors_match_entries(op)
+
+    @pytest.mark.parametrize("n", [2400, 4000, 16000])
+    def test_far_fields_lie_in_full_slabs_at_the_shipped_slab_height(self, n):
+        # the bound that lets `_tiles` store every far field it finds
+        assert_far_fields_fit(operators._tiles(graded_mesh(n, 3.0)))
 
     def test_tiled_sectors_match_the_rule_at_the_shipped_slab_height(self):
         op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(2400, 3.0))

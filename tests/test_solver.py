@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import pack_block
+from reference import pack_block, whole_square
 
 from nonlocal_sharp import (
     BracketError,
@@ -39,7 +39,8 @@ def scalar_op(value=2.0):
     grid = Grid([0.0, 0.5])
     block = pack_block([[value]], grid)
     return GreenOperator(grid=grid, even=block, build_odd=lambda: block,
-                         params=ProblemParams(s=0.25, gamma=1.0))
+                         params=ProblemParams(s=0.25, gamma=1.0), band=None,
+                         tiles=whole_square(grid))
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +168,8 @@ class TestPicardSolve:
         def signed_op(even):
             # a negative entry breaks monotonicity, which the certificate catches
             even = pack_block(even, grid)
-            return GreenOperator(grid=grid, even=even, build_odd=lambda: even, params=params)
+            return GreenOperator(grid=grid, even=even, build_odd=lambda: even, params=params,
+                                 band=None, tiles=whole_square(grid))
 
         with pytest.raises(BracketError, match="min T"):
             picard_solve(signed_op([[1.0, -0.5], [0.0, 1.0]]), SolverConfig(p=0.5))
