@@ -32,8 +32,8 @@ from .eigen import (check_eigen_request, eigenfunction_boundary_report, leading_
 from .exponents import ExponentPrediction, ProblemParams, classify_bq, nu_case_machine, predict_mu
 from .fitting import _least_squares, fit_report, fit_window
 from .grids import graded_mesh
-from .operators import (_check_samples, assemble, check_kernel_bounds, green_q_norm_profile,
-                        spectral_mt_operator, synthetic_k5)
+from .operators import (_check_samples, _check_spectral_grid, assemble, check_kernel_bounds,
+                        green_q_norm_profile, spectral_mt_operator, synthetic_k5)
 from .solver import (ConvergenceError, SemilinearSolution, SolverConfig, harnack_report,
                      harnack_window, picard_solve)
 
@@ -124,12 +124,14 @@ def _operator_plan(backend: str, params: ProblemParams, n: int, beta_g: float | 
     Returns (grid, build): build() makes the operator, the expensive step,
     which a caller defers until its other checks have passed.  The spectral
     backend has gamma = 1 by construction and runs on the uniform mesh, so
-    it ignores beta_g, None in a case's key; the synthetic needs s < 1/2.
+    it ignores beta_g, None in a case's key, with n a multiple of 4; the
+    synthetic needs s < 1/2.
     """
     if backend == "spectral":
         if params.gamma != 1.0:
             raise ValueError("spectral backend has gamma = 1 by construction")
         grid = graded_mesh(n, 1.0)
+        _check_spectral_grid(grid)
         return grid, partial(spectral_mt_operator, params.s, grid)
     if backend == "synthetic":
         kernel = synthetic_k5(params)

@@ -10,16 +10,17 @@ int_{cell_j} G(x_i, y) dy, plus one band per row for the diagonal and the
 Gauss-refined cells.  It is folded by x -> 1 - x into two (n/2, n/2)
 blocks, one per mirror sector, each stored as tiled slabs (`_tiles`).  The
 spectral backend stores the n eigenvalues of the matrix transfer and
-applies them by a long-double FFT of the odd extension (float64 rounding
-breaks the solver's nesting certificate).  `apply_sector` is each
-backend's matvec on a sector; `entries` evaluates entries by the rule that
-defines them, never from stored blocks.
+applies each sector's half of them by a long-double transform of length
+n/2 (float64 rounding breaks the solver's nesting certificate).
+`apply_sector` is each backend's matvec on a sector, and `apply` adds the
+two; `entries` evaluates entries by the rule that defines them, never from
+stored blocks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -83,6 +84,15 @@ def _envelope(r, dx, dy, params: ProblemParams, out=None, scratch=None):
     return np.multiply(out, r, out=out)
 
 
+def _stored_bytes(op) -> int:
+    """An operator's `nbytes`: the bytes of its top-level arrays.
+
+    A GreenOperator's band, even and odd once built; a SpectralOperator's
+    symbol and twiddles.
+    """
+    return sum(a.nbytes for a in vars(op).values() if isinstance(a, np.ndarray))
+
+
 @dataclass(frozen=True)
 class GreenOperator:
     """Mirror-symmetric operator stored as its even and odd halves.
@@ -118,10 +128,7 @@ class GreenOperator:
         self._check(odd)
         return odd
 
-    @property
-    def nbytes(self) -> int:
-        """The bytes of its top-level arrays: band, even, and odd once built."""
-        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
+    nbytes = property(_stored_bytes)
 
 
 # Row blocks stay small: a study worker's glibc mmap threshold rises to the first operator block
@@ -339,16 +346,38 @@ class SpectralOperator:
 
     symbol[k - 1] = lambda_k(h)^{-s}, the eigenvalue of the sine mode
     sin(k pi x) restricted to the uniform midpoint grid.  The operator is
-    symmetric, so it is self-adjoint in <u, v>_w like GreenOperator.
+    symmetric, so it is self-adjoint in <u, v>_w like GreenOperator.  `pre`
+    and `post` are the twiddles of `_dst4`, built once.
     """
 
     grid: Grid
     symbol: np.ndarray
     params: ProblemParams
+    pre: np.ndarray = field(init=False, repr=False)
+    post: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_spectral_grid(self.grid)
         if self.symbol.shape != (self.grid.n,):
             raise ValueError("symbol length does not match grid")
+        n, pi = self.grid.n, np.arccos(np.longdouble(-1))
+        k = np.arange(n // 4, dtype=np.longdouble)
+        object.__setattr__(self, "pre", np.exp(-2j * pi * k / n))  # exp(-i pi k / N), N = n/2
+        object.__setattr__(self, "post", np.exp(-1j * pi * (4 * k + 1) / (2 * n)))
+
+    nbytes = property(_stored_bytes)
+
+
+def _check_spectral_grid(grid: Grid) -> None:
+    """The grids the matrix transfer runs on: uniform, with n a multiple of 4.
+
+    The even sector's DST-IV of length n/2 runs as a complex FFT of length
+    n/4, so n/2 must be even.  Raises ValueError.
+    """
+    if not grid.is_uniform:
+        raise ValueError("matrix transfer is defined on uniform grids only")
+    if grid.n % 4:
+        raise ValueError(f"spectral backend needs n a multiple of 4, got n = {grid.n}")
 
 
 Operator = GreenOperator | SpectralOperator
@@ -359,45 +388,68 @@ def _mirror(v: np.ndarray, odd: bool = False) -> np.ndarray:
     return np.concatenate([v, -v[::-1] if odd else v[::-1]])
 
 
+def _dst4(op: SpectralOperator, x: np.ndarray) -> np.ndarray:
+    """The DST-IV y_k = sum_j x_j sin(pi (2j + 1)(2k + 1) / 4N) of x, of length N = n/2.
+
+    The DCT-IV of x reversed, signed by (-1)^k, by one complex FFT of length
+    N/2: of r_{2j} + i r_{N-1-2j}, r = x reversed, times pre_j = exp(-i pi j
+    / N); times post_k = exp(-i pi (4k + 1) / 4N) it holds y_{2k} and
+    y_{N-1-2k} as its real and imaginary parts.
+    """
+    z = np.empty(x.size // 2, dtype=np.clongdouble)
+    z.real, z.imag = x[1::2][::-1], x[::2]
+    t = np.fft.fft(z * op.pre)
+    t *= op.post
+    y = np.empty(x.size, dtype=np.longdouble)
+    y[0::2], y[1::2] = t.real, t.imag[::-1]
+    return y
+
+
 def apply_sector(op: Operator, v: np.ndarray, odd: bool = False) -> np.ndarray:
     """The left half of A [v, v reversed], or of A [v, -v reversed] when odd.
 
     v has shape (n/2,); any other shape raises ValueError.  The folded
-    operator applies its even or odd block; the spectral one keeps the
-    first n/2 values of `apply` on the mirrored vector.
+    operator applies its even or odd block.  The spectral one applies its
+    sector's sine modes in long double.  Mirror-even, the odd modes k =
+    2m + 1 are the DST-IV basis of length N = n/2: DST-IV(symbol[0::2] 2/N
+    DST-IV(v)).  Mirror-odd, the even modes k = 2m are the sine modes of
+    the N-point midpoint grid: the irfft of the rfft of [v, -v reversed],
+    mode m scaled by symbol[2m - 1] and the mean by 0, cut to N values.
     """
     v = np.asarray(v, dtype=float)
-    half = op.grid.n // 2
-    if v.shape != (half,):
+    if v.shape != (op.grid.n // 2,):
         raise ValueError("v must have shape (n/2,), one value per left-half node")
-    if isinstance(op, SpectralOperator):
-        return apply(op, _mirror(v, odd))[:half]
-    return _block_apply(op, op.odd if odd else op.even, v)
+    return _sector(op, v, odd).astype(float, copy=False)
+
+
+def _sector(op: Operator, v: np.ndarray, odd: bool) -> np.ndarray:
+    """`apply_sector` of a checked v, a spectral result still in long double."""
+    if not isinstance(op, SpectralOperator):
+        return _block_apply(op, op.odd if odd else op.even, v)
+    half, v = op.grid.n // 2, v.astype(np.longdouble)
+    if not odd:
+        return _dst4(op, op.symbol[0::2] * (2 / np.longdouble(half)) * _dst4(op, v))
+    coef = np.fft.rfft(np.concatenate([v, -v[::-1]]))
+    coef[0] = 0.0  # the mean, which no sine mode has
+    coef[1:] *= op.symbol[1::2]
+    return np.fft.irfft(coef, op.grid.n)[:half]
 
 
 def apply(op: Operator, v: np.ndarray) -> np.ndarray:
     """Apply the discretized integral operator to node values.
 
     v is one vector of node values, shape (n,); any other shape raises
-    ValueError.  The folded operator applies v's mirror-even and mirror-odd
-    parts by `apply_sector`.  The spectral one extends v oddly to
-    [v, -v reversed], runs a long-double rfft of length 2n, scales Fourier
-    mode k = 1..n, sine mode k, by symbol[k - 1] and the mean by 0, and
-    returns the first n values of the irfft in float64.
+    ValueError.  Both backends apply v's mirror-even and mirror-odd parts
+    by `apply_sector` and add them, the spectral one in long double: an
+    entry far below its mirror partner is their difference.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (op.grid.n,):
         raise ValueError("v must have shape (n,), one value per node")
-    if isinstance(op, SpectralOperator):
-        n = op.grid.n
-        coef = np.fft.rfft(np.concatenate([v, -v[::-1]], dtype=np.longdouble))
-        coef[0] = 0.0  # the mean, which no sine mode has
-        coef[1:] *= op.symbol
-        return np.fft.irfft(coef, 2 * n)[:n].astype(float)
     left, right = v[:op.grid.n // 2], v[op.grid.n // 2:][::-1]
-    ee = apply_sector(op, 0.5 * (left + right))
-    oo = apply_sector(op, 0.5 * (left - right), odd=True)
-    return np.concatenate([ee + oo, (ee - oo)[::-1]])
+    ee = _sector(op, 0.5 * (left + right), False)
+    oo = _sector(op, 0.5 * (left - right), True)
+    return np.concatenate([ee + oo, (ee - oo)[::-1]]).astype(float, copy=False)
 
 
 def entries(op: Operator, i, j) -> np.ndarray:
@@ -408,10 +460,10 @@ def entries(op: Operator, i, j) -> np.ndarray:
     |j - i| <= k = _NEAR_BAND, else times the envelope at the nodes.  A
     dense part holds these to a few ulps (numpy's pow can round differently
     at another array position), a far field to about 1e-15.  The spectral
-    operator is `apply`'s 2n-point circulant restricted to the first n
-    points, Toeplitz minus Hankel: A[i, j] = c[|i - j|] - c[i + j + 1],
-    with c the circulant's first column, the long-double irfft of
-    [0, symbol].
+    operator, sum_k symbol[k - 1] of its sine modes' projections, is the
+    circulant on the odd extension to 2n points restricted to the first n,
+    Toeplitz minus Hankel: A[i, j] = c[|i - j|] - c[i + j + 1], with c the
+    circulant's first column, the long-double irfft of [0, symbol].
     """
     n = op.grid.n
     if isinstance(op, SpectralOperator):
@@ -436,11 +488,10 @@ def spectral_mt_operator(s: float, grid: Grid) -> SpectralOperator:
     The -s power of the second-difference Dirichlet Laplacian on a uniform
     midpoint grid: eigenvalues lambda_k(h)^{-s}, lambda_k(h) = (4/h^2)
     sin^2(k pi h / 2), with the discrete sine modes as eigenvectors (exact
-    under antisymmetric ghost reflection), which `apply` supplies by FFT.
+    under antisymmetric ghost reflection), which `apply_sector` supplies by
+    FFT.  The grid must pass `_check_spectral_grid`, else ValueError.
     """
     params = ProblemParams(s=s, gamma=1.0)
-    if not grid.is_uniform:
-        raise ValueError("matrix transfer is defined on uniform grids only")
     n = grid.n
     h = 1.0 / n
     k = np.arange(1, n + 1, dtype=float)

@@ -5,8 +5,8 @@ The matrix transfer's sine-mode build is O(n^3) time and O(n^2) memory,
 which is why the spectral backend applies it by a transform; its
 orthonormal DST-II pair from scipy.fft costs a scipy.fft import in every
 process that applies it, which is why the library applies the same
-S^T diag(symbol) S as a circulant, by numpy's long-double FFT of the odd
-extension of a vector; the unfolded synthetic assembly builds all n x n
+S^T diag(symbol) S one mirror sector at a time, by numpy's long-double FFT
+(a DST-IV on the even sector, the odd extension on the odd); the unfolded synthetic assembly builds all n x n
 entries through several n x n temporaries, which is why the library
 computes only the left rows in row blocks and folds them; the envelope
 as defined, a quotient, costs two divides per entry, which is why the

@@ -501,6 +501,25 @@ class TestEigen:
         assert calls == []
 
 
+@pytest.mark.parametrize("command", ["solve", "study", "eigen"])
+def test_spectral_n_not_a_multiple_of_4_exits_2_writing_nothing(capsys, tmp_path, monkeypatch,
+                                                                 command):
+    calls = []
+    monkeypatch.setattr(cli, "spectral_mt_operator", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    flags = {"solve": ["--p", "0.5", "--out-dir", str(out)], "eigen": ["--out-dir", str(out)]}
+    if command == "study":
+        spectral = {"backend": "spectral", "s": 0.3, "gamma": 1.0, "p": 0.5}
+        argv = ["--config", write_config(tmp_path, [{**spectral, "n": 1024},
+                                                    {**spectral, "n": 1026}], out_dir=str(out))]
+    else:
+        argv = ["--backend", "spectral", "--s", "0.3", "--n", "1026", *flags[command]]
+    code, stdout, err = run(capsys, command, *argv)
+    assert code == 2 and stdout == ""
+    assert "n a multiple of 4, got n = 1026" in err
+    assert calls == [] and not out.exists()
+
+
 class TestStudy:
     def test_summary_and_rows(self, capsys, tmp_path):
         cfg = write_config(tmp_path, [SMALL_CASE])

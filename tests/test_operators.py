@@ -310,12 +310,12 @@ class TestApply:
     @given(spectral=st.booleans(), odd=st.booleans(), n_half=st.integers(4, 256),
            seed=st.integers(0, 2 ** 16))
     def test_sector_is_the_left_half_of_the_mirrored_apply(self, spectral, odd, n_half, seed):
-        n = 2 * n_half
-        if spectral:
-            target = spectral_mt_operator(0.3, graded_mesh(n, 1.0))
+        if spectral:  # the matrix transfer runs n = 4q
+            n_half += n_half % 2
+            target = spectral_mt_operator(0.3, graded_mesh(2 * n_half, 1.0))
         else:
             target = assemble(synthetic_k5(ProblemParams(s=0.25, gamma=0.5)),
-                              graded_mesh(n, 2.0))
+                              graded_mesh(2 * n_half, 2.0))
         v = np.random.default_rng(seed).standard_normal(n_half)
         full = np.concatenate([v, -v[::-1] if odd else v[::-1]])
         np.testing.assert_array_equal(apply_sector(target, v, odd),
@@ -381,16 +381,22 @@ class TestSpectralMT:
             operators.SpectralOperator(grid=graded_mesh(8, 1.0), symbol=np.ones(7),
                                        params=ProblemParams(s=0.3, gamma=1.0))
 
-    def test_stores_only_its_symbol(self):
-        op = spectral_mt_operator(0.3, graded_mesh(64, 1.0))
-        arrays = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
-        assert [a.shape for a in arrays] == [(64,)]
+    def test_stores_its_symbol_and_twiddles(self):
+        for n in (8, 64, 4096):
+            op = spectral_mt_operator(0.3, graded_mesh(n, 1.0))
+            assert op.nbytes == op.symbol.nbytes + op.pre.nbytes + op.post.nbytes <= 64 * n
+            assert op.symbol.shape == (n,) and op.pre.shape == op.post.shape == (n // 4,)
+
+    @pytest.mark.parametrize("n", [10, 1026])
+    def test_requires_n_a_multiple_of_4(self, n):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            spectral_mt_operator(0.3, graded_mesh(n, 1.0))
 
     @settings(max_examples=40, deadline=None)
-    @given(s=st.floats(0.0, 1.0, exclude_min=True), n_half=st.integers(32, 256),
+    @given(s=st.floats(0.0, 1.0, exclude_min=True), q=st.integers(16, 128),
            seed=st.integers(0, 2 ** 16))
-    def test_transform_matches_dense_reference(self, s, n_half, seed):
-        grid = graded_mesh(2 * n_half, 1.0)
+    def test_transform_matches_dense_reference(self, s, q, seed):
+        grid = graded_mesh(4 * q, 1.0)
         v = np.random.default_rng(seed).standard_normal(grid.n)
         ref = dense_matrix_transfer(s, grid) @ v
         got = apply(spectral_mt_operator(s, grid), v)
@@ -410,6 +416,21 @@ class TestSpectralMT:
             assert got.shape == ref.shape
             ulps = np.max(np.abs(got - ref) / np.spacing(np.abs(ref)))
             assert ulps <= 4, ulps
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.floats(0.01, 0.5), q=st.integers(2, 1024), odd=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_sectors_match_sine_transform_on_positive_inputs(self, s, q, odd, seed):
+        # the left half of the reference on the whole mirrored vector.  On positive
+        # inputs both sectors' results are positive, and for s <= 1/2 the smallest is
+        # about h^(2s) of the largest or more; as s nears 1 it falls toward h, where
+        # both long-double transforms round to a few float64 ulps of it
+        op = spectral_mt_operator(s, graded_mesh(4 * q, 1.0))
+        v = np.random.default_rng(seed).uniform(1e-3, 1.0, 2 * q)
+        ref = dst_matrix_transfer(op.symbol, operators._mirror(v, odd))[:2 * q]
+        got = apply_sector(op, v, odd)
+        ulps = np.max(np.abs(got - ref) / np.spacing(np.abs(ref)))
+        assert ulps <= 4, ulps
 
 
 def reference_entries(kernel, grid):

@@ -207,12 +207,12 @@ class TestCertificateProperty:
            s=st.floats(0.05, 0.45), gamma=st.floats(0.05, 1.0), p=st.floats(0.05, 0.95),
            k=st.integers(0, 3), tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
     def test_early_enclosure_contains_fixed_point(self, spectral, n_half, s, gamma, p, k, tol):
-        n = 2 * n_half
-        if spectral:  # the matrix transfer is gamma = 1 for any 0 < s <= 1
-            op = spectral_mt_operator(2.0 * s, graded_mesh(n, 1.0))
+        if spectral:  # the matrix transfer runs n = 4q and is gamma = 1 for any 0 < s <= 1
+            n_half += n_half % 2
+            op = spectral_mt_operator(2.0 * s, graded_mesh(2 * n_half, 1.0))
         else:
             op = assemble(synthetic_k5(ProblemParams(s=s, gamma=gamma)),
-                          graded_mesh(n, 3.0))
+                          graded_mesh(2 * n_half, 3.0))
         ref = picard_solve(op, SolverConfig(p=p, tol=1e-13))
         sol = picard_solve(op, SolverConfig(p=p, tol=tol))
         for out, t in ((ref, 1e-13), (sol, tol)):
@@ -232,12 +232,12 @@ class TestCentredIterates:
            tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
     def test_every_enclosure_the_solver_forms_contains_the_fixed_point(
             self, spectral, n_half, s, gamma, p, tol):
-        n = 2 * n_half
-        if spectral:
-            op = spectral_mt_operator(2.0 * s, graded_mesh(n, 1.0))
+        if spectral:  # the matrix transfer runs n = 4q
+            n_half += n_half % 2
+            op = spectral_mt_operator(2.0 * s, graded_mesh(2 * n_half, 1.0))
         else:
             op = assemble(synthetic_k5(ProblemParams(s=s, gamma=gamma)),
-                          graded_mesh(n, 3.0))
+                          graded_mesh(2 * n_half, 3.0))
         ref = picard_solve(op, SolverConfig(p=p, tol=1e-13))
         formed = []
 
