@@ -8,7 +8,7 @@ The synthetic backend takes the two-sided envelope
 as the kernel itself, collocated with cell quadrature, A_ij ~
 int_{cell_j} G(x_i, y) dy, plus one band per row for the diagonal and the
 Gauss-refined cells.  It is folded by x -> 1 - x into two (n/2, n/2)
-blocks, one per mirror sector, each stored as tiled slabs (`_tiles`).  The
+blocks, one per mirror sector, each stored as the `Slab`s of `_tiles`.  The
 spectral backend stores the n eigenvalues of the matrix transfer and
 applies each sector's half of them by a long-double transform of length
 n/2 (float64 rounding breaks the solver's nesting certificate).
@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,9 +104,10 @@ class GreenOperator:
         A_LL + A_LR J = S_even diag(w_L),    A_LL - A_LR J = S_odd diag(w_L),
 
     on mirror-even and mirror-odd vectors.  `even` and `odd` hold S_even
-    and S_odd, laid out by `tiles`; `odd` is built when first read, so the
-    even sector never builds it.  `band` is kept for `entries`.  An
-    operator made from given blocks passes its own layout, and no band.
+    and S_odd, laid out by `tiles`, the `Slab`s and `Part`s that `_tiles`
+    builds and whose docstrings give the format; `odd` is built when first
+    read, so the even sector never builds it.  `band` is kept for `entries`.
+    An operator made from given blocks passes its own layout, and no band.
     """
 
     grid: Grid
@@ -113,13 +115,13 @@ class GreenOperator:
     build_odd: Callable[[], np.ndarray]
     params: ProblemParams
     band: np.ndarray | None
-    tiles: tuple
+    tiles: tuple[Slab, ...]
 
     def __post_init__(self):
         self._check(self.even)
 
     def _check(self, block: np.ndarray):
-        if block.shape != (self.tiles[-1][4][-1][3],):
+        if block.shape != (_block_length(self.tiles),):
             raise ValueError("block shapes do not match grid")
 
     @cached_property
@@ -137,24 +139,51 @@ _BLOCK_ENTRIES = 2 ** 16  # matrix entries per row block of the assembly
 _SLAB_ROWS = 256  # rows per slab of a folded block
 _SEPARATION = 2.0  # a column nearer a slab than this many slab widths is stored dense
 _FAR_GAIN = 1e17  # k Chebyshev points make rho^-k at most 1e-14 / 1e3
+_NEAR_BAND = 8        # off-diagonal band refined by Gauss quadrature
+_GAUSS_NODES = 8
 
 
-def _tiles(grid: Grid):
-    """The layout of a folded block: (r0, r1, k, at, parts) per slab.
+class Part(NamedTuple):
+    """Columns [c0, c1) of a slab, row by row in block[start:stop]: S[r0:r1, c0:c1], or if
+    `low` its k rows V[q, j] = S(xi_q, y_j) / xi_q^gamma, with S[r0:r1, c0:c1] = U V."""
 
-    Slabs hold _SLAB_ROWS rows, the last the rest and always the last
-    _NEAR_BAND: near x = 1/2 the stored-node kernel is asymmetric in its
-    last bits, and a slab's square is never mirrored.  Slab [r0, r1) stores
-    S[r0:r1, r0:] as runs of columns (c0, c1, start, stop, low), each a
-    matrix in block[start:stop]: S[r0:r1, c0:c1], or if low V[q, j] =
-    S(xi_q, y_j) / xi_q^gamma at the k Chebyshev points of the slab's cells
-    [lo, hi], with S = U V for the slab's one U[i, q] = x_i^gamma l_q(x_i)
-    in block[at:].  Column j is far when y_j and xr = fl(1 - y_j), the
-    kernel's singularities, lie _SEPARATION widths beyond the slab and no
-    min-factor kink (x = y/2, xr/2, xr - y) crosses [lo, hi]: one branch
-    holds, analytic but at y, xr and, once x > y/2 or xr/2, at 0 (x^gamma
-    itself is not).  k is the least with rho^k >= _FAR_GAIN, rho the
-    Bernstein ellipse of the nearest singularity u on [-1, 1].  The
+    c0: int
+    c1: int
+    start: int
+    stop: int
+    low: bool
+
+
+class Slab(NamedTuple):
+    """Rows [r0, r1) of a folded block S, which hold S[r0:r1, r0:] as `parts` in column order.
+
+    Its U[i, q] = x_i^gamma l_q(x_i), l_q the Lagrange basis of k Chebyshev points xi_q on its
+    cells, is in block[at:at + (r1 - r0) * k], row by row; each part starts where the last stops.
+    Slabs hold _SLAB_ROWS rows, the last the rest and always the last _NEAR_BAND: near x = 1/2
+    the stored-node kernel is asymmetric in its last bits, and a square is never mirrored.
+    """
+
+    r0: int
+    r1: int
+    k: int
+    at: int
+    parts: tuple[Part, ...]
+
+
+def _block_length(tiles: tuple[Slab, ...]) -> int:
+    """The length of a block laid out by `tiles`: where its last part stops."""
+    return tiles[-1].parts[-1].stop
+
+
+def _tiles(grid: Grid) -> tuple[Slab, ...]:
+    """The `Slab`s of a folded block, and which of their columns are far.
+
+    Column j is far when y_j and xr = fl(1 - y_j), the kernel's
+    singularities, lie _SEPARATION widths beyond the slab's cells [lo, hi]
+    and no min-factor kink (x = y/2, xr/2, xr - y) crosses [lo, hi]: one
+    branch holds, analytic but at y, xr and, once x > y/2 or xr/2, at 0
+    (x^gamma itself is not).  k is the least with rho^k >= _FAR_GAIN, rho
+    the Bernstein ellipse of the nearest singularity u on [-1, 1].  The
     separation puts y and xr at u >= 5, and 0 counts only if min(y, xr) <
     2 lo, so hi < 4 lo / 3 and 0 is at u > 7: rho >= 5 + sqrt(24), k <= 18.
     A far column lies past the slab's band, below n/2, so never in the last
@@ -178,9 +207,9 @@ def _tiles(grid: Grid):
         parts, start = [], at + (r1 - r0) * k
         for c0, c1 in zip(edges, edges[1:]):
             stop = start + (k if low[c0] else r1 - r0) * (c1 - c0)
-            parts.append((r0 + c0, r0 + c1, start, stop, bool(low[c0])))
+            parts.append(Part(r0 + c0, r0 + c1, start, stop, bool(low[c0])))
             start = stop
-        tiles.append((r0, r1, k, at, tuple(parts)))
+        tiles.append(Slab(r0, r1, k, at, tuple(parts)))
         at = start
     return tuple(tiles)
 
@@ -224,7 +253,7 @@ def _fold(kernel: GreenKernel, grid: Grid, combine, band, tiles) -> np.ndarray:
     """
     x, d, n = grid.nodes, grid.delta, grid.n
     g = kernel.params.gamma
-    block = np.empty(tiles[-1][4][-1][3])  # up to the last part's stop
+    block = np.empty(_block_length(tiles))
     cap = max(1, _BLOCK_ENTRIES // n) * n  # entries per row block: whole rows of the grid
     buffers = np.empty((3, cap))
     offsets = np.arange(-_NEAR_BAND, _NEAR_BAND + 1)
@@ -290,9 +319,6 @@ def _own_cell_integral(half_width, a: float):
     """int |x_c - y|^{a-1} dy over a cell of the given half-width about x_c."""
     return 2.0 * half_width ** a / a
 
-
-_NEAR_BAND = 8        # off-diagonal band refined by Gauss quadrature
-_GAUSS_NODES = 8
 
 def _corrected_band(params: ProblemParams, grid: Grid):
     """The (n/2, 2 _NEAR_BAND + 1) kernel values in rows < n/2 that the envelope misses.

@@ -20,14 +20,15 @@ can be shown to select the same nodes.  All are kept here only as the
 independent references the library is tested against.  Tests build
 operators by hand from a plain (n/2, n/2) block: `pack_block` stores it
 whole, row by row, and `whole_square` is the layout that stores it so, one
-slab of one dense part.  `apply_columns` applies an operator, which takes
-one vector at a time, to the columns of a matrix.
+`Slab` of one dense `Part`: the records that `_tiles` builds, whose
+docstrings give the storage format.  `apply_columns` applies an operator,
+which takes one vector at a time, to the columns of a matrix.
 """
 
 import numpy as np
 
 from nonlocal_sharp.grids import boundary_distance
-from nonlocal_sharp.operators import _own_cell_integral, apply
+from nonlocal_sharp.operators import Part, Slab, _own_cell_integral, apply
 
 
 def quotient_envelope(r, dx, dy, params):
@@ -114,7 +115,7 @@ def whole_square(grid):
     block keeps its lower triangle.
     """
     half = grid.n // 2
-    return ((0, half, 0, 0, ((0, half, 0, half * half, False),)),)
+    return (Slab(0, half, 0, 0, (Part(0, half, 0, half * half, False),)),)
 
 
 def curve_fit_offset(t, y, k0):

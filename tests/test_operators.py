@@ -112,7 +112,7 @@ class TestAssemble:
         grid = graded_mesh(2 * n_half, 1.0)
         with mock.patch.object(operators, "_SLAB_ROWS", 128):
             op = assemble(kernel, grid)
-        assert [r0 for r0, *_ in op.tiles] == [0]
+        assert [slab.r0 for slab in op.tiles] == [0]
         top = apply_columns(op, np.eye(grid.n))[:n_half]  # not mirror-even: builds the odd block
         ref = dense_synthetic_assembly(kernel, grid)
         assert np.max(np.abs(top - ref[:n_half])) <= 1e-14 * np.max(np.abs(ref))
@@ -137,12 +137,13 @@ class TestAssemble:
         op = GreenOperator(grid=grid, even=pack_block(np.eye(4), grid),
                            build_odd=lambda: np.eye(4), params=params,  # square, not packed
                            band=None, tiles=whole_square(grid))
+        assert_laid_out_end_to_end(op.tiles, 4)
         with pytest.raises(ValueError, match="block shapes"):
             op.odd
         # a tiled block under the layout of a whole square
         with mock.patch.object(operators, "_SLAB_ROWS", 32):
             tiled = assemble(synthetic_k5(params), graded_mesh(400, 3.0))
-        assert any(low for *_, parts in tiled.tiles for *_, low in parts)
+        assert any(part.low for slab in tiled.tiles for part in slab.parts)
         with pytest.raises(ValueError, match="block shapes"):
             GreenOperator(grid=tiled.grid, even=tiled.even, build_odd=lambda: tiled.even,
                           params=params, band=None, tiles=whole_square(tiled.grid))
@@ -155,8 +156,8 @@ class TestAssemble:
         # each (600, 600) block: slab 0-255 stores U, its 256 x 18 Chebyshev basis, its
         # dense columns 0-368 and 592-599, and 18 Chebyshev rows of its far columns 369-591;
         # slabs 256-511 and 512-599 store their upper rows dense
-        parts = [[(c0, c1, low) for c0, c1, _, _, low in p] for *_, p in op.tiles]
-        assert [r0 for r0, *_ in op.tiles] == [0, 256, 512]
+        parts = [[(p.c0, p.c1, p.low) for p in slab.parts] for slab in op.tiles]
+        assert [slab.r0 for slab in op.tiles] == [0, 256, 512]
         assert parts == [[(0, 369, False), (369, 592, True), (592, 600, False)],
                          [(256, 600, False)], [(512, 600, False)]]
         block = (256 * 18 + 256 * 369 + 18 * 223 + 256 * 8 + 256 * 344 + 88 * 88,)
@@ -445,9 +446,29 @@ def reference_entries(kernel, grid):
 
 def assert_far_fields_fit(tiles):
     """Some slab has a far field; each such slab is _SLAB_ROWS high with 1 <= k <= 18, not the last."""
-    far = [(r1 - r0, k) for r0, r1, k, _, parts in tiles if any(low for *_, low in parts)]
-    assert far and all(rows == operators._SLAB_ROWS and 1 <= k <= 18 for rows, k in far)
-    assert not any(low for *_, low in tiles[-1][4])
+    far = [slab for slab in tiles if any(part.low for part in slab.parts)]
+    assert far and all(slab.r1 - slab.r0 == operators._SLAB_ROWS and 1 <= slab.k <= 18
+                       for slab in far)
+    assert not any(part.low for part in tiles[-1].parts)
+
+
+def assert_laid_out_end_to_end(tiles, half):
+    """No float of the block is skipped or shared, and each slab's parts cover columns r0 .. half.
+
+    Each slab's U starts at the last stop, each part where the one before it stops, and a part
+    holds (k if low else r1 - r0) rows of c1 - c0 floats; the last stop is the block's length.
+    """
+    end = 0
+    for slab in tiles:
+        assert slab.at == end
+        end, col = slab.at + (slab.r1 - slab.r0) * slab.k, slab.r0
+        for part in slab.parts:
+            assert (part.start, part.c0) == (end, col) and part.c1 > part.c0
+            rows = slab.k if part.low else slab.r1 - slab.r0
+            assert part.stop - part.start == rows * (part.c1 - part.c0)
+            end, col = part.stop, part.c1
+        assert col == half
+    assert end == operators._block_length(tiles)
 
 
 def assert_sectors_match_entries(op):
@@ -511,22 +532,19 @@ class TestEntries:
             op = assemble(kernel, grid)
         ref = dense_synthetic_assembly(kernel, grid)[:half] / grid.weights
         left, right = ref[:, :half], ref[:, half:][:, ::-1]
+        assert_laid_out_end_to_end(op.tiles, half)
         # the odd block cancels, so it is as precise as the even one, absolutely
         for block, S in ((op.even, left + right), (op.odd, left - right)):
-            end = 0
-            for r0, r1, k, at, parts in op.tiles:
-                assert at == end and parts[0][0] == r0 and parts[-1][1] == half
-                U = block[at:at + (r1 - r0) * k].reshape(r1 - r0, k)
-                end = at + U.size
-                for c0, c1, start, stop, low in parts:
-                    assert start == end and (c0 == r0 or c0 == prev)
-                    P = block[start:stop].reshape(k if low else r1 - r0, c1 - c0)
-                    got = U @ P if low else P
-                    scale = (left + right)[r0:r1, c0:c1]
-                    assert np.all(np.abs(got - S[r0:r1, c0:c1]) <= 1e-14 * scale)
-                    end, prev = stop, c1
-            assert end == block.size
-        assert sum(low for *_, parts in op.tiles for *_, low in parts) == 10
+            assert block.size == operators._block_length(op.tiles)
+            for slab in op.tiles:
+                h = slab.r1 - slab.r0
+                U = block[slab.at:slab.at + h * slab.k].reshape(h, slab.k)
+                for part in slab.parts:
+                    P = block[part.start:part.stop].reshape(-1, part.c1 - part.c0)
+                    got = U @ P if part.low else P
+                    want, scale = (m[slab.r0:slab.r1, part.c0:part.c1] for m in (S, left + right))
+                    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+        assert sum(part.low for slab in op.tiles for part in slab.parts) == 10
 
     @settings(max_examples=25, deadline=None)
     @given(s=st.floats(0.01, 0.49), gamma=st.floats(0.05, 1.0), beta=st.floats(1.0, 4.0),
@@ -541,11 +559,13 @@ class TestEntries:
     @pytest.mark.parametrize("n", [2400, 4000, 16000])
     def test_far_fields_lie_in_full_slabs_at_the_shipped_slab_height(self, n):
         # the bound that lets `_tiles` store every far field it finds
-        assert_far_fields_fit(operators._tiles(graded_mesh(n, 3.0)))
+        tiles = operators._tiles(graded_mesh(n, 3.0))
+        assert_far_fields_fit(tiles)
+        assert_laid_out_end_to_end(tiles, n // 2)
 
     def test_tiled_sectors_match_the_rule_at_the_shipped_slab_height(self):
         op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(2400, 3.0))
-        assert [k for _, _, k, *_ in op.tiles] == [18, 18, 18, 0, 0]
+        assert [slab.k for slab in op.tiles] == [18, 18, 18, 0, 0]
         assert_sectors_match_entries(op)
 
     @pytest.mark.parametrize("n", [200, 1000])
