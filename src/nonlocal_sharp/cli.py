@@ -9,11 +9,15 @@ solver certificate (RuntimeError), memory, arithmetic, or a numerical check
 All file outputs are written atomically (temporary file + rename) with
 deterministic formatting: floats at 17 significant digits, '.' decimal
 separator, '\\n' line endings, JSON with stable key order.
+A CLI process, `main()` with no argv, freezes its import heap at entry
+(`gc.freeze`), so the collections at its exit and in its forked study
+workers skip that heap; an in-process `main(argv)` leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import pickle
@@ -577,6 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:  # a CLI process: its exit's and its workers' collections skip the imports
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

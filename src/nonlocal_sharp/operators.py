@@ -89,7 +89,7 @@ def _stored_bytes(op) -> int:
     """An operator's `nbytes`: the bytes of its top-level arrays.
 
     A GreenOperator's band, even and odd once built; a SpectralOperator's
-    symbol and twiddles.
+    symbol, twiddles and scaled even half of the symbol.
     """
     return sum(a.nbytes for a in vars(op).values() if isinstance(a, np.ndarray))
 
@@ -141,6 +141,13 @@ _SEPARATION = 2.0  # a column nearer a slab than this many slab widths is stored
 _FAR_GAIN = 1e17  # k Chebyshev points make rho^-k at most 1e-14 / 1e3
 _NEAR_BAND = 8        # off-diagonal band refined by Gauss quadrature
 _GAUSS_NODES = 8
+# the rule np.polynomial.legendre.leggauss(8) gives, bit for bit, without importing numpy.polynomial
+_GAUSS_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                     -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                     0.7966664774136267, 0.9602898564975362])
+_GAUSS_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                     0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                     0.22238103445337443, 0.10122853629037706])
 
 
 class Part(NamedTuple):
@@ -334,7 +341,6 @@ def _corrected_band(params: ProblemParams, grid: Grid):
     points go through the envelope together, in blocks of cells: a larger
     scratch would stay resident in a study worker (see _BLOCK_ENTRIES).
     """
-    gx, gw = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     x, w, n, half = grid.nodes, grid.weights, grid.n, grid.n // 2
     k = _NEAR_BAND
     # means[c, m] = (1/w_c) int_{cell_c} G(x_i, y) dy at the rows i = c + offsets[m] around cell c;
@@ -342,7 +348,7 @@ def _corrected_band(params: ProblemParams, grid: Grid):
     cells = np.arange(min(half + k, n))
     offsets = np.r_[-k:0, 1:k + 1]
     lo, hi = grid.boundaries[cells], grid.boundaries[cells + 1]
-    y = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * gx
+    y = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _GAUSS_X
     xi = x[np.clip(cells[:, None] + offsets, 0, n - 1)][:, :, None]
     dx, dy = np.minimum(xi, 1.0 - xi), np.minimum(y, 1.0 - y)[:, None]
     step = max(1, _BLOCK_ENTRIES // (offsets.size * _GAUSS_NODES))  # cells per envelope call
@@ -354,7 +360,7 @@ def _corrected_band(params: ProblemParams, grid: Grid):
         # Gauss points lie inside their cells, so r > 0 and every point is in [0, 1]
         np.abs(np.subtract(xi[c0:c1], y[c0:c1, None], out=r), out=r)
         _envelope(r, dx[c0:c1], dy[c0:c1], params, out=out, scratch=scratch)
-        means[c0:c1] = out @ gw
+        means[c0:c1] = out @ _GAUSS_W
     means = (0.5 * (hi - lo))[:, None] * means / w[cells, None]
     band = np.zeros((half, 2 * k + 1))  # row i holds the columns i - k .. i + k
     band[:, k] = _own_cell_integral(0.5 * w, 2.0 * params.s)[:half] / w[:half]
@@ -373,7 +379,8 @@ class SpectralOperator:
     symbol[k - 1] = lambda_k(h)^{-s}, the eigenvalue of the sine mode
     sin(k pi x) restricted to the uniform midpoint grid.  The operator is
     symmetric, so it is self-adjoint in <u, v>_w like GreenOperator.  `pre`
-    and `post` are the twiddles of `_dst4`, built once.
+    and `post` are the twiddles of `_dst4`, and `even_symbol` is the even
+    sector's symbol[0::2] 2/N in long double, N = n/2, all built once.
     """
 
     grid: Grid
@@ -381,6 +388,7 @@ class SpectralOperator:
     params: ProblemParams
     pre: np.ndarray = field(init=False, repr=False)
     post: np.ndarray = field(init=False, repr=False)
+    even_symbol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_spectral_grid(self.grid)
@@ -390,6 +398,7 @@ class SpectralOperator:
         k = np.arange(n // 4, dtype=np.longdouble)
         object.__setattr__(self, "pre", np.exp(-2j * pi * k / n))  # exp(-i pi k / N), N = n/2
         object.__setattr__(self, "post", np.exp(-1j * pi * (4 * k + 1) / (2 * n)))
+        object.__setattr__(self, "even_symbol", self.symbol[0::2] * (2 / np.longdouble(n // 2)))
 
     nbytes = property(_stored_bytes)
 
@@ -454,7 +463,7 @@ def _sector(op: Operator, v: np.ndarray, odd: bool) -> np.ndarray:
         return _block_apply(op, op.odd if odd else op.even, v)
     half, v = op.grid.n // 2, v.astype(np.longdouble)
     if not odd:
-        return _dst4(op, op.symbol[0::2] * (2 / np.longdouble(half)) * _dst4(op, v))
+        return _dst4(op, op.even_symbol * _dst4(op, v))
     coef = np.fft.rfft(np.concatenate([v, -v[::-1]]))
     coef[0] = 0.0  # the mean, which no sine mode has
     coef[1:] *= op.symbol[1::2]

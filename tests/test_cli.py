@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import os
 import pickle
@@ -940,6 +941,36 @@ class TestStudy:
         assert summary["errors"] == [{"case": 1, "error": "ConvergenceError: did not converge"}]
         assert summary["n_cases"] == 3
         assert (tmp_path / "study.csv").read_text().splitlines() == [full[0], full[1], full[3]]
+
+
+class TestHeapFreeze:
+    """A CLI process, main() with no argv, freezes its import heap; main(argv) does not."""
+
+    def test_cli_process_freezes_its_import_heap(self):
+        code = ("import gc, sys; from nonlocal_sharp import cli; "
+                "sys.argv = ['nonlocal-sharp', 'predict', '--s', '0.2', '--p', '0.5']; "
+                "assert cli.main() == 0; print(gc.get_freeze_count())")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, cwd=ROOT / "src")
+        assert int(out.stdout.splitlines()[-1]) > 0
+
+    def test_in_process_main_leaves_the_collector_alone(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert run(capsys, "predict", "--s", "0.2", "--p", "0.5")[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_module_entry_writes_the_bytes_in_process_main_writes(self, capsys, tmp_path):
+        # two operators and two jobs: the cases run in workers forked from the frozen heap
+        case = {"backend": "spectral", "s": 0.3, "gamma": 1.0, "p": 0.5, "n": 256}
+        cfg = write_config(tmp_path, [case, {**case, "s": 0.6, "p": 0.4}])
+        flags = ["study", "--config", cfg, "--jobs", "2", "--out-dir"]
+        subprocess.run([sys.executable, "-m", "nonlocal_sharp.cli", *flags,
+                        str(tmp_path / "module")], capture_output=True, check=True,
+                       cwd=ROOT / "src")
+        assert run(capsys, *flags, str(tmp_path / "main"))[0] == 0
+        for name in ("study.csv", "summary.json"):
+            assert ((tmp_path / "module" / name).read_bytes()
+                    == (tmp_path / "main" / name).read_bytes())
 
 
 class TestReadme:

@@ -49,13 +49,10 @@ def traced_assembly(n):
     """(stored bytes, tracemalloc peak) of a fresh synthetic assembly on n nodes.
 
     The stored bytes, `nbytes`, are read before anything touches the odd
-    block, which reading would build.  numpy.polynomial, which the Gauss
-    rule imports on first use, is loaded before tracing starts: tracemalloc
-    would count it.
+    block, which reading would build.
     """
     kernel = synthetic_k5(ProblemParams(s=0.2, gamma=1.0))
     grid = graded_mesh(n, 3.0)
-    np.polynomial.legendre.leggauss(operators._GAUSS_NODES)
     tracemalloc.start()
     try:
         op = assemble(kernel, grid)
@@ -199,6 +196,11 @@ class TestAssemble:
         for seed in range(2):  # each sample reads entries
             check_kernel_bounds(op, n_samples=200, seed=seed)
         assert calls == [128]
+
+    def test_stored_gauss_rule_is_numpys_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(operators._GAUSS_NODES)
+        assert np.array_equal(operators._GAUSS_X, nodes)
+        assert np.array_equal(operators._GAUSS_W, weights)
 
     def test_operator_from_given_blocks_has_no_entries(self):
         grid = graded_mesh(8, 1.0)
@@ -385,8 +387,10 @@ class TestSpectralMT:
     def test_stores_its_symbol_and_twiddles(self):
         for n in (8, 64, 4096):
             op = spectral_mt_operator(0.3, graded_mesh(n, 1.0))
-            assert op.nbytes == op.symbol.nbytes + op.pre.nbytes + op.post.nbytes <= 64 * n
+            stored = op.symbol.nbytes + op.pre.nbytes + op.post.nbytes + op.even_symbol.nbytes
+            assert op.nbytes == stored <= 64 * n
             assert op.symbol.shape == (n,) and op.pre.shape == op.post.shape == (n // 4,)
+            assert op.even_symbol.shape == (n // 2,)
 
     @pytest.mark.parametrize("n", [10, 1026])
     def test_requires_n_a_multiple_of_4(self, n):
@@ -644,17 +648,18 @@ def test_import_leaves_out_scipy_integrate():
 CRITICAL_CASE = {"backend": "synthetic", "s": 0.25, "gamma": 1.0, "p": 0.5, "n": 1000,
                  "beta_g": 3.0, "force_critical": True}
 SPECTRAL_CASE = {"backend": "spectral", "s": 0.3, "gamma": 1.0, "p": 0.5, "n": 256}
+SPECTRAL_STUDY = [SPECTRAL_CASE, {**SPECTRAL_CASE, "s": 0.6, "p": 0.4}]
+SYNTHETIC_CASE = {"backend": "synthetic", "s": 0.2, "gamma": 1.0, "p": 0.5, "n": 400}
 
 
-def modules_loaded(step, tmp_path, package="scipy"):
+def modules_loaded(step, tmp_path, package="scipy", cases=SPECTRAL_STUDY):
     """The modules of a package a fresh process running `step` holds, and those any process logs.
 
     With PYTHONPROFILEIMPORTTIME every process, study workers included, logs its
     imports to stderr, so an import in a worker shows there although it leaves the
-    step's own sys.modules alone.  argv[1] is tmp_path, which holds a two-case
-    spectral study config.
+    step's own sys.modules alone.  argv[1] is tmp_path, which holds the study
+    config of `cases`, by default two spectral cases.
     """
-    cases = [SPECTRAL_CASE, {**SPECTRAL_CASE, "s": 0.6, "p": 0.4}]
     (tmp_path / "study.json").write_text(json.dumps({"cases": cases}))
     code = step + f"\nimport sys; print([m for m in sys.modules if m.startswith({package!r})])"
     src = Path(nonlocal_sharp.__file__).parents[1]  # the package under test, not an install
@@ -697,3 +702,9 @@ def test_spectral_path_loads_no_scipy(step, tmp_path):
 @pytest.mark.parametrize("package", ["concurrent", "multiprocessing"])
 def test_study_workers_load_no_pool_module(package, tmp_path):
     assert modules_loaded(STUDY_STEP, tmp_path, package) == ("[]", [])
+
+
+def test_synthetic_study_workers_load_no_numpy_polynomial(tmp_path):
+    # the corrected band's Gauss rule is stored, so no worker's first build imports it
+    cases = [SYNTHETIC_CASE, {**SYNTHETIC_CASE, "s": 0.3}]
+    assert modules_loaded(STUDY_STEP, tmp_path, "numpy.polynomial", cases) == ("[]", [])
