@@ -19,9 +19,8 @@ stored blocks.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -44,14 +43,19 @@ class GreenKernel:
         """|x-y|^{2s-1} min(delta(x)^g/|x-y|^g, 1) min(delta(y)^g/|x-y|^g, 1).
 
         Vectorized over x, y; the diagonal x = y is singular and must be
-        handled by cell-integrated quadrature instead.
+        handled by cell-integrated quadrature instead.  Where the product
+        form overflows (r^{2s-1-2gamma} at r ~ 1e-104) or a value is not
+        finite, it raises ValueError and never returns inf or NaN.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         r = np.abs(x - y)
         if np.any(r == 0.0):
             raise DiagonalSingularityError("kernel is singular on the diagonal x = y")
-        val = _envelope(r, boundary_distance(x), boundary_distance(y), self.params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = _envelope(r, boundary_distance(x), boundary_distance(y), self.params)
+        if not np.all(np.isfinite(val)):
+            raise ValueError("kernel value is not a finite float at these points")
         return float(val) if val.ndim == 0 else val
 
 
@@ -105,30 +109,23 @@ class GreenOperator:
 
     on mirror-even and mirror-odd vectors.  `even` and `odd` hold S_even
     and S_odd, laid out by `tiles`, the `Slab`s and `Part`s that `_tiles`
-    builds and whose docstrings give the format; `odd` is built when first
-    read, so the even sector never builds it.  `band` is kept for `entries`.
-    An operator made from given blocks passes its own layout, and no band.
+    builds and whose docstrings give the format.  `_fold` builds each from
+    the four fields the first time it is read, so the even sector never
+    builds `odd`; `band` is kept for the folds and for `entries`.
     """
 
     grid: Grid
-    even: np.ndarray
-    build_odd: Callable[[], np.ndarray]
     params: ProblemParams
-    band: np.ndarray | None
+    band: np.ndarray
     tiles: tuple[Slab, ...]
 
-    def __post_init__(self):
-        self._check(self.even)
-
-    def _check(self, block: np.ndarray):
-        if block.shape != (_block_length(self.tiles),):
-            raise ValueError("block shapes do not match grid")
+    @cached_property
+    def even(self) -> np.ndarray:
+        return _fold(self, np.add)
 
     @cached_property
     def odd(self) -> np.ndarray:
-        odd = self.build_odd()
-        self._check(odd)
-        return odd
+        return _fold(self, np.subtract)
 
     nbytes = property(_stored_bytes)
 
@@ -241,25 +238,27 @@ def _chebyshev(grid: Grid, r0: int, r1: int, k: int, scale, out) -> np.ndarray:
 def assemble(kernel: GreenKernel, grid: Grid) -> GreenOperator:
     """Assemble the folded operator of the synthetic kernel.
 
-    Builds `even` now and leaves `odd` to the same fold with np.subtract;
-    both read the one band and the one layout, which the operator keeps.
+    Computes the band and the layout, and reads `even` before it returns,
+    so the build owns the even fold's cost and its errors; `odd` is the
+    same fold with np.subtract, left to its first read.
     """
-    band, tiles = _corrected_band(kernel.params, grid), _tiles(grid)
-    return GreenOperator(grid=grid, even=_fold(kernel, grid, np.add, band, tiles),
-                         build_odd=partial(_fold, kernel, grid, np.subtract, band, tiles),
-                         params=kernel.params, band=band, tiles=tiles)
+    op = GreenOperator(grid=grid, params=kernel.params,
+                       band=_corrected_band(kernel.params, grid), tiles=_tiles(grid))
+    op.even
+    return op
 
 
-def _fold(kernel: GreenKernel, grid: Grid, combine, band, tiles) -> np.ndarray:
-    """The block S = combine(K_LL, K_LR J) of kernel values, laid out by `tiles`.
+def _fold(op: GreenOperator, combine) -> np.ndarray:
+    """The block S = combine(K_LL, K_LR J) of op's kernel values, laid out by op.tiles.
 
     Each part evaluates the envelope at its rows (nodes, or Chebyshev
     points) against its columns, then their mirrors, in row blocks that
     reuse one set of buffers, and combines the halves.  A dense part takes
     the band's entries by offset j - i, with r = 1 there first.
     """
+    grid, params, band, tiles = op.grid, op.params, op.band, op.tiles
     x, d, n = grid.nodes, grid.delta, grid.n
-    g = kernel.params.gamma
+    g = params.gamma
     block = np.empty(_block_length(tiles))
     cap = max(1, _BLOCK_ENTRIES // n) * n  # entries per row block: whole rows of the grid
     buffers = np.empty((3, cap))
@@ -287,7 +286,7 @@ def _fold(kernel: GreenKernel, grid: Grid, combine, band, tiles) -> np.ndarray:
                     j += np.arange(t1 - t0)[:, None] * w - c0 + mirror * ((t1 - t0) * w)
                     at_band = j[on]
                     r.put(at_band, 1.0)  # placeholders, overwritten below
-                _envelope(r, ds[t0:t1, None], dc, kernel.params, out=G, scratch=scratch)
+                _envelope(r, ds[t0:t1, None], dc, params, out=G, scratch=scratch)
                 if banded:
                     G.put(at_band, band[r0 + t0:r0 + t1][on])
                 combine(G[0], G[1], out=out[t0:t1])
@@ -384,18 +383,18 @@ class SpectralOperator:
     """
 
     grid: Grid
-    symbol: np.ndarray
     params: ProblemParams
+    symbol: np.ndarray = field(init=False, repr=False)
     pre: np.ndarray = field(init=False, repr=False)
     post: np.ndarray = field(init=False, repr=False)
     even_symbol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_spectral_grid(self.grid)
-        if self.symbol.shape != (self.grid.n,):
-            raise ValueError("symbol length does not match grid")
-        n, pi = self.grid.n, np.arccos(np.longdouble(-1))
+        n, h, pi = self.grid.n, 1.0 / self.grid.n, np.arccos(np.longdouble(-1))
+        lam = (4.0 / h ** 2) * np.sin(np.arange(1, n + 1, dtype=float) * np.pi * h / 2.0) ** 2
         k = np.arange(n // 4, dtype=np.longdouble)
+        object.__setattr__(self, "symbol", lam ** (-self.params.s))  # lambda_k(h)^{-s}
         object.__setattr__(self, "pre", np.exp(-2j * pi * k / n))  # exp(-i pi k / N), N = n/2
         object.__setattr__(self, "post", np.exp(-1j * pi * (4 * k + 1) / (2 * n)))
         object.__setattr__(self, "even_symbol", self.symbol[0::2] * (2 / np.longdouble(n // 2)))
@@ -506,8 +505,6 @@ def entries(op: Operator, i, j) -> np.ndarray:
         return (c[np.abs(i - j)] - c[i + j + 1]).astype(float)
     flip = i >= n // 2
     i, j = np.where(flip, n - 1 - i, i), np.where(flip, n - 1 - j, j)
-    if op.band is None:
-        raise ValueError("an operator made from given blocks has no rule to read entries by")
     k = _NEAR_BAND
     near = np.abs(j - i) <= k  # j lies in the grid, so the band holds (i, j)
     x, d = op.grid.nodes, op.grid.delta
@@ -526,12 +523,7 @@ def spectral_mt_operator(s: float, grid: Grid) -> SpectralOperator:
     under antisymmetric ghost reflection), which `apply_sector` supplies by
     FFT.  The grid must pass `_check_spectral_grid`, else ValueError.
     """
-    params = ProblemParams(s=s, gamma=1.0)
-    n = grid.n
-    h = 1.0 / n
-    k = np.arange(1, n + 1, dtype=float)
-    lam = (4.0 / h ** 2) * np.sin(k * np.pi * h / 2.0) ** 2
-    return SpectralOperator(grid=grid, symbol=lam ** (-s), params=params)
+    return SpectralOperator(grid=grid, params=ProblemParams(s=s, gamma=1.0))
 
 
 def green_q_norm(kernel: GreenKernel, grid: Grid, x0_index: int, q: float) -> float:

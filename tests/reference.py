@@ -17,18 +17,20 @@ eigenfunction ratios and the q-norm profile each used to select their
 boundary nodes with their own rule; the rules are kept as they were
 written, for the values in use, so that the one `Grid.boundary_window`
 can be shown to select the same nodes.  All are kept here only as the
-independent references the library is tested against.  Tests build
-operators by hand from a plain (n/2, n/2) block: `pack_block` stores it
-whole, row by row, and `whole_square` is the layout that stores it so, one
-`Slab` of one dense `Part`: the records that `_tiles` builds, whose
-docstrings give the storage format.  `apply_columns` applies an operator,
-which takes one vector at a time, to the columns of a matrix.
+independent references the library is tested against.  The library makes
+each operator from its grid and parameters alone; tests also make one
+from a plain (n/2, n/2) block: `pack_block` stores it whole, row by row,
+`whole_square` is the layout that stores it so, one `Slab` of one dense
+`Part` (the records that `_tiles` builds, whose docstrings give the
+storage format), and `given_blocks` makes the operator.  `apply_columns`
+applies an operator, which takes one vector at a time, to the columns of
+a matrix.
 """
 
 import numpy as np
 
 from nonlocal_sharp.grids import boundary_distance
-from nonlocal_sharp.operators import Part, Slab, _own_cell_integral, apply
+from nonlocal_sharp.operators import GreenOperator, Part, Slab, _own_cell_integral, apply
 
 
 def quotient_envelope(r, dx, dy, params):
@@ -116,6 +118,19 @@ def whole_square(grid):
     """
     half = grid.n // 2
     return (Slab(0, half, 0, 0, (Part(0, half, 0, half * half, False),)),)
+
+
+def given_blocks(grid, params, even, odd=None, tiles=None):
+    """A GreenOperator whose stored blocks are given: `even`, and `odd` (else `even` again).
+
+    They are laid out by `tiles`, else by `whole_square(grid)`.  It has no
+    band, as no rule defines its entries, and its blocks go into vars(op),
+    the slots that `cached_property` fills, so neither fold ever runs.
+    """
+    op = GreenOperator(grid=grid, params=params, band=None,
+                       tiles=whole_square(grid) if tiles is None else tiles)
+    vars(op).update(even=even, odd=even if odd is None else odd)
+    return op
 
 
 def curve_fit_offset(t, y, k0):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from reference import pack_block, whole_square
+from reference import given_blocks, pack_block
 
 from nonlocal_sharp import (
     ConvergenceError,
-    GreenOperator,
     ProblemParams,
     apply,
     assemble,
@@ -115,10 +114,8 @@ class TestSyntheticEigenpairs:
         # 200 evenly spaced eigenvalues: one restart cannot isolate the top one
         grid = graded_mesh(200, 1.0)
         mus = np.linspace(1.0, 2.0, grid.n)  # every other one to each block
-        op = GreenOperator(grid=grid, even=pack_block(np.diag(mus[1::2]), grid),
-                           build_odd=lambda: pack_block(np.diag(mus[::2]), grid),
-                           params=ProblemParams(s=0.3, gamma=1.0), band=None,
-                           tiles=whole_square(grid))
+        op = given_blocks(grid, ProblemParams(s=0.3, gamma=1.0),
+                          pack_block(np.diag(mus[1::2]), grid), pack_block(np.diag(mus[::2]), grid))
         monkeypatch.setattr(eigen, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="ARPACK did not converge") as exc:
             leading_eigenpairs(op, n_eigs=1)
@@ -128,9 +125,7 @@ class TestSyntheticEigenpairs:
         # not self-adjoint in <u, v>_w: ARPACK stops, the honest residual fails
         grid = graded_mesh(16, 1.0)
         upper = pack_block(np.triu(np.ones((grid.n // 2, grid.n // 2))), grid)
-        op = GreenOperator(grid=grid, even=upper, build_odd=lambda: upper,
-                           params=ProblemParams(s=0.3, gamma=1.0), band=None,
-                           tiles=whole_square(grid))
+        op = given_blocks(grid, ProblemParams(s=0.3, gamma=1.0), upper)
         with pytest.raises(ConvergenceError, match="eigenpair 1 residual") as exc:
             leading_eigenpairs(op, n_eigs=1)
         assert exc.value.residual > 1.0

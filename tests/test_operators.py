@@ -15,6 +15,7 @@ from reference import (
     dense_matrix_transfer,
     dense_synthetic_assembly,
     dst_matrix_transfer,
+    given_blocks,
     pack_block,
     whole_square,
 )
@@ -23,7 +24,6 @@ import nonlocal_sharp
 from nonlocal_sharp import operators
 from nonlocal_sharp import (
     GreenKernel,
-    GreenOperator,
     Grid,
     ProblemParams,
     SolverConfig,
@@ -126,24 +126,12 @@ class TestAssemble:
         assert np.max(np.abs(top - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_block_shapes_must_match_the_grid(self):
-        grid = graded_mesh(8, 1.0)
-        params = ProblemParams(s=0.2, gamma=1.0)
-        with pytest.raises(ValueError, match="block shapes"):
-            GreenOperator(grid=grid, even=np.eye(3), build_odd=lambda: np.eye(4),
-                          params=params, band=None, tiles=whole_square(grid))
-        op = GreenOperator(grid=grid, even=pack_block(np.eye(4), grid),
-                           build_odd=lambda: np.eye(4), params=params,  # square, not packed
-                           band=None, tiles=whole_square(grid))
-        assert_laid_out_end_to_end(op.tiles, 4)
-        with pytest.raises(ValueError, match="block shapes"):
-            op.odd
-        # a tiled block under the layout of a whole square
+        # the whole square lays out (n/2, n/2) floats; a tiled block, with far fields, fewer
+        assert_laid_out_end_to_end(whole_square(graded_mesh(8, 1.0)), 4)
         with mock.patch.object(operators, "_SLAB_ROWS", 32):
-            tiled = assemble(synthetic_k5(params), graded_mesh(400, 3.0))
+            tiled = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(400, 3.0))
         assert any(part.low for slab in tiled.tiles for part in slab.parts)
-        with pytest.raises(ValueError, match="block shapes"):
-            GreenOperator(grid=tiled.grid, even=tiled.even, build_odd=lambda: tiled.even,
-                          params=params, band=None, tiles=whole_square(tiled.grid))
+        assert tiled.even.size < 200 * 200
 
     def test_stores_only_its_halves(self):
         op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(1200, 3.0))
@@ -160,17 +148,17 @@ class TestAssemble:
         block = (256 * 18 + 256 * 369 + 18 * 223 + 256 * 8 + 256 * 344 + 88 * 88,)
         band = (600, 17)  # the correction band, kept for `entries`
         apply_sector(op, np.ones(600))  # the mirror-even sector: the even block alone
-        assert stored_shapes() == [block, band]
+        assert stored_shapes() == [band, block]
         assert op.nbytes == 8 * (block[0] + 600 * 17)
         apply(op, np.arange(1200.0))  # mirror-odd part: builds and keeps the odd block
-        assert stored_shapes() == [block, band, block]
+        assert stored_shapes() == [band, block, block]
 
     def test_odd_block_is_built_once_on_first_mirror_odd_apply(self, monkeypatch):
         folds, fold = [], operators._fold
 
-        def spy(kernel, grid, combine, *layout):
+        def spy(op, combine):
             folds.append(combine)
-            return fold(kernel, grid, combine, *layout)
+            return fold(op, combine)
         monkeypatch.setattr(operators, "_fold", spy)
         kernel = synthetic_k5(ProblemParams(s=0.3, gamma=0.7))
         grid = graded_mesh(128, 3.0)
@@ -202,14 +190,17 @@ class TestAssemble:
         assert np.array_equal(operators._GAUSS_X, nodes)
         assert np.array_equal(operators._GAUSS_W, weights)
 
-    def test_operator_from_given_blocks_has_no_entries(self):
-        grid = graded_mesh(8, 1.0)
-        block = pack_block(np.eye(4), grid)
-        op = GreenOperator(grid=grid, even=block, build_odd=lambda: block,
-                           params=ProblemParams(s=0.2, gamma=1.0), band=None,
-                           tiles=whole_square(grid))
-        with pytest.raises(ValueError, match="given blocks"):
-            operators.entries(op, np.array([0]), np.array([1]))
+    def test_assemble_raises_the_even_fold_s_error(self, monkeypatch):
+        # the build owns the even block's cost and errors: none waits for the first matvec
+        fold = operators._fold
+
+        def failing(op, combine):
+            if combine is np.add:
+                raise MemoryError("the even block")
+            return fold(op, combine)
+        monkeypatch.setattr(operators, "_fold", failing)
+        with pytest.raises(MemoryError, match="the even block"):
+            assemble(synthetic_k5(ProblemParams(s=0.3, gamma=0.7)), graded_mesh(128, 3.0))
 
     def test_each_block_evaluates_the_envelope_on_its_upper_trapezoid(self, monkeypatch):
         # the full left rows are n^2 / 2 entries; a block evaluates its dense parts and
@@ -299,9 +290,8 @@ class TestApply:
 
     def test_even_sector_solves_never_read_the_odd_block(self, op):
         # an odd block of NaN would poison any result that read it
-        blind = GreenOperator(grid=op.grid, even=op.even,
-                              build_odd=lambda: np.full(op.even.shape, np.nan),
-                              params=op.params, band=op.band, tiles=op.tiles)
+        blind = given_blocks(op.grid, op.params, op.even, np.full(op.even.shape, np.nan),
+                             op.tiles)
         sol = picard_solve(blind, SolverConfig(p=0.5))
         assert np.all(np.isfinite(sol.u)) and sol.residual <= 1e-10
         [pair] = leading_eigenpairs(blind, n_eigs=1)
@@ -378,11 +368,6 @@ class TestSpectralMT:
         for _ in range(20):
             v = gen.normal(size=op.grid.n)
             assert v @ apply(op, v) >= -1e-12 * (v @ v)
-
-    def test_symbol_length_must_match_the_grid(self):
-        with pytest.raises(ValueError, match="symbol length"):
-            operators.SpectralOperator(grid=graded_mesh(8, 1.0), symbol=np.ones(7),
-                                       params=ProblemParams(s=0.3, gamma=1.0))
 
     def test_stores_its_symbol_and_twiddles(self):
         for n in (8, 64, 4096):

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import pack_block, whole_square
+from reference import given_blocks, pack_block
 
 from nonlocal_sharp import (
     BracketError,
     ConvergenceError,
     Grid,
-    GreenOperator,
     InsufficientWindowError,
     ProblemParams,
     SolverConfig,
@@ -37,10 +36,7 @@ from nonlocal_sharp import (
 def scalar_op(value=2.0):
     # two uncoupled cells: the scalar map u -> value * u^p on each node
     grid = Grid([0.0, 0.5])
-    block = pack_block([[value]], grid)
-    return GreenOperator(grid=grid, even=block, build_odd=lambda: block,
-                         params=ProblemParams(s=0.25, gamma=1.0), band=None,
-                         tiles=whole_square(grid))
+    return given_blocks(grid, ProblemParams(s=0.25, gamma=1.0), pack_block([[value]], grid))
 
 
 @pytest.fixture(scope="module")
@@ -167,9 +163,7 @@ class TestPicardSolve:
 
         def signed_op(even):
             # a negative entry breaks monotonicity, which the certificate catches
-            even = pack_block(even, grid)
-            return GreenOperator(grid=grid, even=even, build_odd=lambda: even, params=params,
-                                 band=None, tiles=whole_square(grid))
+            return given_blocks(grid, params, pack_block(even, grid))
 
         with pytest.raises(BracketError, match="min T"):
             picard_solve(signed_op([[1.0, -0.5], [0.0, 1.0]]), SolverConfig(p=0.5))
