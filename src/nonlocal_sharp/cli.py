@@ -387,6 +387,10 @@ def cmd_solve(args) -> int:
     case = _parse_case(fields)
     os.makedirs(args.out_dir, exist_ok=True)
     fit_path = os.path.join(args.out_dir, "fit.json")
+    csv_path = os.path.join(args.out_dir, "solution.csv")
+    for path in (fit_path, csv_path):  # no work starts for an output that cannot be written
+        if os.path.lexists(path) and not os.path.isfile(path):
+            raise ValueError(f"output path {path} exists and is not a regular file")
     start = time.perf_counter()  # wall_ms: the mesh, build, solve, fit and Harnack report
     grid, build = _operator_plan(*case.operator)
     ran, failure = _attempt(lambda: _run(case, build()))
@@ -396,8 +400,7 @@ def cmd_solve(args) -> int:
         return EXIT_NUMERICAL
     row, sol = ran
     wall_ms = (time.perf_counter() - start) * 1e3
-    _write_csv(os.path.join(args.out_dir, "solution.csv"), ("x", "delta", "u"),
-               zip(grid.nodes, grid.delta, sol.u))
+    _write_csv(csv_path, ("x", "delta", "u"), zip(grid.nodes, grid.delta, sol.u))
     _atomic_write(fit_path, _json_text({**row, "wall_ms": wall_ms}))
     return EXIT_OK
 
@@ -422,6 +425,11 @@ def cmd_study(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, "study.csv")
+    summary_path = os.path.join(out_dir, "summary.json")
+    for path in (csv_path, summary_path):  # no work starts for an output that cannot be written
+        if os.path.lexists(path) and not os.path.isfile(path):
+            raise ValueError(f"output path {path} exists and is not a regular file")
 
     # One task per operator: its cases as parsed, plain values, so it sends no mesh.  The
     # largest n go out first, so none is left to run alone at the end; equal n keep order.
@@ -441,8 +449,7 @@ def cmd_study(args) -> int:
     errors = [{"case": i, "error": failure["error"]}
               for i, (_, failure) in enumerate(outcomes) if failure is not None]
 
-    _write_csv(os.path.join(out_dir, "study.csv"), STUDY_COLUMNS,
-               ([r[name] for name in STUDY_COLUMNS] for r in rows))
+    _write_csv(csv_path, STUDY_COLUMNS, ([r[name] for name in STUDY_COLUMNS] for r in rows))
 
     summary = {"n_cases": len(cases)}
     if rows:
@@ -455,7 +462,7 @@ def cmd_study(args) -> int:
                                  for k in (*_CASE_KEYS, "mu_pred", "mu_hat")}
     if errors:
         summary["errors"] = errors
-    _atomic_write(os.path.join(out_dir, "summary.json"), _json_text(summary))
+    _atomic_write(summary_path, _json_text(summary))
     sys.stdout.write(_json_text(summary))
     for err in errors:
         print(f"error: case {err['case']}: {err['error']}", file=sys.stderr)
@@ -468,13 +475,16 @@ def cmd_eigen(args) -> int:
     check_eigen_request(grid.n, args.n_eigs, args.tol)
     ratio_window(grid)
     os.makedirs(args.out_dir, exist_ok=True)
+    csv_path = os.path.join(args.out_dir, "eigenpairs.csv")
+    ratios_path = os.path.join(args.out_dir, "boundary_ratios.json")
+    for path in (csv_path, ratios_path):  # no work starts for an output that cannot be written
+        if os.path.lexists(path) and not os.path.isfile(path):
+            raise ValueError(f"output path {path} exists and is not a regular file")
     pairs = leading_eigenpairs(build(), n_eigs=args.n_eigs, tol=args.tol)
     ratios = eigenfunction_boundary_report(pairs, grid, args.gamma)
-    _write_csv(os.path.join(args.out_dir, "eigenpairs.csv"),
-               ("index", "mu", "lambda", "residual"),
+    _write_csv(csv_path, ("index", "mu", "lambda", "residual"),
                ((pair.index, pair.mu, 1.0 / pair.mu, pair.residual) for pair in pairs))
-    _atomic_write(os.path.join(args.out_dir, "boundary_ratios.json"),
-                  _json_text([asdict(r) for r in ratios]))
+    _atomic_write(ratios_path, _json_text([asdict(r) for r in ratios]))
     sys.stdout.write(_json_text({"mu_1": pairs[0].mu, "n_pairs": len(pairs)}))
     return EXIT_OK
 

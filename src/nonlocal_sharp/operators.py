@@ -8,10 +8,11 @@ The synthetic backend takes the two-sided envelope
 as the kernel itself, collocated with cell quadrature, A_ij ~
 int_{cell_j} G(x_i, y) dy, plus one band per row for the diagonal and the
 Gauss-refined cells.  It is folded by x -> 1 - x into two (n/2, n/2)
-blocks, one per mirror sector, each stored as the `Slab`s of `_tiles`.  The
-spectral backend stores the n eigenvalues of the matrix transfer and
-applies each sector's half of them by a long-double transform of length
-n/2 (float64 rounding breaks the solver's nesting certificate).
+blocks, one per mirror sector, each symmetric and stored as the `Slab`s of
+`_tiles`, which hold an entry and its transpose once.  The spectral
+backend stores the n eigenvalues of the matrix transfer and applies each
+sector's half of them by a long-double transform of length n/2 (float64
+rounding breaks the solver's nesting certificate).
 `apply_sector` is each backend's matvec on a sector, and `apply` adds the
 two; `entries` evaluates entries by the rule that defines them, never from
 stored blocks.
@@ -108,10 +109,11 @@ class GreenOperator:
         A_LL + A_LR J = S_even diag(w_L),    A_LL - A_LR J = S_odd diag(w_L),
 
     on mirror-even and mirror-odd vectors.  `even` and `odd` hold S_even
-    and S_odd, laid out by `tiles`, the `Slab`s and `Part`s that `_tiles`
-    builds and whose docstrings give the format.  `_fold` builds each from
-    the four fields the first time it is read, so the even sector never
-    builds `odd`; `band` is kept for the folds and for `entries`.
+    and S_odd, both symmetric, as their upper staircases laid out by
+    `tiles`, the `Slab`s and `Part`s that `_tiles` builds and whose
+    docstrings give the format.  `_fold` builds each from the four fields
+    the first time it is read, so the even sector never builds `odd`;
+    `band` is kept for the folds and for `entries`.
     """
 
     grid: Grid
@@ -131,8 +133,10 @@ class GreenOperator:
 
 
 # Row blocks stay small: a study worker's glibc mmap threshold rises to the first operator block
-# it frees, so later transients come from the heap and stay resident (43.0 vs 39.1 MB blocked).
-_BLOCK_ENTRIES = 2 ** 16  # matrix entries per row block of the assembly
+# it frees, so later transients come from the heap and stay resident (43.0 vs 39.1 MB blocked);
+# and the fold's three buffers are live at a worker's peak, beside the block it has just filled:
+# at n = 4000 the fold peaks 0.98 MB above its 8.12 MB of stored bytes, and 1.77 MB at 2 ** 16.
+_BLOCK_ENTRIES = 2 ** 15  # matrix entries per row block of the assembly
 _SLAB_ROWS = 256  # rows per slab of a folded block
 _SEPARATION = 2.0  # a column nearer a slab than this many slab widths is stored dense
 _FAR_GAIN = 1e17  # k Chebyshev points make rho^-k at most 1e-14 / 1e3
@@ -148,9 +152,13 @@ _GAUSS_W = np.array([0.10122853629037706, 0.22238103445337443, 0.313706645877886
 
 
 class Part(NamedTuple):
-    """Columns [c0, c1) of a slab, row by row in block[start:stop]: S[r0:r1, c0:c1], or if
-    `low` its k rows V[q, j] = S(xi_q, y_j) / xi_q^gamma, with S[r0:r1, c0:c1] = U V."""
+    """Rows [a0, a1) and columns [c0, c1) of a slab, row by row in block[start:stop]:
+    S[a0:a1, c0:c1], or if `low`, over the slab's rows, its k rows V[q, j] = S(xi_q, y_j) /
+    xi_q^gamma, with S[r0:r1, c0:c1] = U V.  A dense part stands for S[a0:a1, c0:c1] and, right
+    of its rows, for its transpose S[max(c0, a1):c1, a0:a1]."""
 
+    a0: int
+    a1: int
     c0: int
     c1: int
     start: int
@@ -159,12 +167,16 @@ class Part(NamedTuple):
 
 
 class Slab(NamedTuple):
-    """Rows [r0, r1) of a folded block S, which hold S[r0:r1, r0:] as `parts` in column order.
+    """Rows [r0, r1) of a folded block S, which hold the upper staircase of S[r0:r1, r0:].
 
-    Its U[i, q] = x_i^gamma l_q(x_i), l_q the Lagrange basis of k Chebyshev points xi_q on its
-    cells, is in block[at:at + (r1 - r0) * k], row by row; each part starts where the last stops.
-    Slabs hold _SLAB_ROWS rows, the last the rest and always the last _NEAR_BAND: near x = 1/2
-    the stored-node kernel is asymmetric in its last bits, and a square is never mirrored.
+    S is symmetric, so its `parts`, in column order, store each entry of that staircase once:
+    the first, dense, part, columns [r0, c), splits at m = r0 + (r1 - r0) // 2 into S[r0:m, r0:c]
+    and S[m:r1, m:c], and S[m:r1, r0:m] is read as the upper one's transpose.  Its U[i, q] =
+    x_i^gamma l_q(x_i), l_q the Lagrange basis of k Chebyshev points xi_q on its cells, is in
+    block[at:at + (r1 - r0) * k], row by row; each part starts where the last stops.  Slabs
+    hold _SLAB_ROWS rows, the last the rest and always the last _NEAR_BAND: near x = 1/2 the
+    stored-node kernel is asymmetric in its last bits, so a slab splits only where its lower
+    part keeps _NEAR_BAND rows, and a part's own square is never mirrored.
     """
 
     r0: int
@@ -182,6 +194,9 @@ def _block_length(tiles: tuple[Slab, ...]) -> int:
 def _tiles(grid: Grid) -> tuple[Slab, ...]:
     """The `Slab`s of a folded block, and which of their columns are far.
 
+    A slab's columns run from r0 to n/2, in parts of far or dense columns;
+    its first part, dense, holds its square, and splits into two row bands
+    at the slab's midpoint, the lower one from the midpoint's column on.
     Column j is far when y_j and xr = fl(1 - y_j), the kernel's
     singularities, lie _SEPARATION widths beyond the slab's cells [lo, hi]
     and no min-factor kink (x = y/2, xr/2, xr - y) crosses [lo, hi]: one
@@ -207,12 +222,16 @@ def _tiles(grid: Grid) -> tuple[Slab, ...]:
         u = np.where((lo > y / 2) | (lo > xr / 2), np.minimum(u, (lo + hi) / (hi - lo)), u)
         u = np.min(u[low], initial=np.inf)
         k = 0 if u == np.inf else int(np.ceil(np.log(_FAR_GAIN) / np.log(u + np.sqrt(u * u - 1))))
-        edges = [0, *(np.flatnonzero(np.diff(low)) + 1).tolist(), j.size]
-        parts, start = [], at + (r1 - r0) * k
+        edges = [r0, *(np.flatnonzero(np.diff(low)) + r0 + 1).tolist(), half]
+        parts, start, m = [], at + (r1 - r0) * k, r0 + (r1 - r0) // 2
         for c0, c1 in zip(edges, edges[1:]):
-            stop = start + (k if low[c0] else r1 - r0) * (c1 - c0)
-            parts.append(Part(r0 + c0, r0 + c1, start, stop, bool(low[c0])))
-            start = stop
+            far = bool(low[c0 - r0])
+            split = c0 == r0 and r1 - m >= _NEAR_BAND  # the first part holds the square
+            for a0, a1 in ((r0, m), (m, r1)) if split else ((r0, r1),):
+                c = max(c0, a0)  # the lower band starts at its own first row
+                stop = start + (k if far else a1 - a0) * (c1 - c)
+                parts.append(Part(a0, a1, c, c1, start, stop, far))
+                start = stop
         tiles.append(Slab(r0, r1, k, at, tuple(parts)))
         at = start
     return tuple(tiles)
@@ -265,21 +284,21 @@ def _fold(op: GreenOperator, combine) -> np.ndarray:
     offsets = np.arange(-_NEAR_BAND, _NEAR_BAND + 1)
     for r0, r1, k, at, parts in tiles:
         xi = _chebyshev(grid, r0, r1, k, d[r0:r1] ** g, block[at:at + (r1 - r0) * k])
-        for c0, c1, start, stop, low in parts:
+        for a0, a1, c0, c1, start, stop, low in parts:
             w = c1 - c0
             # the columns, then their mirror columns n-1-j
             xc, dc = (np.stack([a[c0:c1], a[n - c1:n - c0][::-1]])[:, None] for a in (x, d))
-            xs, ds = (xi, xi) if low else (x[r0:r1], d[r0:r1])  # delta(xi) = xi <= 1/2
+            xs, ds = (xi, xi) if low else (x[a0:a1], d[a0:a1])  # delta(xi) = xi <= 1/2
             out = block[start:stop].reshape(-1, w)
             rows = cap // (2 * w)
-            banded = not low and c0 < r1 + _NEAR_BAND  # else no band column is in it
+            banded = not low and c0 < a1 + _NEAR_BAND  # else no band column is in it
             for t0 in range(0, xs.size, rows):
                 t1 = min(t0 + rows, xs.size)
                 r, G, scratch = (b[:(t1 - t0) * 2 * w].reshape(2, t1 - t0, w) for b in buffers)
                 np.subtract(xs[t0:t1, None], xc, out=r)
                 np.abs(r, out=r)
                 if banded:  # the band's columns, then their places in r
-                    j = np.arange(r0 + t0, r0 + t1)[:, None] + offsets
+                    j = np.arange(a0 + t0, a0 + t1)[:, None] + offsets
                     mirror, on = j >= n // 2, (j >= 0) & (j < n)
                     np.subtract(n - 1, j, out=j, where=mirror)
                     on &= (j >= c0) & (j < c1)
@@ -288,7 +307,7 @@ def _fold(op: GreenOperator, combine) -> np.ndarray:
                     r.put(at_band, 1.0)  # placeholders, overwritten below
                 _envelope(r, ds[t0:t1, None], dc, params, out=G, scratch=scratch)
                 if banded:
-                    G.put(at_band, band[r0 + t0:r0 + t1][on])
+                    G.put(at_band, band[a0 + t0:a0 + t1][on])
                 combine(G[0], G[1], out=out[t0:t1])
             if low:
                 out /= xi[:, None] ** g
@@ -298,25 +317,25 @@ def _fold(op: GreenOperator, combine) -> np.ndarray:
 def _block_apply(op: GreenOperator, block: np.ndarray, v: np.ndarray) -> np.ndarray:
     """S diag(w) v for the block S laid out by op.tiles and a vector v of shape (half,).
 
-    A dense part adds P v[c0:c1] to out[r0:r1] and, right of the slab's
-    square, P^T v[r0:r1] to out[c0:]; a far field adds U V v[c0:c1] and
-    V^T U^T v[r0:r1].  A square acts as stored, never mirrored.
+    A dense part adds P v[c0:c1] to out[a0:a1] and, right of its rows,
+    P^T v[a0:a1] to out[max(c0, a1):c1]; a far field adds U V v[c0:c1] and
+    V^T U^T v[r0:r1].  A part's own square [a0, a1) x [a0, a1) acts as
+    stored, never mirrored.
     """
     v = op.grid.weights[:v.size] * v
     out = np.zeros_like(v)
     for r0, r1, k, at, parts in op.tiles:
-        x = v[r0:r1]
         U = block[at:at + (r1 - r0) * k].reshape(r1 - r0, k)
-        ux, far = U.T @ x, np.zeros(k)
-        for c0, c1, start, stop, low in parts:
+        ux, far = U.T @ v[r0:r1], np.zeros(k)
+        for a0, a1, c0, c1, start, stop, low in parts:
             P = block[start:stop].reshape(-1, c1 - c0)
             if low:
                 far += P @ v[c0:c1]
                 out[c0:c1] += P.T @ ux
             else:
-                out[r0:r1] += P @ v[c0:c1]
-                lo = max(c0, r1)
-                out[lo:c1] += P[:, lo - c0:].T @ x
+                out[a0:a1] += P @ v[c0:c1]
+                lo = max(c0, a1)
+                out[lo:c1] += P[:, lo - c0:].T @ v[a0:a1]
         out[r0:r1] += U @ far
     return out
 

@@ -20,9 +20,10 @@ can be shown to select the same nodes.  All are kept here only as the
 independent references the library is tested against.  The library makes
 each operator from its grid and parameters alone; tests also make one
 from a plain (n/2, n/2) block: `pack_block` stores it whole, row by row,
-`whole_square` is the layout that stores it so, one `Slab` of one dense
-`Part` (the records that `_tiles` builds, whose docstrings give the
-storage format), and `given_blocks` makes the operator.  `apply_columns`
+or by the dense parts of a layout, `whole_square` is the layout that
+stores it whole, one `Slab` of one dense `Part` (the records that `_tiles`
+builds, whose docstrings give the storage format), and `given_blocks`
+makes the operator.  `apply_columns`
 applies an operator, which takes one vector at a time, to the columns of
 a matrix.
 """
@@ -102,22 +103,29 @@ def dense_synthetic_assembly(kernel, grid, near_band=8, gauss_nodes=8):
     return A
 
 
-def pack_block(block, grid):
+def pack_block(block, grid, tiles=None):
     """The storage of a folded (n/2, n/2) block given by hand: its kernel values block / w_L.
 
-    Stored whole, row by row, as `whole_square(grid)` lays it out.
+    Stored whole, row by row, as `whole_square(grid)` lays it out, or as
+    `tiles` lays it out when they hold no far field: each dense part's rows
+    and columns, row by row, one part after another.
     """
-    return (np.asarray(block, dtype=float) / grid.weights[:grid.n // 2]).ravel()
+    S = np.asarray(block, dtype=float) / grid.weights[:grid.n // 2]
+    parts = [part for slab in (whole_square(grid) if tiles is None else tiles)
+             for part in slab.parts]
+    assert not any(part.low for part in parts)
+    return np.concatenate([S[p.a0:p.a1, p.c0:p.c1].ravel() for p in parts])
 
 
 def whole_square(grid):
     """The layout of a block stored whole: one slab of every row, one dense part of every column.
 
-    A slab's square acts as stored, never mirrored, so a non-symmetric
-    block keeps its lower triangle.
+    The part's rows are all rows, and its own square acts as stored, never
+    read as a transpose, so a non-symmetric block keeps its lower triangle.
     """
     half = grid.n // 2
-    return (Slab(0, half, 0, 0, (Part(0, half, 0, half * half, False),)),)
+    whole = Part(a0=0, a1=half, c0=0, c1=half, start=0, stop=half * half, low=False)
+    return (Slab(r0=0, r1=half, k=0, at=0, parts=(whole,)),)
 
 
 def given_blocks(grid, params, even, odd=None, tiles=None):

@@ -521,6 +521,27 @@ def test_spectral_n_not_a_multiple_of_4_exits_2_writing_nothing(capsys, tmp_path
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("command, name", [
+    ("solve", "fit.json"), ("solve", "solution.csv"), ("study", "study.csv"),
+    ("study", "summary.json"), ("eigen", "eigenpairs.csv"), ("eigen", "boundary_ratios.json"),
+])
+def test_directory_at_an_output_path_exits_2_before_building(capsys, tmp_path, monkeypatch,
+                                                             command, name):
+    # no case is solved, and no eigenpair computed, only to find it cannot be written
+    calls = []
+    monkeypatch.setattr(cli, "assemble", lambda kernel, grid: calls.append(grid))
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    case = ["--s", "0.2", "--gamma", "1", "--n", "400"]
+    argv = {"solve": ["--p", "0.5", *case], "eigen": case,
+            "study": ["--config", write_config(tmp_path, [SMALL_CASE]), "--jobs", "1"]}
+    code, stdout, err = run(capsys, command, *argv[command], "--out-dir", str(out))
+    assert code == 2 and stdout == ""
+    assert f"error: output path {out / name} exists and is not a regular file" in err
+    assert calls == []
+    assert [p.name for p in out.iterdir()] == [name] and (out / name).is_dir()
+
+
 class TestStudy:
     def test_summary_and_rows(self, capsys, tmp_path):
         cfg = write_config(tmp_path, [SMALL_CASE])

@@ -139,13 +139,17 @@ class TestAssemble:
         def stored_shapes():
             return [a.shape for a in vars(op).values() if isinstance(a, np.ndarray)]
         # each (600, 600) block: slab 0-255 stores U, its 256 x 18 Chebyshev basis, its
-        # dense columns 0-368 and 592-599, and 18 Chebyshev rows of its far columns 369-591;
-        # slabs 256-511 and 512-599 store their upper rows dense
-        parts = [[(p.c0, p.c1, p.low) for p in slab.parts] for slab in op.tiles]
+        # dense columns 0-368 as rows 0-127 from column 0 and rows 128-255 from column 128,
+        # 18 Chebyshev rows of its far columns 369-591, and its dense columns 592-599;
+        # slabs 256-511 and 512-599 store their upper staircase dense, split at 384 and 556
+        parts = [[(p.a0, p.a1, p.c0, p.c1, p.low) for p in slab.parts] for slab in op.tiles]
         assert [slab.r0 for slab in op.tiles] == [0, 256, 512]
-        assert parts == [[(0, 369, False), (369, 592, True), (592, 600, False)],
-                         [(256, 600, False)], [(512, 600, False)]]
-        block = (256 * 18 + 256 * 369 + 18 * 223 + 256 * 8 + 256 * 344 + 88 * 88,)
+        assert parts == [[(0, 128, 0, 369, False), (128, 256, 128, 369, False),
+                          (0, 256, 369, 592, True), (0, 256, 592, 600, False)],
+                         [(256, 384, 256, 600, False), (384, 512, 384, 600, False)],
+                         [(512, 556, 512, 600, False), (556, 600, 556, 600, False)]]
+        block = (256 * 18 + 128 * 369 + 128 * 241 + 18 * 223 + 256 * 8
+                 + 128 * 344 + 128 * 216 + 44 * 88 + 44 * 44,)
         band = (600, 17)  # the correction band, kept for `entries`
         apply_sector(op, np.ones(600))  # the mirror-even sector: the even block alone
         assert stored_shapes() == [band, block]
@@ -168,8 +172,10 @@ class TestAssemble:
         assert folds == [np.add, np.subtract]
         ref = dense_synthetic_assembly(kernel, grid)
         top_left, top_right = ref[:64, :64], ref[:64, 64:]
-        ref_odd = pack_block(top_left - top_right[:, ::-1], grid)
-        ref_even = pack_block(top_left + top_right[:, ::-1], grid)
+        # one slab of 64 rows, split at row 32: rows 0-31 from column 0, rows 32-63 from 32
+        ref_odd = pack_block(top_left - top_right[:, ::-1], grid, op.tiles)
+        ref_even = pack_block(top_left + top_right[:, ::-1], grid, op.tiles)
+        assert op.odd.size == ref_odd.size == 32 * 64 + 32 * 32
         assert np.max(np.abs(op.odd - ref_odd)) <= 1e-14 * np.max(ref_even)
 
     def test_correction_band_is_evaluated_once_per_operator(self, monkeypatch):
@@ -224,11 +230,13 @@ class TestAssemble:
         # block; at n = 4000 the block dominates, as in every acceptance case
         n = 4000
         stored, peak = traced_assembly(n)
-        # the tiled (2000, 2000) block and the band: 9.12 MB, where the block stored
-        # dense as its upper slabs took 17.0 MB
-        assert stored <= 9.5e6
+        # the tiled (2000, 2000) block and the band: 8.12 MB, where the block stored
+        # dense as its upper slabs took 17.0 MB, and with each slab's whole square 9.12 MB
+        assert stored <= 8.2e6
         assert peak <= 2 * stored, peak / stored
         assert peak < (n // 2) ** 2 * 8  # never the square block, not even for a moment
+        # the fold's three row-block buffers and little else: 0.98 MB above the stored bytes
+        assert peak - stored <= 3 * operators._BLOCK_ENTRIES * 8 + 0.25e6, peak - stored
 
     def test_picard_solve_allocates_no_square_block(self):
         n = 4000
@@ -442,21 +450,36 @@ def assert_far_fields_fit(tiles):
 
 
 def assert_laid_out_end_to_end(tiles, half):
-    """No float of the block is skipped or shared, and each slab's parts cover columns r0 .. half.
+    """No float of the block is skipped or shared, and each slab's parts hold S[r0:r1, r0:half].
 
     Each slab's U starts at the last stop, each part where the one before it stops, and a part
-    holds (k if low else r1 - r0) rows of c1 - c0 floats; the last stop is the block's length.
+    holds (k if low else a1 - a0) rows of c1 - c0 floats; the last stop is the block's length.
+    A far part spans its slab's rows, a dense one some of them, never left of its first row.
+    Every entry of S[r0:r1, r0:half] is held once: stored, or as the transpose of an entry a
+    dense part of the slab stores right of its rows.  The rows next to x = 1/2, whose own
+    square is never read as a transpose, keep _NEAR_BAND rows together, or all the rows there are.
     """
     end = 0
     for slab in tiles:
         assert slab.at == end
-        end, col = slab.at + (slab.r1 - slab.r0) * slab.k, slab.r0
+        end = slab.at + (slab.r1 - slab.r0) * slab.k
+        held = np.zeros((slab.r1 - slab.r0, half - slab.r0), dtype=np.int8)
         for part in slab.parts:
-            assert (part.start, part.c0) == (end, col) and part.c1 > part.c0
-            rows = slab.k if part.low else slab.r1 - slab.r0
+            assert part.start == end and part.c1 > part.c0
+            if part.low:
+                assert (part.a0, part.a1) == (slab.r0, slab.r1)
+            assert slab.r0 <= part.a0 < part.a1 <= slab.r1 and part.a0 <= part.c0
+            rows = slab.k if part.low else part.a1 - part.a0
             assert part.stop - part.start == rows * (part.c1 - part.c0)
-            end, col = part.stop, part.c1
-        assert col == half
+            end = part.stop
+            held[part.a0 - slab.r0:part.a1 - slab.r0, part.c0 - slab.r0:part.c1 - slab.r0] += 1
+            if not part.low:  # its transpose, in the slab's rows
+                lo, hi = max(part.c0, part.a1), min(part.c1, slab.r1)
+                held[lo - slab.r0:hi - slab.r0, part.a0 - slab.r0:part.a1 - slab.r0] += 1
+        assert np.all(held == 1)
+    centre = [part for part in tiles[-1].parts if part.a1 == half]
+    assert centre and all(part.a1 - part.a0 >= min(operators._NEAR_BAND, half)
+                          for part in centre)
     assert end == operators._block_length(tiles)
 
 
@@ -531,7 +554,7 @@ class TestEntries:
                 for part in slab.parts:
                     P = block[part.start:part.stop].reshape(-1, part.c1 - part.c0)
                     got = U @ P if part.low else P
-                    want, scale = (m[slab.r0:slab.r1, part.c0:part.c1] for m in (S, left + right))
+                    want, scale = (m[part.a0:part.a1, part.c0:part.c1] for m in (S, left + right))
                     assert np.all(np.abs(got - want) <= 1e-14 * scale)
         assert sum(part.low for slab in op.tiles for part in slab.parts) == 10
 
