@@ -2,9 +2,10 @@
 
 Grid functions that behave like delta^mu (possibly times a power of
 |log delta|) near the boundary are measured by plain least squares on
-log-transformed node values.  Inputs are smooth deterministic grid
-functions, so no robust loss is needed.  The nodes come from `fit_window`,
-the one rule every fit and the CLI's pre-check use: `Grid.boundary_window`
+log-transformed node values: a closed-form centred regression, numpy
+only, no LAPACK.  Inputs are smooth deterministic grid functions, so no
+robust loss is needed.  The nodes come from `fit_window`, the one rule
+every fit and the CLI's pre-check use: `Grid.boundary_window`
 excludes the quadrature-polluted nodes nearest each endpoint and caps delta
 to stay in the asymptotic regime; both halves of the grid are pooled.
 Every fit returns one type, `FitReport`: `fit_power` fills mu_hat and r2,
@@ -43,15 +44,22 @@ class FitReport:
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray):
-    """(slope, R^2) of the least-squares line y ~ x: every reported slope comes from here."""
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
+    """(slope, R^2) of the least-squares line y ~ x: every reported slope comes from here.
+
+    slope = sum (x - x_mean)(y - y_mean) / sum (x - x_mean)^2; ValueError when every x is equal.
+    """
+    if x.min() == x.max():  # np.mean of equal values need not equal them: test x itself
+        raise ValueError("line fit needs two distinct x values; every x is the same")
+    xc, y_mean = x - np.mean(x), np.mean(y)
+    yc = y - y_mean
+    slope = float(xc @ yc) / float(xc @ xc)
+    fitted = y_mean + slope * xc
     ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    ss_tot = float(np.sum(yc ** 2))
     if ss_tot <= 1e-300:
         # constant data: the fit is exact by definition
-        return float(slope), 1.0
-    return float(slope), max(0.0, 1.0 - ss_res / ss_tot)
+        return slope, 1.0
+    return slope, max(0.0, 1.0 - ss_res / ss_tot)
 
 
 def _positive_values(u: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -20,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonlocal_sharp import (BracketError, ConvergenceError, ProblemParams, cli, graded_mesh,
-                            green_q_norm_profile, operators, predict_mu, synthetic_k5)
+from nonlocal_sharp import (BracketError, ConvergenceError, ProblemParams, cli, fitting,
+                            graded_mesh, green_q_norm_profile, operators, predict_mu,
+                            synthetic_k5)
 from nonlocal_sharp.cli import STUDY_COLUMNS, main
 
 
@@ -256,7 +257,10 @@ class TestGreenNorm:
         assert 0.99 <= data["r2"] <= 1.0
         deltas, norms = green_q_norm_profile(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)),
                                              graded_mesh(500, 3.0), 1.0)
-        assert data["slope"] == float(np.polyfit(np.log(deltas), np.log(norms), 1)[0])
+        x, y = np.log(deltas), np.log(norms)
+        assert (data["slope"], data["r2"]) == fitting._least_squares(x, y)
+        # the closed form and numpy's SVD line fit agree to rounding
+        assert data["slope"] == pytest.approx(float(np.polyfit(x, y, 1)[0]), rel=1e-14)
 
     def test_log_threshold_slope(self, capsys):
         # q = N/(N - 2s + gamma): the factor (1 + |log delta|^{1/q}) is divided out
@@ -502,6 +506,20 @@ class TestEigen:
         assert calls == []
 
 
+def test_fits_call_no_lapack(capsys, tmp_path, monkeypatch):
+    # every reported slope is the closed-form line fit: numpy's SVD solver is never reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK line fit called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    critical = {**SMALL_CASE, "s": 0.25, "n": 128}  # mu = gamma: the log-corrected fit
+    rows = study_rows(capsys, tmp_path, [SMALL_CASE, critical], "--jobs", "1")
+    assert [row.split(",")[8] for row in rows] == ["scaling-dominated", "critical"]
+    assert main(["solve", *solve_flags(SMALL_CASE), "--out-dir", str(tmp_path)]) == 0
+    assert main(["green-norm", "--s", "0.2", "--gamma", "1", "--q", "1", "--n", "500"]) == 0
+
+
 @pytest.mark.parametrize("command", ["solve", "study", "eigen"])
 def test_spectral_n_not_a_multiple_of_4_exits_2_writing_nothing(capsys, tmp_path, monkeypatch,
                                                                  command):
@@ -730,6 +748,16 @@ class TestStudy:
         assert summary["errors"] == [{"case": 1, "error": "MemoryError: no room"},
                                      {"case": 3, "error": "MemoryError: no room"}]
         assert (tmp_path / "study.csv").read_text().splitlines()[1:] == [full[0], full[2]]
+
+    def test_fit_over_one_distinct_x_is_a_run_time_failure(self, capsys, tmp_path,
+                                                            monkeypatch):
+        # every window node is node 20, so the line fit has a single abscissa
+        monkeypatch.setattr(fitting, "fit_window", lambda grid, critical: np.full(12, 20))
+        code, out, err = run(capsys, "study", "--config", write_config(tmp_path, [SMALL_CASE]))
+        assert code == 3
+        assert json.loads(out)["errors"] == [{"case": 0, "error": "ValueError: line fit needs "
+                                              "two distinct x values; every x is the same"}]
+        assert "case 0" in err
 
     def test_largest_operators_go_first(self, capsys, tmp_path, monkeypatch):
         cases = [SMALL_CASE, {**SMALL_CASE, "s": 0.3, "n": 128},

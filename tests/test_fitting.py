@@ -26,6 +26,26 @@ class TestLeastSquares:
         assert r2 == 1.0
         assert slope == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("x0", [-3.0, -2.1], ids=["mean-exact", "mean-rounded"])
+    def test_single_distinct_x_is_refused(self, x0):
+        # no line through one abscissa has a least-squares slope; at the second x0 the mean
+        # of 12 copies rounds off x0, so centring alone would leave x - mean(x) nonzero
+        with pytest.raises(ValueError, match="two distinct x values"):
+            _least_squares(np.full(12, x0), np.linspace(0.0, 1.0, 12))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(32, 2000), beta=st.floats(1.0, 4.0), mu=st.floats(0.05, 2.0),
+           c=st.floats(-5.0, 5.0), eps=st.floats(-0.5, 0.5))
+    def test_slope_within_ulps_of_a_long_double_fit(self, n, beta, mu, c, eps):
+        grid = graded_mesh(2 * n, beta)
+        d = grid.delta[grid.boundary_window(_EXCLUDE, 0.25, 10)]
+        x, y = np.log(d), mu * np.log(d) + c + eps * d  # a power law, smoothly perturbed
+        xl, yl = x.astype(np.longdouble), y.astype(np.longdouble)
+        xc = xl - xl.mean()
+        ref = float(np.sum(xc * (yl - yl.mean())) / np.sum(xc * xc))
+        # measured: at most 7 ulps over 4,000 such draws; np.polyfit up to 128 over 1,500
+        assert abs(_least_squares(x, y)[0] - ref) <= 16 * np.spacing(abs(ref)), ref
+
 
 class TestFitPower:
     def test_exact_power_recovered(self):

@@ -238,6 +238,22 @@ class TestAssemble:
         # the fold's three row-block buffers and little else: 0.98 MB above the stored bytes
         assert peak - stored <= 3 * operators._BLOCK_ENTRIES * 8 + 0.25e6, peak - stored
 
+    def test_band_scratch_is_bounded_by_its_blocks(self):
+        n = 4000
+        params, grid = ProblemParams(s=0.2, gamma=1.0), graded_mesh(n, 3.0)
+        tracemalloc.start()
+        try:
+            band = operators._corrected_band(params, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the envelope's three buffers of _BLOCK_ENTRIES floats, and the (n/2 + 8, 16) cell
+        # averages three times over while they are scaled: 1.50 MB above the band, where the
+        # Gauss points formed for every cell at once, before the blocks, took 2.19 MB
+        averages = (n // 2 + operators._NEAR_BAND) * 2 * operators._NEAR_BAND * 8
+        bound = 3 * operators._BLOCK_ENTRIES * 8 + 3 * averages
+        assert peak - band.nbytes <= bound, peak - band.nbytes
+
     def test_picard_solve_allocates_no_square_block(self):
         n = 4000
         op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(n, 3.0))
