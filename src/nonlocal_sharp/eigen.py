@@ -7,7 +7,10 @@ commutes with the flip x -> 1 - x.  On each of its mirror sectors
 S = W^{1/2} A W^{-1/2}, symmetric for W = 2 diag(w_L), the pairing of the
 mirrored vectors, matrix-free and the same for both backends; the sectors'
 pairs are merged by eigenvalue, each with the honest residual
-||A phi - mu phi||_w.  `leading_eigenpairs` imports scipy.sparse.linalg
+||A phi - mu phi||_w of ARPACK's vector phi, and returned as A phi / mu,
+which that residual's apply gives: A maps phi's error e to A e / mu, which
+vanishes like delta^gamma, so the boundary ratios divide no error of
+ARPACK's by delta^gamma.  `leading_eigenpairs` imports scipy.sparse.linalg
 when called, so importing this module loads no scipy module.
 """
 
@@ -28,8 +31,9 @@ _MAX_ITER = 10_000  # ARPACK restarts before ConvergenceError
 class EigenPair:
     index: int          # 1-based
     mu: float           # eigenvalue of the inverse operator; lambda = 1/mu
-    phi: np.ndarray     # node values, unit norm in the quadrature L^2
-    residual: float     # ||A phi - mu phi||_w
+    phi: np.ndarray     # node values A phi0 / mu, unit norm in the quadrature L^2 to about
+                        # (residual / mu)^2, of ARPACK's unit vector phi0
+    residual: float     # ||A phi0 - mu phi0||_w
 
 
 def check_eigen_request(n: int, n_eigs: int, tol: float) -> None:
@@ -48,13 +52,14 @@ def leading_eigenpairs(op: Operator, n_eigs: int = 1,
                        tol: float = SolverConfig.tol) -> list[EigenPair]:
     """Largest n_eigs eigenpairs, ordered by decreasing eigenvalue.
 
-    Every pair must reach ||A phi - mu phi||_w <= tol * mu_1, whatever
-    ARPACK's own stopping test reported.  A is positivity improving, so its
-    ground pair is simple and mirror-even (Krein-Rutman): the odd sector, and
-    a folded operator's odd block, run only for n_eigs >= 2, for at most
-    n_eigs - 1 pairs.  ARPACK finds at most n/2 - 1 pairs of a sector, so
-    n_eigs <= n - 2.  Each sector starts from a seeded random vector; each
-    phi's left half has a nonnegative sum.
+    Every pair's ARPACK vector phi0 must reach ||A phi0 - mu phi0||_w <=
+    tol * mu_1, whatever ARPACK's own stopping test reported.  A is
+    positivity improving, so its ground pair is simple and mirror-even
+    (Krein-Rutman): the odd sector, and a folded operator's odd block, run
+    only for n_eigs >= 2, for at most n_eigs - 1 pairs.  ARPACK finds at most n/2 - 1 pairs of a sector, so
+    n_eigs <= n - 2.  Each sector starts from a seeded random vector.  The
+    apply that gives a pair's residual also gives its phi = A phi0 / mu,
+    whose left half has a nonnegative sum.
     """
     n = op.grid.n
     check_eigen_request(n, n_eigs, tol)
@@ -77,10 +82,12 @@ def leading_eigenpairs(op: Operator, n_eigs: int = 1,
     found = sorted(found, key=lambda pair: -pair[0])[:n_eigs]
     pairs = []
     for k, (mu, odd, phi) in enumerate(found):
-        phi = phi if np.sum(w * phi) >= 0.0 else -phi
-        resid = float(np.linalg.norm(sw * (apply_sector(op, phi, odd) - mu * phi)))
+        smooth = apply_sector(op, phi, odd)
+        resid = float(np.linalg.norm(sw * (smooth - mu * phi)))
         if resid > tol * found[0][0]:
             raise ConvergenceError(f"eigenpair {k + 1} residual {resid:.3e} > tol * mu_1", resid)
+        phi = smooth / mu
+        phi = phi if np.sum(w * phi) >= 0.0 else -phi
         pairs.append(EigenPair(index=k + 1, mu=mu, phi=_mirror(phi, odd), residual=resid))
     return pairs
 
@@ -91,13 +98,14 @@ _DELTA_MAX = 0.2  # boundary layer of the ratios
 
 @dataclass(frozen=True)
 class BoundaryRatio:
-    """An eigenfunction's boundary ratios, only as accurate as its entries near x = 0.
+    """An eigenfunction's boundary ratios, read from the pair's phi = A phi0 / mu.
 
-    ARPACK's tol bounds the eigenpair's residual, not the relative error of
-    the tiny entries next to the boundary that these ratios divide by
-    delta^gamma.  On the synthetic backend at s = 0.2, n = 4000, inf_ratio
-    moved by 4.4e-9 (relative) from tol 1e-10 to 1e-12; sup_ratio agreed to
-    15 digits.
+    ARPACK's tol bounds the residual, not the relative error of the tiny
+    entries of phi0 next to the boundary, which these ratios divide by
+    delta^gamma; A phi0 / mu carries that error only as A e / mu, which
+    vanishes like delta^gamma there.  On the synthetic backend at s = 0.2,
+    n = 4000, --n-eigs 3, inf_ratio moved by 1.9e-9 (relative) from tol
+    1e-8 to 1e-12 when read from phi0, and by 8e-13 read from A phi0 / mu.
     """
 
     index: int

@@ -135,10 +135,10 @@ class GreenOperator:
 # Row blocks stay small: a study worker's glibc mmap threshold rises to the first operator block
 # it frees, so later transients come from the heap and stay resident (43.0 vs 39.1 MB blocked);
 # and the fold's three buffers are live at a worker's peak, beside the block it has just filled:
-# at n = 4000 the fold peaks 0.98 MB above its 8.12 MB of stored bytes, and 1.77 MB at 2 ** 16.
+# at n = 4000 the fold peaks 0.97 MB above its 7.19 MB of stored bytes, and 1.74 MB at 2 ** 16.
 # The band forms its Gauss points per block of cells: 1.50 MB of scratch, 2.19 MB for all at once.
 _BLOCK_ENTRIES = 2 ** 15  # matrix entries per row block of the assembly
-_SLAB_ROWS = 256  # rows per slab of a folded block
+_SLAB_ROWS = 3 * 64  # rows per slab of a folded block: three row bands of its square
 _SEPARATION = 2.0  # a column nearer a slab than this many slab widths is stored dense
 _FAR_GAIN = 1e17  # k Chebyshev points make rho^-k at most 1e-14 / 1e3
 _NEAR_BAND = 8        # off-diagonal band refined by Gauss quadrature
@@ -156,7 +156,8 @@ class Part(NamedTuple):
     """Rows [a0, a1) and columns [c0, c1) of a slab, row by row in block[start:stop]:
     S[a0:a1, c0:c1], or if `low`, over the slab's rows, its k rows V[q, j] = S(xi_q, y_j) /
     xi_q^gamma, with S[r0:r1, c0:c1] = U V.  A dense part stands for S[a0:a1, c0:c1] and, right
-    of its rows, for its transpose S[max(c0, a1):c1, a0:a1]."""
+    of its rows, for its transpose S[max(c0, a1):c1, a0:a1]; a row band of a slab's square
+    starts at its own first row's column, c0 = a0."""
 
     a0: int
     a1: int
@@ -171,13 +172,14 @@ class Slab(NamedTuple):
     """Rows [r0, r1) of a folded block S, which hold the upper staircase of S[r0:r1, r0:].
 
     S is symmetric, so its `parts`, in column order, store each entry of that staircase once:
-    the first, dense, part, columns [r0, c), splits at m = r0 + (r1 - r0) // 2 into S[r0:m, r0:c]
-    and S[m:r1, m:c], and S[m:r1, r0:m] is read as the upper one's transpose.  Its U[i, q] =
-    x_i^gamma l_q(x_i), l_q the Lagrange basis of k Chebyshev points xi_q on its cells, is in
-    block[at:at + (r1 - r0) * k], row by row; each part starts where the last stops.  Slabs
-    hold _SLAB_ROWS rows, the last the rest and always the last _NEAR_BAND: near x = 1/2 the
-    stored-node kernel is asymmetric in its last bits, so a slab splits only where its lower
-    part keeps _NEAR_BAND rows, and a part's own square is never mirrored.
+    the first, dense, part, columns [r0, c), is up to three row bands [a0, a1), each stored as
+    S[a0:a1, a0:c], and the entries left of a band's first column are read as the transposes of
+    the bands above it.  Its U[i, q] = x_i^gamma l_q(x_i), l_q the Lagrange basis of k Chebyshev
+    points xi_q on its cells, is in block[at:at + (r1 - r0) * k], row by row; each part starts
+    where the last stops.  Slabs hold _SLAB_ROWS rows, in bands of 64, the last slab the rest
+    and always the last _NEAR_BAND: near x = 1/2 the stored-node kernel is asymmetric in its
+    last bits, so every band, the last included, keeps _NEAR_BAND rows (a slab of fewer is one
+    band), and a part's own square is never mirrored.
     """
 
     r0: int
@@ -196,8 +198,10 @@ def _tiles(grid: Grid) -> tuple[Slab, ...]:
     """The `Slab`s of a folded block, and which of their columns are far.
 
     A slab's columns run from r0 to n/2, in parts of far or dense columns;
-    its first part, dense, holds its square, and splits into two row bands
-    at the slab's midpoint, the lower one from the midpoint's column on.
+    its first part, dense, holds its square, as row bands of h = max(
+    _NEAR_BAND, rows // 3) rows, the last with the rest, each from its own
+    first row's column on: at n = 4000 the block is 0.864 M floats (6.92
+    MB) in 52 parts.
     Column j is far when y_j and xr = fl(1 - y_j), the kernel's
     singularities, lie _SEPARATION widths beyond the slab's cells [lo, hi]
     and no min-factor kink (x = y/2, xr/2, xr - y) crosses [lo, hi]: one
@@ -224,12 +228,14 @@ def _tiles(grid: Grid) -> tuple[Slab, ...]:
         u = np.min(u[low], initial=np.inf)
         k = 0 if u == np.inf else int(np.ceil(np.log(_FAR_GAIN) / np.log(u + np.sqrt(u * u - 1))))
         edges = [r0, *(np.flatnonzero(np.diff(low)) + r0 + 1).tolist(), half]
-        parts, start, m = [], at + (r1 - r0) * k, r0 + (r1 - r0) // 2
+        h = max(_NEAR_BAND, (r1 - r0) // 3)  # the last band holds h to 2h - 1 rows, or the slab
+        cuts = range(r0, max(r0, r1 - h) + 1, h)
+        parts, start = [], at + (r1 - r0) * k
         for c0, c1 in zip(edges, edges[1:]):
             far = bool(low[c0 - r0])
-            split = c0 == r0 and r1 - m >= _NEAR_BAND  # the first part holds the square
-            for a0, a1 in ((r0, m), (m, r1)) if split else ((r0, r1),):
-                c = max(c0, a0)  # the lower band starts at its own first row
+            # the first part holds the square, as row bands of at least _NEAR_BAND rows
+            for a0, a1 in zip(cuts, [*cuts[1:], r1]) if c0 == r0 else ((r0, r1),):
+                c = max(c0, a0)  # a band starts at its own first row
                 stop = start + (k if far else a1 - a0) * (c1 - c)
                 parts.append(Part(a0, a1, c, c1, start, stop, far))
                 start = stop
@@ -287,7 +293,9 @@ def _fold(op: GreenOperator, combine) -> np.ndarray:
         xi = _chebyshev(grid, r0, r1, k, d[r0:r1] ** g, block[at:at + (r1 - r0) * k])
         for a0, a1, c0, c1, start, stop, low in parts:
             w = c1 - c0
-            # the columns, then their mirror columns n-1-j
+            # the columns, then their mirror columns n-1-j, copied contiguous: numpy's strided loop
+            # rounds ** differently on a reversed view (196 of graded_mesh(4000, 3)'s 4000 delta
+            # at gamma = 0.3), which would move 3767 floats of that grid's even block
             xc, dc = (np.stack([a[c0:c1], a[n - c1:n - c0][::-1]])[:, None] for a in (x, d))
             xs, ds = (xi, xi) if low else (x[a0:a1], d[a0:a1])  # delta(xi) = xi <= 1/2
             out = block[start:stop].reshape(-1, w)

@@ -151,3 +151,16 @@ class TestBoundaryReport:
         big = eigenfunction_boundary_report(scaled, op.grid, gamma=1.0)
         for a, b in zip(base, big):
             assert b.sup_ratio == pytest.approx(3.0 * a.sup_ratio, rel=1e-12)
+
+    @pytest.mark.parametrize("backend", ["synthetic", "spectral"])
+    def test_ratios_do_not_depend_on_the_tolerance(self, backend):
+        # read from ARPACK's own vectors, the synthetic inf_ratio moved 2.9e-10 between these tols
+        if backend == "synthetic":
+            op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(2000, 3.0))
+        else:
+            op = spectral_mt_operator(0.3, graded_mesh(2048, 1.0))
+        loose, tight = (eigenfunction_boundary_report(leading_eigenpairs(op, n_eigs=3, tol=tol),
+                                                      op.grid, gamma=1.0) for tol in (1e-8, 1e-12))
+        assert loose[0].inf_ratio == pytest.approx(tight[0].inf_ratio, rel=1e-11, abs=0)
+        for a, b in zip(loose, tight):
+            assert a.sup_ratio == pytest.approx(b.sup_ratio, rel=1e-11, abs=0)

@@ -138,18 +138,27 @@ class TestAssemble:
 
         def stored_shapes():
             return [a.shape for a in vars(op).values() if isinstance(a, np.ndarray)]
-        # each (600, 600) block: slab 0-255 stores U, its 256 x 18 Chebyshev basis, its
-        # dense columns 0-368 as rows 0-127 from column 0 and rows 128-255 from column 128,
-        # 18 Chebyshev rows of its far columns 369-591, and its dense columns 592-599;
-        # slabs 256-511 and 512-599 store their upper staircase dense, split at 384 and 556
+        # each (600, 600) block: slab 0-191 stores U, its 192 x 18 Chebyshev basis, its
+        # dense columns 0-276 as three bands of 64 rows, each from its own first row's column,
+        # 18 Chebyshev rows of its far columns 277-596, and its dense columns 597-599;
+        # slab 192-383 the same, with far columns 538-572 and 597-599 around dense 573-596;
+        # slabs 384-575 and 576-599 store their upper staircase dense, as bands of 64 and 8 rows
         parts = [[(p.a0, p.a1, p.c0, p.c1, p.low) for p in slab.parts] for slab in op.tiles]
-        assert [slab.r0 for slab in op.tiles] == [0, 256, 512]
-        assert parts == [[(0, 128, 0, 369, False), (128, 256, 128, 369, False),
-                          (0, 256, 369, 592, True), (0, 256, 592, 600, False)],
-                         [(256, 384, 256, 600, False), (384, 512, 384, 600, False)],
-                         [(512, 556, 512, 600, False), (556, 600, 556, 600, False)]]
-        block = (256 * 18 + 128 * 369 + 128 * 241 + 18 * 223 + 256 * 8
-                 + 128 * 344 + 128 * 216 + 44 * 88 + 44 * 44,)
+        assert [slab.r0 for slab in op.tiles] == [0, 192, 384, 576]
+        assert parts == [[(0, 64, 0, 277, False), (64, 128, 64, 277, False),
+                          (128, 192, 128, 277, False), (0, 192, 277, 597, True),
+                          (0, 192, 597, 600, False)],
+                         [(192, 256, 192, 538, False), (256, 320, 256, 538, False),
+                          (320, 384, 320, 538, False), (192, 384, 538, 573, True),
+                          (192, 384, 573, 597, False), (192, 384, 597, 600, True)],
+                         [(384, 448, 384, 600, False), (448, 512, 448, 600, False),
+                          (512, 576, 512, 600, False)],
+                         [(576, 584, 576, 600, False), (584, 592, 584, 600, False),
+                          (592, 600, 592, 600, False)]]
+        block = (192 * 18 + 64 * 277 + 64 * 213 + 64 * 149 + 18 * 320 + 192 * 3
+                 + 192 * 18 + 64 * 346 + 64 * 282 + 64 * 218 + 18 * 35 + 192 * 24 + 18 * 3
+                 + 64 * 216 + 64 * 152 + 64 * 88 + 8 * 24 + 8 * 16 + 8 * 8,)
+        assert block == (143_148,)
         band = (600, 17)  # the correction band, kept for `entries`
         apply_sector(op, np.ones(600))  # the mirror-even sector: the even block alone
         assert stored_shapes() == [band, block]
@@ -172,10 +181,11 @@ class TestAssemble:
         assert folds == [np.add, np.subtract]
         ref = dense_synthetic_assembly(kernel, grid)
         top_left, top_right = ref[:64, :64], ref[:64, 64:]
-        # one slab of 64 rows, split at row 32: rows 0-31 from column 0, rows 32-63 from 32
+        # one slab of 64 rows, in bands of 21, 21 and 22: rows 0-20 from column 0, rows 21-41
+        # from 21, rows 42-63 from 42
         ref_odd = pack_block(top_left - top_right[:, ::-1], grid, op.tiles)
         ref_even = pack_block(top_left + top_right[:, ::-1], grid, op.tiles)
-        assert op.odd.size == ref_odd.size == 32 * 64 + 32 * 32
+        assert op.odd.size == ref_odd.size == 21 * 64 + 21 * 43 + 22 * 22
         assert np.max(np.abs(op.odd - ref_odd)) <= 1e-14 * np.max(ref_even)
 
     def test_correction_band_is_evaluated_once_per_operator(self, monkeypatch):
@@ -211,7 +221,7 @@ class TestAssemble:
     def test_each_block_evaluates_the_envelope_on_its_upper_trapezoid(self, monkeypatch):
         # the full left rows are n^2 / 2 entries; a block evaluates its dense parts and
         # their mirror columns, its far fields at the Chebyshev points, and the even
-        # build the Gauss band too: 0.302 and 0.270 of them at n = 4000
+        # build the Gauss band too: 0.242 and 0.210 of them at n = 4000
         sizes, envelope = [], operators._envelope
 
         def spy(r, *args, **kwargs):
@@ -230,12 +240,13 @@ class TestAssemble:
         # block; at n = 4000 the block dominates, as in every acceptance case
         n = 4000
         stored, peak = traced_assembly(n)
-        # the tiled (2000, 2000) block and the band: 8.12 MB, where the block stored
-        # dense as its upper slabs took 17.0 MB, and with each slab's whole square 9.12 MB
-        assert stored <= 8.2e6
+        # the tiled (2000, 2000) block and the band: 7.19 MB, where the block stored
+        # dense as its upper slabs took 17.0 MB, with each slab's whole square 9.12 MB,
+        # and in 256-row slabs split once at their midpoints 8.12 MB
+        assert stored <= 7.2e6
         assert peak <= 2 * stored, peak / stored
         assert peak < (n // 2) ** 2 * 8  # never the square block, not even for a moment
-        # the fold's three row-block buffers and little else: 0.98 MB above the stored bytes
+        # the fold's three row-block buffers and little else: 0.97 MB above the stored bytes
         assert peak - stored <= 3 * operators._BLOCK_ENTRIES * 8 + 0.25e6, peak - stored
 
     def test_band_scratch_is_bounded_by_its_blocks(self):
@@ -591,9 +602,28 @@ class TestEntries:
         assert_far_fields_fit(tiles)
         assert_laid_out_end_to_end(tiles, n // 2)
 
+    # the last slab holds 1, 8, 9, 15, 16, 23, 24, 191 and 192 rows: one band below 16 rows,
+    # a band of 8 and the rest below 24, and from 24 on thirds, the rest in the last
+    @pytest.mark.parametrize("n, widest", [(2, 1), (1168, 8), (1170, 9), (1182, 15), (1184, 8),
+                                           (1198, 15), (1200, 8), (1534, 65), (1536, 64)])
+    def test_short_last_slabs_keep_their_bands(self, n, widest):
+        grid = two_cell_grid() if n == 2 else graded_mesh(n, 3.0)
+        tiles = operators._tiles(grid)
+        assert_laid_out_end_to_end(tiles, n // 2)
+        if n > 2:  # two cells hold no far column
+            assert_far_fields_fit(tiles)
+        for slab in tiles:
+            rows = slab.r1 - slab.r0
+            bands = [part.a1 - part.a0 for part in slab.parts if part.c0 == part.a0]
+            assert sum(bands) == rows and min(bands) >= min(operators._NEAR_BAND, rows)
+            # a full slab's bands hold 64 rows; 191 rows hold 63, 63 and 65
+            assert max(bands) == (widest if slab is tiles[-1] else 64)
+        if n in (1198, 1534):
+            assert_sectors_match_entries(assemble(synthetic_k5(ProblemParams(0.2, 0.7)), grid))
+
     def test_tiled_sectors_match_the_rule_at_the_shipped_slab_height(self):
         op = assemble(synthetic_k5(ProblemParams(s=0.2, gamma=1.0)), graded_mesh(2400, 3.0))
-        assert [slab.k for slab in op.tiles] == [18, 18, 18, 0, 0]
+        assert [slab.k for slab in op.tiles] == [18, 18, 18, 18, 0, 0, 0]
         assert_sectors_match_entries(op)
 
     @pytest.mark.parametrize("n", [200, 1000])
