@@ -2,7 +2,8 @@
 # The full-size checks that tier-1 does not run, as CI runs them after it:
 # the benchmark workloads against their baseline, byte identity across --jobs
 # and across runs, the exit at n = 1026, the tiled synthetic blocks, eigen,
-# and verify-kernel; on Python 3.12 and later, a report of fork warnings.
+# verify-kernel, and the JSON of predict, bq and green-norm; on Python 3.12
+# and later, a report of fork warnings.
 #
 #     sh ci/full_size.sh [CLI [OUT_DIR]]
 #
@@ -124,5 +125,20 @@ for case in bounds bounds_half bounds_spectral; do
     cmp "$out/${case}1.json" "$out/${case}2.json"
     grep -q '"violations": 0' "$out/${case}1.json"
 done
+
+# predict and bq print result records by their _asdict(), and green-norm reads B_q's
+# classification; at q = 0.625, the log threshold of s = 0.2, both carry its log exponent
+echo "== predict, bq and green-norm print the same JSON on every run"
+for run in 1 2; do
+    $cli predict --s 0.25 --gamma 1 --p 0.5 --force-critical > "$out/predict$run.json"
+    $cli bq --s 0.2 --gamma 1 --q 0.625 > "$out/bq$run.json"
+    $cli green-norm --s 0.2 --gamma 1 --q 0.625 > "$out/green_norm$run.json"
+done
+for case in predict bq green_norm; do
+    cmp "$out/${case}1.json" "$out/${case}2.json"
+done
+grep -q '"case_label": "II.A.2"' "$out/predict1.json"
+grep -q '"log_exponent": 1.6' "$out/bq1.json"
+grep -q '"regime": "log"' "$out/green_norm1.json"
 
 echo "full-size checks passed"

@@ -24,7 +24,6 @@ import pickle
 import sys
 import tempfile
 import time
-from dataclasses import asdict
 from functools import partial
 from itertools import chain
 from typing import Callable, NamedTuple
@@ -38,8 +37,8 @@ from .fitting import _least_squares, fit_report, fit_window
 from .grids import graded_mesh
 from .operators import (_check_samples, _check_spectral_grid, assemble, check_kernel_bounds,
                         green_q_norm_profile, spectral_mt_operator, synthetic_k5)
-from .solver import (ConvergenceError, SemilinearSolution, SolverConfig, harnack_report,
-                     harnack_window, picard_solve)
+from .solver import (DEFAULT_TOL, ConvergenceError, SemilinearSolution, SolverConfig,
+                     harnack_report, harnack_window, picard_solve)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -104,7 +103,7 @@ _CASE_FIELDS = {
     "p": ("number", _REQUIRED),
     "n": ("integer", _REQUIRED),
     "beta_g": ("number", 3.0),
-    "tol": ("number", SolverConfig.tol),
+    "tol": ("number", DEFAULT_TOL),
     "force_critical": ("boolean", False),
 }
 # the study config's top level, read by the same rules as a case
@@ -376,7 +375,7 @@ def cmd_predict(args) -> int:
     pred = predict_mu(args.s, args.gamma, args.p, force_critical=args.force_critical)
     case = nu_case_machine(args.s, args.gamma, 1.0 / args.p,
                            force_critical=args.force_critical)
-    out = {**asdict(pred), "case_label": case.label,
+    out = {**pred._asdict(), "case_label": case.label,
            "nu_1": case.nu_1, "nu_infinity": case.nu_infinity}
     sys.stdout.write(_json_text(_without_none(out)))
     return EXIT_OK
@@ -484,14 +483,14 @@ def cmd_eigen(args) -> int:
     ratios = eigenfunction_boundary_report(pairs, grid, args.gamma)
     _write_csv(csv_path, ("index", "mu", "lambda", "residual"),
                ((pair.index, pair.mu, 1.0 / pair.mu, pair.residual) for pair in pairs))
-    _atomic_write(ratios_path, _json_text([asdict(r) for r in ratios]))
+    _atomic_write(ratios_path, _json_text([r._asdict() for r in ratios]))
     sys.stdout.write(_json_text({"mu_1": pairs[0].mu, "n_pairs": len(pairs)}))
     return EXIT_OK
 
 
 def cmd_bq(args) -> int:
     cls = classify_bq(args.N, args.s, args.gamma, args.q)
-    sys.stdout.write(_json_text(_without_none(asdict(cls))))
+    sys.stdout.write(_json_text(_without_none(cls._asdict())))
     return EXIT_OK
 
 
@@ -517,7 +516,7 @@ def cmd_verify_kernel(args) -> int:
     _, build = _operator_plan(args.backend, ProblemParams(s=args.s, gamma=args.gamma), args.n,
                               _CASE_FIELDS["beta_g"][1])
     report = check_kernel_bounds(build(), n_samples=args.n_samples, seed=args.seed)
-    sys.stdout.write(_json_text(asdict(report)))
+    sys.stdout.write(_json_text(report._asdict()))
     return EXIT_OK
 
 

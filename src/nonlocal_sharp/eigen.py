@@ -16,19 +16,18 @@ when called, so importing this module loads no scipy module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .grids import Grid
 from .operators import Operator, _mirror, apply_sector
-from .solver import ConvergenceError, SolverConfig, _check_tol
+from .solver import DEFAULT_TOL, ConvergenceError, _check_tol
 
 _MAX_ITER = 10_000  # ARPACK restarts before ConvergenceError
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     index: int          # 1-based
     mu: float           # eigenvalue of the inverse operator; lambda = 1/mu
     phi: np.ndarray     # node values A phi0 / mu, unit norm in the quadrature L^2 to about
@@ -49,7 +48,7 @@ def check_eigen_request(n: int, n_eigs: int, tol: float) -> None:
 
 
 def leading_eigenpairs(op: Operator, n_eigs: int = 1,
-                       tol: float = SolverConfig.tol) -> list[EigenPair]:
+                       tol: float = DEFAULT_TOL) -> list[EigenPair]:
     """Largest n_eigs eigenpairs, ordered by decreasing eigenvalue.
 
     Every pair's ARPACK vector phi0 must reach ||A phi0 - mu phi0||_w <=
@@ -96,8 +95,7 @@ _EXCLUDE = 3      # nodes left out next to each endpoint
 _DELTA_MAX = 0.2  # boundary layer of the ratios
 
 
-@dataclass(frozen=True)
-class BoundaryRatio:
+class BoundaryRatio(NamedTuple):
     """An eigenfunction's boundary ratios, read from the pair's phi = A phi0 / mu.
 
     ARPACK's tol bounds the residual, not the relative error of the tiny

@@ -17,7 +17,7 @@ formulas are the ground truth the numerical fits are checked against:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def _check_order(s: float) -> None:
@@ -32,21 +32,22 @@ def _check_dimension(N: int) -> None:
         raise ValueError("dimension N must be a positive integer")
 
 
-@dataclass(frozen=True)
-class ProblemParams:
+class ProblemParams(NamedTuple("ProblemParams", [("s", float), ("gamma", float)])):
     """The operator's parameters (s, gamma), validated once for every caller.
 
     The nonlinearity power p is no operator parameter: `predict_mu` and
-    `SolverConfig`, which read it, check it by `_check_p`.
+    `SolverConfig`, which read it, check it by `_check_p`.  `_make` and
+    `_replace` build one without this `__new__`, so without its checks;
+    nothing calls them.
     """
 
-    s: float
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_order(self.s)
-        if not 0.0 < self.gamma <= 1.0:
+    def __new__(cls, s: float, gamma: float):
+        _check_order(s)
+        if not 0.0 < gamma <= 1.0:
             raise ValueError("boundary exponent gamma must lie in (0, 1]")
+        return super().__new__(cls, s, gamma)
 
 
 class EigenvalueProblemSignal(ValueError):
@@ -66,8 +67,7 @@ def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
 
 
-@dataclass(frozen=True)
-class ExponentPrediction:
+class ExponentPrediction(NamedTuple):
     mu: float
     sigma: float
     regime: str  # "eigen-dominated" | "scaling-dominated" | "critical"
@@ -103,8 +103,7 @@ def predict_mu(s: float, gamma: float, p: float,
     return ExponentPrediction(mu=scaling, sigma=scaling / gamma, regime="scaling-dominated")
 
 
-@dataclass(frozen=True)
-class BqClassification:
+class BqClassification(NamedTuple):
     regime: str  # "linear" | "log" | "power"
     phi_exponent: float
     log_exponent: float | None
@@ -138,8 +137,7 @@ def classify_bq(N: int, s: float, gamma: float, q: float) -> BqClassification:
     return BqClassification("power", (N - q * (N - 2.0 * s)) / (q * gamma), None, q_low, q_high)
 
 
-@dataclass(frozen=True)
-class HlsLadder:
+class HlsLadder(NamedTuple):
     sequence: tuple
     k_star: int
 
@@ -165,8 +163,7 @@ def hls_ladder(N: int, s: float) -> HlsLadder:
     return HlsLadder(sequence=tuple(seq), k_star=len(seq) - 1)
 
 
-@dataclass(frozen=True)
-class CaseLabel:
+class CaseLabel(NamedTuple):
     label: str  # DIRECT | I | II.A.1 | II.A.2 | II.B | III | IV
     sigma_out: float
     log_flag: bool

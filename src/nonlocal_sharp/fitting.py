@@ -17,7 +17,7 @@ of the log(a/b) box, then golden section around the best scan point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ _MIN_POINTS = 10    # fewest window nodes a fit accepts
 _LOG_FIT_CAP = 0.05  # the critical fits use the full range: the offset fit needs the crossover
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     """Measured exponents; compare them with an `ExponentPrediction`.
 
     mu_hat, r2 -- slope and R^2 of the log-log power fit

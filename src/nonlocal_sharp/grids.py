@@ -12,8 +12,6 @@ nodes every boundary estimate is measured on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
@@ -37,7 +35,6 @@ def boundary_distance(x):
     return float(d) if d.ndim == 0 else d
 
 
-@dataclass(frozen=True)
 class Grid:
     """Cell-midpoint grid on (0, 1), the exact mirror image of its left half.
 
@@ -52,17 +49,12 @@ class Grid:
 
     On the right half delta and weights are exact copies of the left half,
     never recomputed from 1 - x, whose rounding near x = 1 is large relative
-    to delta; hence weights / 2 <= delta holds exactly for every cell.
+    to delta; hence weights / 2 <= delta holds exactly for every cell.  The
+    fields are set once, here, and cannot be reassigned.
     """
 
-    half_boundaries: np.ndarray
-    boundaries: np.ndarray = field(init=False)
-    nodes: np.ndarray = field(init=False)
-    weights: np.ndarray = field(init=False)
-    delta: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.half_boundaries, dtype=float)
+    def __init__(self, half_boundaries):
+        t = np.asarray(half_boundaries, dtype=float)
         if t.ndim != 1 or t.size < 2 or t[0] != 0.0 or t[-1] != 0.5:
             raise ValueError("half-mesh boundaries must run from 0 to 1/2")
         left_w = np.diff(t)
@@ -73,15 +65,12 @@ class Grid:
         if not (nodes[0] > 0.0 and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0)):
             raise ValueError("grading too strong for n: nodes are not strictly "
                              "increasing inside (0, 1) in double precision")
-        derived = {
-            "half_boundaries": t,
-            "boundaries": np.concatenate([t, 1.0 - t[-2::-1]]),
-            "nodes": nodes,
-            "weights": np.concatenate([left_w, left_w[::-1]]),
-            "delta": np.concatenate([left_x, left_x[::-1]]),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        vars(self).update(half_boundaries=t, boundaries=np.concatenate([t, 1.0 - t[-2::-1]]),
+                          nodes=nodes, weights=np.concatenate([left_w, left_w[::-1]]),
+                          delta=np.concatenate([left_x, left_x[::-1]]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def n(self) -> int:

@@ -20,7 +20,6 @@ stored blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -34,8 +33,7 @@ class DiagonalSingularityError(ValueError):
     """Pointwise evaluation requested on the diagonal x = y."""
 
 
-@dataclass(frozen=True)
-class GreenKernel:
+class GreenKernel(NamedTuple):
     """Evaluatable symmetric synthetic kernel."""
 
     params: ProblemParams
@@ -99,7 +97,6 @@ def _stored_bytes(op) -> int:
     return sum(a.nbytes for a in vars(op).values() if isinstance(a, np.ndarray))
 
 
-@dataclass(frozen=True)
 class GreenOperator:
     """Mirror-symmetric operator stored as its even and odd halves.
 
@@ -113,13 +110,15 @@ class GreenOperator:
     `tiles`, the `Slab`s and `Part`s that `_tiles` builds and whose
     docstrings give the format.  `_fold` builds each from the four fields
     the first time it is read, so the even sector never builds `odd`;
-    `band` is kept for the folds and for `entries`.
+    `band` is kept for the folds and for `entries`.  The fields cannot be
+    reassigned, as a Grid's cannot.
     """
 
-    grid: Grid
-    params: ProblemParams
-    band: np.ndarray
-    tiles: tuple[Slab, ...]
+    def __init__(self, grid: Grid, params: ProblemParams, band: np.ndarray,
+                 tiles: tuple[Slab, ...]):
+        vars(self).update(grid=grid, params=params, band=band, tiles=tiles)
+
+    __setattr__ = Grid.__setattr__
 
     @cached_property
     def even(self) -> np.ndarray:
@@ -402,7 +401,6 @@ def _corrected_band(params: ProblemParams, grid: Grid):
     return band
 
 
-@dataclass(frozen=True)
 class SpectralOperator:
     """Matrix transfer stored as its symbol: eigenvalues in sine mode order.
 
@@ -410,25 +408,22 @@ class SpectralOperator:
     sin(k pi x) restricted to the uniform midpoint grid.  The operator is
     symmetric, so it is self-adjoint in <u, v>_w like GreenOperator.  `pre`
     and `post` are the twiddles of `_dst4`, and `even_symbol` is the even
-    sector's symbol[0::2] 2/N in long double, N = n/2, all built once.
+    sector's symbol[0::2] 2/N in long double, N = n/2, all built once.  The
+    fields cannot be reassigned, as a Grid's cannot.
     """
 
-    grid: Grid
-    params: ProblemParams
-    symbol: np.ndarray = field(init=False, repr=False)
-    pre: np.ndarray = field(init=False, repr=False)
-    post: np.ndarray = field(init=False, repr=False)
-    even_symbol: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        _check_spectral_grid(self.grid)
-        n, h, pi = self.grid.n, 1.0 / self.grid.n, np.arccos(np.longdouble(-1))
+    def __init__(self, grid: Grid, params: ProblemParams):
+        _check_spectral_grid(grid)
+        n, h, pi = grid.n, 1.0 / grid.n, np.arccos(np.longdouble(-1))
         lam = (4.0 / h ** 2) * np.sin(np.arange(1, n + 1, dtype=float) * np.pi * h / 2.0) ** 2
         k = np.arange(n // 4, dtype=np.longdouble)
-        object.__setattr__(self, "symbol", lam ** (-self.params.s))  # lambda_k(h)^{-s}
-        object.__setattr__(self, "pre", np.exp(-2j * pi * k / n))  # exp(-i pi k / N), N = n/2
-        object.__setattr__(self, "post", np.exp(-1j * pi * (4 * k + 1) / (2 * n)))
-        object.__setattr__(self, "even_symbol", self.symbol[0::2] * (2 / np.longdouble(n // 2)))
+        symbol = lam ** (-params.s)  # lambda_k(h)^{-s}
+        vars(self).update(grid=grid, params=params, symbol=symbol,
+                          pre=np.exp(-2j * pi * k / n),  # exp(-i pi k / N), N = n/2
+                          post=np.exp(-1j * pi * (4 * k + 1) / (2 * n)),
+                          even_symbol=symbol[0::2] * (2 / np.longdouble(n // 2)))
+
+    __setattr__ = Grid.__setattr__
 
     nbytes = property(_stored_bytes)
 
@@ -597,8 +592,7 @@ def green_q_norm_profile(kernel: GreenKernel, grid: Grid, q: float):
     return grid.delta[idx], norms
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Empirical envelope constants from sampled kernel values.
 
     c1_hat -- max of G |x-y|^{N-2s} / (min-factor product), the upper form

@@ -21,7 +21,7 @@ so the iteration runs on left halves, by `apply_sector`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ class BracketError(RuntimeError):
 
 _MAX_ITER = 1000  # Picard iterations before ConvergenceError
 _NEST_RTOL = 1e-12  # relative roundoff a nested enclosure step may show
+DEFAULT_TOL = 1e-10  # the tolerance of every solve and eigen run that names none
 
 
 def _check_tol(tol: float) -> None:
@@ -50,18 +51,22 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tolerance must be positive and finite")
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    p: float
-    tol: float = 1e-10
+class SolverConfig(NamedTuple("SolverConfig", [("p", float), ("tol", float)])):
+    """A solve's power p and tolerance tol, both checked here.
 
-    def __post_init__(self):
-        _check_p(self.p)
-        _check_tol(self.tol)
+    `_make` and `_replace` build one without this `__new__`, so without its
+    checks; nothing calls them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: float, tol: float = DEFAULT_TOL):
+        _check_p(p)
+        _check_tol(tol)
+        return super().__new__(cls, p, tol)
 
 
-@dataclass(frozen=True)
-class SemilinearSolution:
+class SemilinearSolution(NamedTuple):
     u: np.ndarray
     residual: float       # sup |u - T(u)| / sup u
     iterations: int
@@ -132,8 +137,7 @@ _BALL_CENTRE = 0.5        # interior ball of the local ratio
 _BALL_RADIUS = 0.1
 
 
-@dataclass(frozen=True)
-class HarnackReport:
+class HarnackReport(NamedTuple):
     global_ratio: float     # (sup u/w) / (inf u/w) over the boundary window
     local_ratio: float      # sup u / inf u over the interior ball
 

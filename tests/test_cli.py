@@ -1,5 +1,6 @@
 import errno
 import gc
+import inspect
 import json
 import os
 import pickle
@@ -20,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonlocal_sharp import (BracketError, ConvergenceError, ProblemParams, cli, fitting,
-                            graded_mesh, green_q_norm_profile, operators, predict_mu,
-                            synthetic_k5)
+from nonlocal_sharp import (BracketError, ConvergenceError, ProblemParams, SolverConfig, cli,
+                            fitting, graded_mesh, green_q_norm_profile, leading_eigenpairs,
+                            operators, predict_mu, synthetic_k5)
 from nonlocal_sharp.cli import STUDY_COLUMNS, main
 
 
@@ -434,6 +435,16 @@ class TestToleranceDefault:
     ], ids=lambda argv: argv[0])
     def test_every_tol_flag_defaults_to_the_case_field(self, argv):
         assert cli.build_parser().parse_args(argv).tol == cli._CASE_FIELDS["tol"][1]
+
+    def test_every_default_tolerance_is_the_solver_s_one_float(self):
+        # a field of a named tuple read on its class is the field's descriptor, not its default
+        defaults = (SolverConfig(p=0.5).tol, cli._CASE_FIELDS["tol"][1],
+                    inspect.signature(leading_eigenpairs).parameters["tol"].default)
+        assert [(type(tol), tol) for tol in defaults] == [(float, 1e-10)] * 3
+
+    def test_eigen_without_tol_exits_0(self, capsys, tmp_path):
+        code, _, err = run(capsys, "eigen", "--s", "0.3", "--n", "64", "--out-dir", str(tmp_path))
+        assert code == 0, err
 
 
 class TestEigen:

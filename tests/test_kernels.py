@@ -26,6 +26,8 @@ class TestProblemParams:
         {"s": 1.5, "gamma": 0.5},
         {"s": 0.3, "gamma": 0.0},
         {"s": 0.3, "gamma": 1.5},
+        {"s": float("nan"), "gamma": 0.5},
+        {"s": 0.3, "gamma": float("nan")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

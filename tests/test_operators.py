@@ -235,6 +235,18 @@ class TestAssemble:
         apply(op, np.arange(n, dtype=float))  # mirror-odd part: builds the odd block
         assert sum(sizes) <= 0.32 * n ** 2 / 2
 
+    def test_fold_powers_contiguous_mirror_columns(self, monkeypatch):
+        # numpy's strided loop rounds ** differently on a reversed view: graded_mesh(4000, 3)
+        # .delta[::-1] ** 0.3 differs from its contiguous copy's in 196 of 4000 entries
+        strides, envelope = [], operators._envelope
+
+        def spy(r, dx, dy, *args, **kwargs):
+            strides.append(dy.strides[-1])
+            return envelope(r, dx, dy, *args, **kwargs)
+        monkeypatch.setattr(operators, "_envelope", spy)
+        assemble(synthetic_k5(ProblemParams(s=0.2, gamma=0.3)), graded_mesh(2400, 3.0))
+        assert strides and set(strides) == {8}
+
     def test_assembly_peak_memory_within_twice_stored_bytes(self):
         # at n = 1000 the row-block buffers, about 1.5 MB for any n, outweigh the 1.4 MB
         # block; at n = 4000 the block dominates, as in every acceptance case
@@ -726,17 +738,29 @@ def modules_loaded(step, tmp_path, package="scipy", cases=SPECTRAL_STUDY):
     return out.stdout.splitlines()[-1], [m for m in logged if m.startswith(package)]
 
 
+IMPORT_STEPS = {
+    "import": "import nonlocal_sharp",
+    "predict": "from nonlocal_sharp import cli; "
+               "cli.main(['predict', '--s', '0.25', '--gamma', '1', '--p', '0.5', "
+               "'--force-critical'])",
+}
+
+
 # scipy is imported only by leading_eigenpairs, which no study case calls
 
 @pytest.mark.parametrize("step", [
-    "import nonlocal_sharp",
-    "from nonlocal_sharp import cli; "
-    "cli.main(['predict', '--s', '0.25', '--gamma', '1', '--p', '0.5', '--force-critical'])",
+    *IMPORT_STEPS.values(),
     # the log-correction fit needs delta <= 1e-3, which n = 1000 at beta = 3 reaches
     f"from nonlocal_sharp import cli; assert cli.run_case({CRITICAL_CASE!r})['log_exp_hat'] > 0",
-], ids=["import", "predict", "critical-case"])
+], ids=[*IMPORT_STEPS, "critical-case"])
 def test_synthetic_path_loads_no_scipy(step, tmp_path):
     assert modules_loaded(step, tmp_path) == ("[]", [])
+
+
+# the records are named tuples and plain classes: no import execs generated method source
+@pytest.mark.parametrize("step", IMPORT_STEPS.values(), ids=IMPORT_STEPS)
+def test_package_generates_no_dataclass_code(step, tmp_path):
+    assert modules_loaded(step, tmp_path, "dataclasses") == ("[]", [])
 
 
 # two cases and two jobs: the cases run in forked workers

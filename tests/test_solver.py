@@ -131,7 +131,7 @@ class TestPicardSolve:
         assert np.array_equal(sol.u, sol.u[::-1])
 
     def test_config_validation(self):
-        for p in (0.0, 1.0, 1.5):
+        for p in (0.0, 1.0, 1.5, float("nan")):
             with pytest.raises(ValueError, match="0 < p < 1"):
                 SolverConfig(p=p)
         for tol in (0.0, float("nan"), float("inf")):
