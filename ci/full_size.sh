@@ -95,19 +95,22 @@ test ! -e "$out/spectral_1026/fit.json"
 # far field, and eigen with three pairs builds and applies the odd block's tiles too;
 # gamma = 0.5 runs the envelope's r **= gamma branch, which gamma = 1 skips, and a power other
 # than 1 in each far field's x^gamma and xi^gamma, but numpy takes its sqrt fast path there;
-# gamma = 0.3 runs the general power; each output is the same bytes on every run
+# gamma = 0.3 runs the general power, and eigen at gamma = 0.3 folds the odd block with it;
+# each output is the same bytes on every run
 echo "== tiled synthetic blocks at full size"
 for run in 1 2; do
     $cli solve --s 0.2 --gamma 1 --p 0.5 --n 16000 --out-dir "$out/tiled$run"
     $cli solve --s 0.2 --gamma 0.5 --p 0.5 --n 16000 --out-dir "$out/tiled_half$run"
     $cli solve --s 0.3 --gamma 0.3 --p 0.5 --n 16000 --out-dir "$out/tiled_power$run"
     $cli eigen --backend synthetic --s 0.2 --n 4000 --n-eigs 3 --out-dir "$out/eigen$run"
+    $cli eigen --backend synthetic --s 0.3 --gamma 0.3 --n 4000 --n-eigs 3 \
+        --out-dir "$out/eigen_power$run"
     $cli eigen --s 0.3 --n 4096 --n-eigs 3 --out-dir "$out/eigen_spectral$run"
 done
 for case in tiled tiled_half tiled_power; do
     cmp "$out/${case}1/solution.csv" "$out/${case}2/solution.csv"
 done
-for case in eigen eigen_spectral; do
+for case in eigen eigen_power eigen_spectral; do
     cmp "$out/${case}1/eigenpairs.csv" "$out/${case}2/eigenpairs.csv"
     cmp "$out/${case}1/boundary_ratios.json" "$out/${case}2/boundary_ratios.json"
 done

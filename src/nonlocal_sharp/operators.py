@@ -132,11 +132,11 @@ class GreenOperator:
 
 
 # Row blocks stay small: a study worker's glibc mmap threshold rises to the first operator block
-# it frees, so later transients come from the heap and stay resident (43.0 vs 39.1 MB blocked);
-# and the fold's three buffers are live at a worker's peak, beside the block it has just filled:
-# at n = 4000 the fold peaks 0.97 MB above its 7.19 MB of stored bytes, and 1.74 MB at 2 ** 16.
-# The band forms its Gauss points per block of cells: 1.50 MB of scratch, 2.19 MB for all at once.
-_BLOCK_ENTRIES = 2 ** 15  # matrix entries per row block of the assembly
+# it frees, so later transients come from the heap and stay resident (43.0 vs 39.1 MB blocked).
+# This sizes both the fold's three buffers and the band's blocks of Gauss points (0.37 and 0.84 MB
+# of scratch at n = 4000), which reuse each other's heap holes: halving either alone raised
+# acceptance's peak (0.47 and 0.33 MB), both lowered it, a quarter of both by 0.5-1.0 MB.
+_BLOCK_ENTRIES = 2 ** 13  # matrix entries per row block of the assembly
 _SLAB_ROWS = 3 * 64  # rows per slab of a folded block: three row bands of its square
 _SEPARATION = 2.0  # a column nearer a slab than this many slab widths is stored dense
 _FAR_GAIN = 1e17  # k Chebyshev points make rho^-k at most 1e-14 / 1e3
@@ -279,11 +279,11 @@ def _fold(op: GreenOperator, combine) -> np.ndarray:
     Each part evaluates the envelope at its rows (nodes, or Chebyshev
     points) against its columns, then their mirrors, in row blocks that
     reuse one set of buffers, and combines the halves.  A dense part takes
-    the band's entries by offset j - i, with r = 1 there first.
+    the band's entries by offset j - i, with r = 1 there first.  A part's
+    columns and band positions are formed once, before its row blocks.
     """
     grid, params, band, tiles = op.grid, op.params, op.band, op.tiles
-    x, d, n = grid.nodes, grid.delta, grid.n
-    g = params.gamma
+    x, d, n, g = grid.nodes, grid.delta, grid.n, params.gamma
     block = np.empty(_block_length(tiles))
     cap = max(1, _BLOCK_ENTRIES // n) * n  # entries per row block: whole rows of the grid
     buffers = np.empty((3, cap))
@@ -295,28 +295,28 @@ def _fold(op: GreenOperator, combine) -> np.ndarray:
             # the columns, then their mirror columns n-1-j, copied contiguous: numpy's strided loop
             # rounds ** differently on a reversed view (196 of graded_mesh(4000, 3)'s 4000 delta
             # at gamma = 0.3), which would move 3767 floats of that grid's even block
-            xc, dc = (np.stack([a[c0:c1], a[n - c1:n - c0][::-1]])[:, None] for a in (x, d))
+            xc, dc = (np.stack([a[c0:c1], a[n - c1:n - c0][::-1]]) for a in (x, d))
             xs, ds = (xi, xi) if low else (x[a0:a1], d[a0:a1])  # delta(xi) = xi <= 1/2
             out = block[start:stop].reshape(-1, w)
             rows = cap // (2 * w)
-            banded = not low and c0 < a1 + _NEAR_BAND  # else no band column is in it
+            if banded := not low and c0 < a1 + _NEAR_BAND:  # else no band column is in it
+                j = np.arange(a0, a1)[:, None] + offsets  # the band's columns
+                mirror = j >= n // 2
+                np.subtract(n - 1, j, out=j, where=mirror)  # mirrored: outside the grid is < 0
+                on = (j >= c0) & (j < c1)
+                j += (np.arange(a1 - a0)[:, None] * 2 + mirror) * w - c0  # their places in r
             for t0 in range(0, xs.size, rows):
                 t1 = min(t0 + rows, xs.size)
-                r, G, scratch = (b[:(t1 - t0) * 2 * w].reshape(2, t1 - t0, w) for b in buffers)
-                np.subtract(xs[t0:t1, None], xc, out=r)
+                r, G, scratch = buffers[:, :(t1 - t0) * 2 * w].reshape(3, t1 - t0, 2, w)
+                np.subtract(xs[t0:t1, None, None], xc, out=r)
                 np.abs(r, out=r)
-                if banded:  # the band's columns, then their places in r
-                    j = np.arange(a0 + t0, a0 + t1)[:, None] + offsets
-                    mirror, on = j >= n // 2, (j >= 0) & (j < n)
-                    np.subtract(n - 1, j, out=j, where=mirror)
-                    on &= (j >= c0) & (j < c1)
-                    j += np.arange(t1 - t0)[:, None] * w - c0 + mirror * ((t1 - t0) * w)
-                    at_band = j[on]
-                    r.put(at_band, 1.0)  # placeholders, overwritten below
-                _envelope(r, ds[t0:t1, None], dc, params, out=G, scratch=scratch)
                 if banded:
-                    G.put(at_band, band[a0 + t0:a0 + t1][on])
-                combine(G[0], G[1], out=out[t0:t1])
+                    at_band = j[t0:t1][on[t0:t1]] - t0 * 2 * w
+                    r.put(at_band, 1.0)  # placeholders, overwritten below
+                _envelope(r, ds[t0:t1, None, None], dc, params, out=G, scratch=scratch)
+                if banded:
+                    G.put(at_band, band[a0 + t0:a0 + t1][on[t0:t1]])
+                combine(G[:, 0], G[:, 1], out=out[t0:t1])
             if low:
                 out /= xi[:, None] ** g
     return block
@@ -365,9 +365,9 @@ def _corrected_band(params: ProblemParams, grid: Grid):
     one-sided averages are combined as Ghat_ij = (I_ij/w_j + I_ji/w_i)/2,
     so the kernel values stay exactly symmetric.  Both directions' Gauss
     points are formed per block of cells and go through the envelope
-    together: at n = 4000 the scratch peaks 1.50 MB above the band, 2.19 MB
-    with the points of all cells formed at once, and a larger scratch would
-    stay resident in a study worker (see _BLOCK_ENTRIES).
+    together: at n = 4000 the scratch peaks about 0.84 MB above the band,
+    2.19 MB with the points of all cells formed at once, and a larger
+    scratch would stay resident in a study worker (see _BLOCK_ENTRIES).
     """
     x, w, n, half = grid.nodes, grid.weights, grid.n, grid.n // 2
     k = _NEAR_BAND

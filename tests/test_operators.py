@@ -101,6 +101,20 @@ class TestAssemble:
         assert np.max(np.abs(top - ref[:n_half])) <= 1e-14 * np.max(np.abs(ref))
         np.testing.assert_array_equal(bottom, top[::-1, ::-1])
 
+    # the strided-pow case; mirrored band columns in the last slab; a small grid, small gamma
+    @pytest.mark.parametrize("n, s, gamma, beta", [(2400, 0.3, 0.3, 3.0), (1198, 0.2, 0.7, 3.0),
+                                                   (64, 0.45, 0.05, 4.0)])
+    def test_row_block_budget_never_changes_a_bit(self, n, s, gamma, beta):
+        kernel, grid = synthetic_k5(ProblemParams(s=s, gamma=gamma)), graded_mesh(n, beta)
+        built = []
+        for budget in (n, 3 * n, 2 ** 13, 2 ** 15):  # from one row per block up
+            with mock.patch.object(operators, "_BLOCK_ENTRIES", budget):
+                op = assemble(kernel, grid)
+                built.append((op.even, op.odd, op.band))
+        for blocks in built[1:]:
+            for a, b in zip(blocks, built[0]):
+                np.testing.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("n_half", [131, 134])
     def test_last_slab_holds_the_rows_nearest_the_centre(self, n_half):
         # with slabs of 128 rows and no more, the last one would hold 3 or 6 rows, and
@@ -258,7 +272,7 @@ class TestAssemble:
         assert stored <= 7.2e6
         assert peak <= 2 * stored, peak / stored
         assert peak < (n // 2) ** 2 * 8  # never the square block, not even for a moment
-        # the fold's three row-block buffers and little else: 0.97 MB above the stored bytes
+        # the fold's three row-block buffers and little else: 0.38 MB above the stored bytes
         assert peak - stored <= 3 * operators._BLOCK_ENTRIES * 8 + 0.25e6, peak - stored
 
     def test_band_scratch_is_bounded_by_its_blocks(self):
@@ -271,7 +285,7 @@ class TestAssemble:
         finally:
             tracemalloc.stop()
         # the envelope's three buffers of _BLOCK_ENTRIES floats, and the (n/2 + 8, 16) cell
-        # averages three times over while they are scaled: 1.50 MB above the band, where the
+        # averages three times over while they are scaled: 0.84 MB above the band, where the
         # Gauss points formed for every cell at once, before the blocks, took 2.19 MB
         averages = (n // 2 + operators._NEAR_BAND) * 2 * operators._NEAR_BAND * 8
         bound = 3 * operators._BLOCK_ENTRIES * 8 + 3 * averages
@@ -290,11 +304,23 @@ class TestAssemble:
 
     @pytest.mark.parametrize("n", [1000, 4000])
     def test_assembly_reuses_its_row_block_buffers(self, n):
-        # a handful of row blocks in flight at once, not fresh ones for every step
-        stored, peak = traced_assembly(n)
-        block = operators._BLOCK_ENTRIES // n * n * 8
-        extra = (peak - stored) / block
-        assert extra <= 4.0, extra
+        # the fold alone, on an operator whose band and layout are built: its scratch is one
+        # set of three row-block buffers, one part's columns and band positions and a little
+        # more (0.34 and 0.37 MB), not a fresh set of buffers for every row block
+        params, grid = ProblemParams(s=0.2, gamma=0.3), graded_mesh(n, 3.0)
+        op = operators.GreenOperator(grid, params, operators._corrected_band(params, grid),
+                                     operators._tiles(grid))
+        tracemalloc.start()
+        try:
+            block = operators._fold(op, np.add)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = 3 * max(1, operators._BLOCK_ENTRIES // n) * n * 8
+        mirrored = 2 * 2 * (n // 2) * 8  # a part's columns and their delta, with their mirrors
+        positions = 3 * operators._SLAB_ROWS * (2 * operators._NEAR_BAND + 1) * 8
+        bound = buffers + mirrored + positions + 0.1e6
+        assert peak - block.nbytes <= bound, (peak - block.nbytes, bound)
 
     def test_refinement_convergence_first_order(self):
         # apply to the constant 1 and compare against the finest level
